@@ -26,6 +26,8 @@ import io
 import json
 import sys
 
+import numpy as np
+
 from .classify import (
     classification_records,
     closed_form_count_report,
@@ -37,7 +39,7 @@ from .classify import (
 from .group_core import validate_prime
 from .oracle import DEFAULT_ORACLE_BUDGET, bucket_by_theta, enumerate_regular_subgroups
 from .skewbrace import (
-    brace_from_subgroup,
+    brace_from_codes,
     is_involutive,
     lambda_matches_automorphism_action,
     socle_indices,
@@ -306,14 +308,16 @@ def _verify_checks(p: int, oracle_budget: int, jobs: int):
 
     def family_regularity():
         from .families import all_representatives
-        from .subgroups import is_regular
+        from .tables import hol_codec
 
         reps = all_representatives(p)
         expected = 1 + 2 * p + ((2 * p - 3) * p + 2 * p - 1) + 4
         if len(reps) != expected:
             raise AssertionError("representative count off")
+        N = hol_codec(p).N
         for rep in reps:
-            if not is_regular(rep.subgroup):
+            # regular: order p^3 with pairwise distinct n-parts
+            if len(rep.codes) != p**3 or len(np.unique(rep.codes // N)) != p**3:
                 raise AssertionError(f"{rep.rep_id} not regular")
 
     def non_conjugacy():
@@ -332,7 +336,7 @@ def _verify_checks(p: int, oracle_budget: int, jobs: int):
         from .families import all_representatives
 
         for rep in all_representatives(p):
-            brace = brace_from_subgroup(rep.subgroup)
+            brace = brace_from_codes(p, rep.codes)
             bad = verify_brace_axiom(brace)
             if bad is not None:
                 raise AssertionError(f"{rep.rep_id} axiom fails at {bad}")
@@ -343,8 +347,8 @@ def _verify_checks(p: int, oracle_budget: int, jobs: int):
         from .families import all_representatives
 
         reps = all_representatives(p)
-        for rep in reps[::5] + [r for r in reps if r.theta_order == p**3]:
-            brace = brace_from_subgroup(rep.subgroup)
+        for rep in reps[::5] + tuple(r for r in reps if r.theta_order == p**3):
+            brace = brace_from_codes(p, rep.codes)
             if verify_braid(brace) is not None:
                 raise AssertionError(f"{rep.rep_id} braid fails")
             if not verify_nondegenerate(brace):
@@ -431,17 +435,18 @@ def _find_rep(p: int, rep_id: str):
 def cmd_brace(args) -> int:
     p = args.prime
     rep = _find_rep(p, args.rep_id)
-    brace = brace_from_subgroup(rep.subgroup)
+    brace = brace_from_codes(p, rep.codes)
     axiom_ok = verify_brace_axiom(brace) is None
     lam_ok = lambda_matches_automorphism_action(brace)
+    socle = socle_indices(brace)
     payload = {
         "p": p,
         "id": rep.rep_id,
         "theta": rep.theta_order,
         "structure": rep.group_type.value,
         "order": brace.order,
-        "socle_order": int(len(socle_indices(brace))),
-        "ann_order": int(len(annihilator_indices(brace))),
+        "socle_order": int(len(socle)),
+        "ann_order": int(len(annihilator_indices(brace, socle=socle))),
         "mul_abelian": brace.mul_abelian(),
         "add_abelian": brace.add_abelian(),
         "axiom_verified": axiom_ok,
@@ -460,20 +465,21 @@ def cmd_brace(args) -> int:
 def cmd_ybe(args) -> int:
     p = args.prime
     rep = _find_rep(p, args.rep_id)
-    brace = brace_from_subgroup(rep.subgroup)
-    braid_bad = verify_braid(brace)
+    brace = brace_from_codes(p, rep.codes)
+    tables = ybe_tables(brace)
+    braid_bad = verify_braid(brace, tables=tables)
     payload = {
         "p": p,
         "id": rep.rep_id,
         "carrier_order": brace.order,
         "braid_verified": braid_bad is None,
-        "nondegenerate": verify_nondegenerate(brace),
-        "involutive": is_involutive(brace),
+        "nondegenerate": verify_nondegenerate(brace, tables=tables),
+        "involutive": is_involutive(brace, tables=tables),
     }
     if braid_bad is not None:
         payload["braid_counterexample"] = list(braid_bad)
     if args.full_ybe:
-        R1, R2 = ybe_tables(brace)
+        R1, R2 = tables
         payload["r1"] = R1.tolist()
         payload["r2"] = R2.tolist()
     if args.format == "csv":

@@ -6,6 +6,11 @@ normal forms alpha1^i alpha2^j alpha3^k.  The theta = 1 case is the trivial
 pairing, theta = p pairs with <r, t>, theta = p^2 pairs <r> with a rank-two
 image, and theta = p^3 meets the base group trivially.
 
+Representatives are built straight in code form: each one is the sorted
+array of its p^3 holomorph codes plus its three generator codes, and the
+scalar SubgroupHol is built only on demand.  The full families are built
+only by the tests.
+
 Representative ids are stable strings, e.g. "r=p2/II/x3=2/a=0" or
 "r=p3/t3=1/s=delta" (delta is the smallest quadratic non-residue).
 """
@@ -14,16 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
-from .automorphisms import aut_identity
+from .automorphisms import aut_identity, sylow_aut_from_coords
 from .group_core import (
     M1Elt,
     inv_mod,
-    m1_code,
-    m1_mul,
-    m1_pow,
+    m1_elements,
     rho,
     sigma,
     tau,
@@ -44,14 +48,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Representative:
-    """One orbit representative: stable id, theta size, subgroup, type."""
+    """One orbit representative: stable id, theta size, type, and the subgroup
+    as read-only code arrays (sorted element codes, three generator codes)."""
 
     rep_id: str
+    p: int
     theta_order: int
-    subgroup: SubgroupHol
     group_type: GroupType
+    codes: np.ndarray
+    gen_codes: np.ndarray
+
+    @property
+    def subgroup(self) -> SubgroupHol:
+        """The scalar form, built on each access (reference and tests only)."""
+        codec = hol_codec(self.p)
+        return codec.materialize(self.codes, [codec.decode(c) for c in self.gen_codes])
 
 
 def smallest_nonresidue(p: int) -> int:
@@ -68,8 +81,6 @@ def _emb(n: M1Elt) -> HolElt:
 
 
 def _syl(p: int, v: M1Elt, n1: int, n2: int, n3: int) -> HolElt:
-    from .automorphisms import sylow_aut_from_coords
-
     return HolElt(v, sylow_aut_from_coords(p, n1, n2, n3))
 
 
@@ -83,29 +94,12 @@ def _pow_codes(p: int, g: HolElt) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def _span_codes(p: int, codes: np.ndarray, gens: list[HolElt]) -> SubgroupHol:
-    codec = hol_codec(p)
-    codes = np.unique(np.asarray(codes, dtype=np.int64).ravel())
-    if len(codes) != p**3:
-        raise AssertionError("span is not a transversal")
-    return codec.materialize(codes, gens)
+def _span(p: int, g1: HolElt, g2: HolElt, g3: HolElt) -> np.ndarray:
+    """Sorted codes of {g1^k g2^i g3^j}, which must be p^3 distinct elements.
 
-
-def _span_two_step(
-    p: int, h1: list[M1Elt], g: HolElt, gens: list[HolElt]
-) -> SubgroupHol:
-    """Elements {(h, 1) g^k} for h in the base-group part h1."""
-    codec = hol_codec(p)
-    h_codes = (
-        np.array([m1_code(h) for h in h1], dtype=np.int64) * codec.N
-        + codec.aut.identity
-    )
-    rows = [codec.mul_codes(h_codes, gk) for gk in _pow_codes(p, g)]
-    return _span_codes(p, np.concatenate(rows), gens)
-
-
-def _span_three_step(p: int, g1: HolElt, g2: HolElt, g3: HolElt) -> SubgroupHol:
-    """Elements {(r^k, 1) g2^i g3^j} with g1 = (r, 1), or full triple span."""
+    With g1 = (r, 1) the left factor only shifts the central coordinate, so
+    the product collapses to index arithmetic.
+    """
     codec = hol_codec(p)
     q = codec.mul_codes(_pow_codes(p, g2)[:, None], _pow_codes(p, g3)[None, :])
     if g1.alpha.is_identity() and g1.n == rho(p):
@@ -115,180 +109,166 @@ def _span_three_step(p: int, g1: HolElt, g2: HolElt, g3: HolElt) -> SubgroupHol:
         codes = (((a + k) % p) * (p * p) + rest) * codec.N + aidx
     else:
         codes = codec.mul_codes(_pow_codes(p, g1)[:, None, None], q[None, :, :])
-    return _span_codes(p, codes, [g1, g2, g3])
+    codes = np.unique(codes.ravel())
+    if len(codes) != p**3:
+        raise AssertionError("span is not a transversal")
+    return codes
+
+
+def _subgroup(p: int, gens: list[HolElt]) -> SubgroupHol:
+    return hol_codec(p).materialize(_span(p, *gens), gens)
 
 
 def trivial_subgroup(p: int) -> SubgroupHol:
     """The base group embedded with trivial automorphism part."""
     validate_prime(p)
     e = aut_identity(p)
-    from .group_core import m1_elements
-
     els = [HolElt(n, e) for n in m1_elements(p)]
     return subgroup_from_cosets([_emb(rho(p)), _emb(sigma(p)), _emb(tau(p))], els)
 
 
-def _h1_rt(p: int) -> list[M1Elt]:
+# -- generator recipes ---------------------------------------------------------
+# Pairing with <r, t> is the span <(r, 1), (t, 1), g>: (r, 1) is central, so
+# its powers times <(t, 1), g> give every (h, 1) g^k with h in <r, t>.
+
+
+def _gens_theta_p(p: int, a1: int, a2: int, a3: int) -> list[HolElt]:
+    return [_emb(rho(p)), _emb(tau(p)), _syl(p, sigma(p), a1, a2, a3)]
+
+
+def _gens_theta_p2(p: int, x: M1Elt, y: M1Elt, j: int, k: int) -> list[HolElt]:
+    return [_emb(rho(p)), _syl(p, x, 1, 0, 0), _syl(p, y, 0, j, k)]
+
+
+def _gens_theta_p3(p: int, u1: int, v1: int, w1: int, w3: int) -> list[HolElt]:
     return [
-        m1_mul(m1_pow(rho(p), i), m1_pow(tau(p), j)) for i in range(p) for j in range(p)
+        _syl(p, M1Elt(p, u1, 0, -2), 1, 0, 0),
+        _syl(p, M1Elt(p, v1, 0, 1 - u1), 0, 1, 0),
+        _syl(p, M1Elt(p, w1, 2, w3), 0, 0, 1),
     ]
 
 
-@lru_cache(maxsize=4)
-def families_theta_p(p: int) -> tuple[list[SubgroupHol], list[Representative]]:
+def families_theta_p(p: int) -> list[SubgroupHol]:
     """Pairings with <r, t>: third generator s alpha1^a1 alpha2^a2 alpha3^a3.
 
     The full family has p^3 - 1 members ((a1, a2, a3) != 0), abelian exactly
-    when a3 = 1.  The 2p representatives: s alpha1, s alpha2, s alpha3^c and
-    s alpha2 alpha3^c for c = 1..p-1 (c = 1 gives the two abelian ones).
+    when a3 = 1.
     """
     validate_prime(p)
-    h1 = _h1_rt(p)
-    s = sigma(p)
-    family = []
-    for a1 in range(p):
-        for a2 in range(p):
-            for a3 in range(p):
-                if (a1, a2, a3) == (0, 0, 0):
-                    continue
-                g = _syl(p, s, a1, a2, a3)
-                family.append(
-                    _span_two_step(p, h1, g, [_emb(rho(p)), _emb(tau(p)), g])
-                )
-    reps = []
-
-    def add(rep_id: str, n1: int, n2: int, n3: int, gtype: GroupType) -> None:
-        g = _syl(p, s, n1, n2, n3)
-        sub = _span_two_step(p, h1, g, [_emb(rho(p)), _emb(tau(p)), g])
-        reps.append(Representative(rep_id, p, sub, gtype))
-
-    add("r=p/a1", 1, 0, 0, GroupType.HeisenbergM1)
-    add("r=p/a2", 0, 1, 0, GroupType.HeisenbergM1)
-    for c in range(1, p):
-        gtype = GroupType.ElemAbelian_p3 if c == 1 else GroupType.HeisenbergM1
-        add(f"r=p/a3/c={c}", 0, 0, c, gtype)
-        add(f"r=p/a2a3/c={c}", 0, 1, c, gtype)
-    return family, reps
+    return [
+        _subgroup(p, _gens_theta_p(p, a1, a2, a3))
+        for a1 in range(p)
+        for a2 in range(p)
+        for a3 in range(p)
+        if (a1, a2, a3) != (0, 0, 0)
+    ]
 
 
-@lru_cache(maxsize=4)
-def families_theta_p2(p: int) -> tuple[list[SubgroupHol], list[Representative]]:
+def families_theta_p2(p: int) -> list[SubgroupHol]:
     """Pairings with <r>; the theta image has rank two.
 
     Case I:  <r, (s^u2 t^u3) alpha1, (s^v2 t^v3) alpha3> for every invertible
              (u2 v2; u3 v3); abelian exactly when v2 = u3 + det.
     Case II: <r, t^x3 alpha1, (s^y2 t^y3) alpha2 alpha3^a> with x3, y2 != 0;
              abelian exactly when y2 = a x3 - x3 y2.
-    Representatives: u3/u4 sweep (Case I rank-one reduction), the antidiagonal
-    u5 line (fixed by every reduction), and the Case II x3/a sweep.
     """
     validate_prime(p)
-    r = rho(p)
-    family: list[SubgroupHol] = []
+    family = []
     for u2 in range(p):
         for u3 in range(p):
             for v2 in range(p):
                 for v3 in range(p):
                     if (u2 * v3 - v2 * u3) % p == 0:
                         continue
-                    g1 = _syl(p, M1Elt(p, 0, u2, u3), 1, 0, 0)
-                    g2 = _syl(p, M1Elt(p, 0, v2, v3), 0, 0, 1)
-                    family.append(_span_three_step(p, _emb(r), g1, g2))
+                    x, y = M1Elt(p, 0, u2, u3), M1Elt(p, 0, v2, v3)
+                    family.append(_subgroup(p, _gens_theta_p2(p, x, y, 0, 1)))
     for x3 in range(1, p):
         for y2 in range(1, p):
             for y3 in range(p):
                 for a in range(p):
-                    g1 = _syl(p, M1Elt(p, 0, 0, x3), 1, 0, 0)
-                    g2 = _syl(p, M1Elt(p, 0, y2, y3), 0, 1, a)
-                    family.append(_span_three_step(p, _emb(r), g1, g2))
-    reps = []
-    for u3 in range(p):
-        for u4 in range(1, p):
-            g1 = _syl(p, sigma(p), 1, 0, 0)
-            g2 = _syl(p, M1Elt(p, 0, u3, u4), 0, 0, 1)
-            gtype = GroupType.ElemAbelian_p3 if u3 == u4 else GroupType.HeisenbergM1
-            reps.append(
-                Representative(
-                    f"r=p2/I/u3={u3}/u4={u4}",
-                    p * p,
-                    _span_three_step(p, _emb(r), g1, g2),
-                    gtype,
-                )
-            )
-    for u5 in range(1, p):
-        g1 = _syl(p, M1Elt(p, 0, 0, -u5), 1, 0, 0)
-        g2 = _syl(p, M1Elt(p, 0, u5, 0), 0, 0, 1)
-        gtype = GroupType.ElemAbelian_p3 if u5 == 2 else GroupType.HeisenbergM1
-        reps.append(
-            Representative(
-                f"r=p2/I/u5={u5}", p * p, _span_three_step(p, _emb(r), g1, g2), gtype
-            )
-        )
-    for x3 in range(1, p):
-        for a in range(p):
-            g1 = _syl(p, M1Elt(p, 0, 0, x3), 1, 0, 0)
-            g2 = _syl(p, sigma(p), 0, 1, a)
-            abelian = a == ((1 + x3) * inv_mod(x3, p)) % p
-            gtype = GroupType.ElemAbelian_p3 if abelian else GroupType.HeisenbergM1
-            reps.append(
-                Representative(
-                    f"r=p2/II/x3={x3}/a={a}",
-                    p * p,
-                    _span_three_step(p, _emb(r), g1, g2),
-                    gtype,
-                )
-            )
-    return family, reps
+                    x, y = M1Elt(p, 0, 0, x3), M1Elt(p, 0, y2, y3)
+                    family.append(_subgroup(p, _gens_theta_p2(p, x, y, 1, a)))
+    return family
 
 
-@lru_cache(maxsize=4)
-def families_theta_p3(p: int) -> tuple[list[SubgroupHol], list[Representative]]:
+def families_theta_p3(p: int) -> list[SubgroupHol]:
     """Pairings meeting the base group trivially (theta injective).
 
     Family: <r^u1 t^{-2} alpha1, r^v1 t^{1-u1} alpha2, r^w1 s^2 t^w3 alpha3>
     with v1 + u1(1-u1)/2 != 0, giving (p-1) p^3 members in this ambient.
-    Representatives: t3 in {0, 1} and s in {1, delta}.
     """
     validate_prime(p)
     half = (p + 1) // 2
-    family = []
-    for u1 in range(p):
-        for v1 in range(p):
-            if (v1 + half * u1 * (1 - u1)) % p == 0:
-                continue
-            for w1 in range(p):
-                for w3 in range(p):
-                    g1 = _syl(p, M1Elt(p, u1, 0, -2), 1, 0, 0)
-                    g2 = _syl(p, M1Elt(p, v1, 0, 1 - u1), 0, 1, 0)
-                    g3 = _syl(p, M1Elt(p, w1, 2, w3), 0, 0, 1)
-                    family.append(_span_three_step(p, g1, g2, g3))
+    return [
+        _subgroup(p, _gens_theta_p3(p, u1, v1, w1, w3))
+        for u1 in range(p)
+        for v1 in range(p)
+        if (v1 + half * u1 * (1 - u1)) % p
+        for w1 in range(p)
+        for w3 in range(p)
+    ]
+
+
+def _recipes(p: int) -> Iterator[tuple[str, int, GroupType, list[HolElt]]]:
+    """(id, theta order, type, generators) of every representative.
+
+    theta = p:   s alpha1, s alpha2, s alpha3^c and s alpha2 alpha3^c for
+                 c = 1..p-1 (c = 1 gives the two abelian ones).
+    theta = p^2: the u3/u4 sweep (Case I rank-one reduction, s alpha1), the
+                 antidiagonal u5 line (fixed by every reduction), and the
+                 Case II x3/a sweep.
+    theta = p^3: t3 in {0, 1} and r-exponent s in {1, delta} of the second
+                 generator, the family at u1 = w1 = 0.
+    """
+    heis, abel = GroupType.HeisenbergM1, GroupType.ElemAbelian_p3
+    yield "r=1/trivial", 1, heis, [_emb(rho(p)), _emb(sigma(p)), _emb(tau(p))]
+
+    yield "r=p/a1", p, heis, _gens_theta_p(p, 1, 0, 0)
+    yield "r=p/a2", p, heis, _gens_theta_p(p, 0, 1, 0)
+    for c in range(1, p):
+        gtype = abel if c == 1 else heis
+        yield f"r=p/a3/c={c}", p, gtype, _gens_theta_p(p, 0, 0, c)
+        yield f"r=p/a2a3/c={c}", p, gtype, _gens_theta_p(p, 0, 1, c)
+
+    for u3 in range(p):
+        for u4 in range(1, p):
+            gens = _gens_theta_p2(p, sigma(p), M1Elt(p, 0, u3, u4), 0, 1)
+            yield f"r=p2/I/u3={u3}/u4={u4}", p * p, abel if u3 == u4 else heis, gens
+    for u5 in range(1, p):
+        gens = _gens_theta_p2(p, M1Elt(p, 0, 0, -u5), M1Elt(p, 0, u5, 0), 0, 1)
+        yield f"r=p2/I/u5={u5}", p * p, abel if u5 == 2 else heis, gens
+    for x3 in range(1, p):
+        for a in range(p):
+            gens = _gens_theta_p2(p, M1Elt(p, 0, 0, x3), sigma(p), 1, a)
+            abelian = a == ((1 + x3) * inv_mod(x3, p)) % p
+            yield f"r=p2/II/x3={x3}/a={a}", p * p, abel if abelian else heis, gens
+
     delta = smallest_nonresidue(p)
-    reps = []
     for t3 in (0, 1):
         for s_name, s_val in (("1", 1), ("delta", delta)):
-            g1 = _syl(p, M1Elt(p, 0, 0, -2), 1, 0, 0)
-            g2 = _syl(p, M1Elt(p, s_val, 0, 1), 0, 1, 0)
-            g3 = _syl(p, M1Elt(p, 0, 2, t3), 0, 0, 1)
-            reps.append(
-                Representative(
-                    f"r=p3/t3={t3}/s={s_name}",
-                    p**3,
-                    _span_three_step(p, g1, g2, g3),
-                    GroupType.HeisenbergM1,
-                )
-            )
-    return family, reps
+            yield f"r=p3/t3={t3}/s={s_name}", p**3, heis, _gens_theta_p3(p, 0, s_val, 0, t3)
 
 
-def all_representatives(p: int) -> list[Representative]:
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=4)
+def all_representatives(p: int) -> tuple[Representative, ...]:
     """The full representative list, theta ascending, ids sorted within theta."""
+    validate_prime(p)
+    codec = hol_codec(p)
     reps = [
         Representative(
-            "r=1/trivial", 1, trivial_subgroup(p), GroupType.HeisenbergM1
+            rep_id,
+            p,
+            theta,
+            gtype,
+            _frozen(_span(p, *gens)),
+            _frozen(np.array([codec.encode(g) for g in gens], dtype=np.int64)),
         )
+        for rep_id, theta, gtype, gens in _recipes(p)
     ]
-    reps.extend(families_theta_p(p)[1])
-    reps.extend(families_theta_p2(p)[1])
-    reps.extend(families_theta_p3(p)[1])
     reps.sort(key=lambda rec: (rec.theta_order, rec.rep_id))
-    return reps
+    return tuple(reps)

@@ -161,10 +161,14 @@ def socle_indices(brace: SkewBrace) -> np.ndarray:
     return np.flatnonzero(route_a)
 
 
-def annihilator_indices(brace: SkewBrace) -> np.ndarray:
+def annihilator_indices(brace: SkewBrace, *, socle: np.ndarray | None = None) -> np.ndarray:
+    """Socle elements central in the circle group; socle may carry a
+    precomputed socle_indices(brace)."""
+    if socle is None:
+        socle = socle_indices(brace)
     mul_central = np.all(brace.MUL == brace.MUL.T, axis=1)
     soc = np.zeros(brace.order, dtype=bool)
-    soc[socle_indices(brace)] = True
+    soc[socle] = True
     return np.flatnonzero(soc & mul_central)
 
 
@@ -202,9 +206,15 @@ def _apply_r23(R1, R2, i, j, l):
     return i, R1[j, l], R2[j, l]
 
 
-def verify_braid(brace: SkewBrace) -> tuple[int, int, int] | None:
-    """r12 r23 r12 == r23 r12 r23 on every triple; None when it holds."""
-    R1, R2 = ybe_tables(brace)
+def verify_braid(
+    brace: SkewBrace, *, tables: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[int, int, int] | None:
+    """r12 r23 r12 == r23 r12 r23 on every triple; None when it holds.
+
+    tables may carry a precomputed ybe_tables(brace), here and in the other
+    YBE checks.
+    """
+    R1, R2 = ybe_tables(brace) if tables is None else tables
     k = brace.order
     step = _slabs(k)
     jj, ll = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
@@ -226,9 +236,11 @@ def verify_braid(brace: SkewBrace) -> tuple[int, int, int] | None:
     return None
 
 
-def verify_nondegenerate(brace: SkewBrace) -> bool:
+def verify_nondegenerate(
+    brace: SkewBrace, *, tables: tuple[np.ndarray, np.ndarray] | None = None
+) -> bool:
     """Every lambda_a and every rho_b must be a bijection of the carrier."""
-    R1, R2 = ybe_tables(brace)
+    R1, R2 = ybe_tables(brace) if tables is None else tables
     k = brace.order
     ident = np.arange(k)
     rows_ok = bool(np.array_equal(np.sort(R1, axis=1), np.broadcast_to(ident, R1.shape)))
@@ -236,9 +248,11 @@ def verify_nondegenerate(brace: SkewBrace) -> bool:
     return rows_ok and cols_ok
 
 
-def is_involutive(brace: SkewBrace) -> bool:
+def is_involutive(
+    brace: SkewBrace, *, tables: tuple[np.ndarray, np.ndarray] | None = None
+) -> bool:
     """r(r(a, b)) == (a, b) for every pair."""
-    R1, R2 = ybe_tables(brace)
+    R1, R2 = ybe_tables(brace) if tables is None else tables
     a2 = R1[R1, R2]
     b2 = R2[R1, R2]
     k = brace.order

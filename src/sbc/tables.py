@@ -195,14 +195,17 @@ class AutTable:
         nc = a3 * b + a4 * c
         return ((na % p) * p + nb % p) * p + nc % p
 
-    def conj_column(self, beta_idx: int) -> np.ndarray:
-        """conj of the fixed automorphism beta by every automorphism."""
-        everyone = np.arange(self.N)
-        return self.compose_idx(self.compose_idx(everyone, np.int64(beta_idx)), self.INV)
-
 
 class HolCodec:
-    """Holomorph elements as single integers, plus subgroup-level sweeps."""
+    """Holomorph elements as single integers, plus subgroup-level sweeps.
+
+    A subgroup is a sorted code array plus a few generator codes.  Conjugation
+    by (1, alpha) is an automorphism of the holomorph, so it carries a
+    subgroup S onto the subgroup generated by the images of S's generators;
+    when those images lie in a target T with |T| = |S|, the image is T.
+    Stabilizers and transporters therefore sweep |Aut(M1)| x (generator
+    count) conjugates, and memory stays O(|Aut(M1)| + p^3).
+    """
 
     def __init__(self, p: int) -> None:
         self.p = p
@@ -210,20 +213,6 @@ class HolCodec:
         self.aut = aut_table(p)
         self.N = self.aut.N
         self.identity = 0 * self.N + self.aut.identity
-        self._member_buf: np.ndarray | None = None
-
-    def _member_mark(self, codes: np.ndarray) -> np.ndarray:
-        """Reusable membership bitmap over all holomorph codes.
-
-        The caller must call _member_clear with the same codes afterwards.
-        """
-        if self._member_buf is None:
-            self._member_buf = np.zeros(self.p**3 * self.N, dtype=bool)
-        self._member_buf[codes] = True
-        return self._member_buf
-
-    def _member_clear(self, codes: np.ndarray) -> None:
-        self._member_buf[codes] = False
 
     # -- element codecs ----------------------------------------------------
 
@@ -262,118 +251,77 @@ class HolCodec:
 
     # -- conjugation sweeps --------------------------------------------------
 
-    def conj_matrix(self, codes: np.ndarray, aut_rows: np.ndarray | None = None) -> np.ndarray:
-        """Row r = the sorted conjugate of the code set under automorphism r.
+    def conj_images(self, codes: np.ndarray, aut_rows: np.ndarray | None = None) -> np.ndarray:
+        """Row i = listed code i conjugated by each automorphism in aut_rows.
 
-        Shape (len(aut_rows), len(codes)); aut_rows defaults to every
-        automorphism.  Rows are sorted, so equal rows mean equal subgroups.
+        Shape (len(codes), len(aut_rows)); aut_rows defaults to every
+        automorphism.  Automorphisms run along the last axis, so a handful
+        of generators still gives long vectorized rows.
         """
         if aut_rows is None:
             aut_rows = np.arange(self.N)
         nparts, aparts = np.divmod(np.asarray(codes), self.N)
-        new_n = self.aut.apply_codes(aut_rows[:, None], nparts[None, :])
-        new_a = self.aut.compose_idx(
-            self.aut.compose_idx(aut_rows[:, None], aparts[None, :]),
-            self.aut.INV[aut_rows][:, None],
+        new_n = self.aut.apply_codes(aut_rows[None, :], nparts[:, None])
+        # conjugation fixes the identity automorphism: only the other
+        # automorphism parts need the two compositions
+        new_a = np.full(new_n.shape, self.aut.identity, dtype=np.int64)
+        moving = np.flatnonzero(aparts != self.aut.identity)
+        new_a[moving] = self.aut.compose_idx(
+            self.aut.compose_idx(aut_rows[None, :], aparts[moving][:, None]),
+            self.aut.INV[aut_rows][None, :],
         )
-        out = new_n * self.N + new_a
-        out.sort(axis=1)
-        return out
+        return new_n * self.N + new_a
 
-    def one_element_image(self, codes: np.ndarray) -> np.ndarray:
-        """Conjugate of one chosen element of the sorted code set, under every
-        automorphism.  Any automorphism carrying the whole set onto a target
-        must send this element into the target, so the image array is a cheap
-        necessary filter (cacheable: it depends only on the source set)."""
-        nparts, aparts = np.divmod(np.asarray(codes), self.N)
-        pick = int(np.argmax(aparts != self.aut.identity))
-        if aparts[pick] == self.aut.identity:
-            pick = len(codes) - 1  # purely inner subgroup: any nontrivial element
-        everyone = np.arange(self.N)
-        one_n = self.aut.apply_codes(everyone, np.int64(nparts[pick]))
-        one_a = self.aut.conj_column(int(aparts[pick]))
-        return one_n * self.N + one_a
+    def conj_matrix(self, codes: np.ndarray, aut_rows: np.ndarray | None = None) -> np.ndarray:
+        """Row r = the sorted conjugate of the code set under automorphism r.
 
-    def _conj_members_mask(
-        self, nparts: np.ndarray, aparts: np.ndarray, rows: np.ndarray,
-        cols: np.ndarray, member: np.ndarray,
-    ) -> np.ndarray:
-        """For each automorphism row, does it conjugate every listed element
-        into the marked set?"""
-        new_n = self.aut.apply_codes(rows[:, None], nparts[cols][None, :])
-        new_a = self.aut.compose_idx(
-            self.aut.compose_idx(rows[:, None], aparts[cols][None, :]),
-            self.aut.INV[rows][:, None],
-        )
-        return member[new_n * self.N + new_a].all(axis=1)
-
-    def _matching_auts(
-        self, codes_a: np.ndarray, member_b: np.ndarray, candidates: np.ndarray,
-        first_only: bool = False, step: int = 4096,
-    ) -> np.ndarray:
-        """Candidates that conjugate sorted A into the marked set B.
-
-        Conjugation by a fixed automorphism is injective and |A| = |B|, so
-        landing inside B means equality.  A few probe columns cut each slab
-        before the full sweep.
+        Shape (len(aut_rows), len(codes)).  Rows are sorted, so equal rows
+        mean equal subgroups.  This maps every element (N x |S| entries); it
+        is the reference the generator sweeps are tested against.
         """
-        k = len(codes_a)
-        nparts, aparts = np.divmod(codes_a, self.N)
-        probe = np.unique(np.array([k // 4, k // 2, (3 * k) // 4, k - 1]))
-        allcols = np.arange(k)
-        hits = []
-        for lo in range(0, len(candidates), step):
-            slab = candidates[lo : lo + step]
-            surv = slab[self._conj_members_mask(nparts, aparts, slab, probe, member_b)]
-            if not len(surv):
-                continue
-            found = surv[self._conj_members_mask(nparts, aparts, surv, allcols, member_b)]
-            if len(found):
-                if first_only:
-                    return found[:1]
-                hits.append(found)
-        if not hits:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(hits)
+        return np.sort(self.conj_images(codes, aut_rows).T, axis=1)
 
-    def stabilizer(self, codes: np.ndarray) -> np.ndarray:
+    def one_element_image(self, code: int) -> np.ndarray:
+        """Conjugates of one holomorph element under every automorphism, in
+        automorphism order: one row of conj_images."""
+        return self.conj_images(np.array([code], dtype=np.int64))[0]
+
+    @staticmethod
+    def _carriers(images: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """Column indices (automorphisms) of images that send every listed
+        code into the sorted array target; each row only probes the columns
+        that survived the rows before it."""
+        keep = np.arange(images.shape[1])
+        for row in images:
+            img = row[keep]
+            pos = np.minimum(np.searchsorted(target, img), len(target) - 1)
+            keep = keep[target[pos] == img]
+        return keep
+
+    def stabilizer(self, codes: np.ndarray, gen_codes: np.ndarray) -> np.ndarray:
         """Automorphism indices alpha with alpha . S . alpha^{-1} = S.
 
-        A one-element necessary filter runs over the whole automorphism group
-        first; the survivors get the full subgroup comparison.
+        codes are S's element codes and gen_codes any generating set of S;
+        alpha fixes S exactly when it conjugates every generator into S.
         """
-        codes = np.sort(np.asarray(codes))
-        member = self._member_mark(codes)
-        try:
-            candidates = np.flatnonzero(member[self.one_element_image(codes)])
-            return self._matching_auts(codes, member, candidates)
-        finally:
-            self._member_clear(codes)
+        return self._carriers(self.conj_images(gen_codes), np.sort(np.asarray(codes)))
 
     def orbit(self, codes: np.ndarray) -> np.ndarray:
         """All distinct conjugates of the code set, one sorted row each."""
         return np.unique(self.conj_matrix(np.sort(np.asarray(codes))), axis=0)
 
     def transporter_exists(
-        self, codes_a: np.ndarray, codes_b: np.ndarray,
-        one_image: np.ndarray | None = None,
+        self, codes_a: np.ndarray, gen_codes_a: np.ndarray, codes_b: np.ndarray,
+        images: np.ndarray | None = None,
     ) -> bool:
         """Is some (1, alpha) conjugation carrying subgroup A onto subgroup B?
 
-        one_image may carry a precomputed one_element_image(codes_a) when the
-        caller probes the same A against many targets.
+        A is given by its element codes and a generating set; images may carry
+        a precomputed conj_images(gen_codes_a) when the caller probes the same
+        A against many targets.
         """
-        codes_a = np.sort(np.asarray(codes_a))
-        codes_b = np.sort(np.asarray(codes_b))
-        if codes_a.shape != codes_b.shape:
+        if len(codes_a) != len(codes_b):
             return False
-        if one_image is None:
-            one_image = self.one_element_image(codes_a)
-        member = self._member_mark(codes_b)
-        try:
-            candidates = np.flatnonzero(member[one_image])
-            if len(candidates) == 0:
-                return False
-            return len(self._matching_auts(codes_a, member, candidates, first_only=True)) > 0
-        finally:
-            self._member_clear(codes_b)
+        if images is None:
+            images = self.conj_images(gen_codes_a)
+        return len(self._carriers(images, np.sort(np.asarray(codes_b)))) > 0

@@ -54,9 +54,7 @@ from sbc.skewbrace import (
 
 def _clear_caches() -> None:
     classify.classification_records.cache_clear()
-    families.families_theta_p.cache_clear()
-    families.families_theta_p2.cache_clear()
-    families.families_theta_p3.cache_clear()
+    families.all_representatives.cache_clear()
     tables.m1_table.cache_clear()
     tables.aut_table.cache_clear()
     tables.hol_codec.cache_clear()

@@ -1,0 +1,113 @@
+"""The code-array routes against the full-element references.
+
+Representatives carry sorted holomorph codes and generator codes; stabilizers
+and transporters sweep generator conjugates only.  Each fast route is pinned
+here to the scalar model or to the dense conj_matrix / orbit sweep.
+"""
+
+from __future__ import annotations
+
+import random
+
+import numpy as np
+import pytest
+
+from sbc.classify import classification_records
+from sbc.families import all_representatives, trivial_subgroup
+from sbc.skewbrace import (
+    annihilator_indices,
+    brace_from_codes,
+    brace_from_subgroup,
+    is_involutive,
+    socle_indices,
+    verify_braid,
+    verify_nondegenerate,
+    ybe_tables,
+)
+from sbc.subgroups import generate
+from sbc.tables import hol_codec
+
+P = 5
+RNG = random.Random(2026)
+
+
+@pytest.fixture(scope="module")
+def reps():
+    return all_representatives(P)
+
+
+def test_representatives_are_cached_read_only_codes(reps) -> None:
+    assert isinstance(reps, tuple)
+    assert all_representatives(P) is reps
+    for rep in reps:
+        assert rep.codes.dtype == np.int64 and rep.codes.shape == (P**3,)
+        assert rep.gen_codes.dtype == np.int64 and rep.gen_codes.shape == (3,)
+        assert np.all(np.diff(rep.codes) > 0)
+        assert np.isin(rep.gen_codes, rep.codes).all()
+        for arr in (rep.codes, rep.gen_codes):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
+def test_codes_match_the_scalar_subgroup(reps) -> None:
+    codec = hol_codec(P)
+    assert reps[0].subgroup == trivial_subgroup(P)
+    for rep in reps:
+        sub = rep.subgroup
+        assert np.array_equal(rep.codes, codec.subgroup_codes(sub)), rep.rep_id
+        gens = [codec.decode(c) for c in rep.gen_codes]
+        assert generate(gens) == sub, rep.rep_id
+
+
+def test_generator_stabilizer_matches_full_conjugation(reps) -> None:
+    codec = hol_codec(P)
+    for rep in reps:
+        full = np.flatnonzero((codec.conj_matrix(rep.codes) == rep.codes).all(axis=1))
+        assert np.array_equal(codec.stabilizer(rep.codes, rep.gen_codes), full), rep.rep_id
+
+
+def test_transporter_matches_orbit_membership(reps) -> None:
+    codec = hol_codec(P)
+    for rep in RNG.sample(reps, 6):
+        orbit = {tuple(row) for row in codec.orbit(rep.codes).tolist()}
+        alpha = np.array([RNG.randrange(codec.N)])
+        moved = codec.conj_matrix(rep.codes, alpha)[0]
+        moved_gens = codec.conj_images(rep.gen_codes, alpha)[:, 0]
+        assert tuple(moved.tolist()) in orbit
+        assert codec.transporter_exists(rep.codes, rep.gen_codes, moved)
+        assert codec.transporter_exists(moved, moved_gens, rep.codes)
+    # distinct representatives with equal invariants: never in each other's orbit
+    by_key: dict[tuple, list] = {}
+    recs = {rec.rep_id: rec for rec in classification_records(P)}
+    for rep in reps:
+        rec = recs[rep.rep_id]
+        by_key.setdefault((rec.theta_order, rec.structure, rec.autbr_order), []).append(rep)
+    bucket = max(by_key.values(), key=len)
+    a = bucket[0]
+    orbit = {tuple(row) for row in codec.orbit(a.codes).tolist()}
+    for b in bucket[1:]:
+        assert tuple(b.codes.tolist()) not in orbit
+        assert not codec.transporter_exists(a.codes, a.gen_codes, b.codes)
+    # a smaller set is never a conjugate
+    assert not codec.transporter_exists(a.codes[:-1], a.gen_codes, b.codes)
+
+
+def test_code_brace_matches_scalar_brace(reps) -> None:
+    for rep in reps[::7]:
+        fast = brace_from_codes(P, rep.codes)
+        slow = brace_from_subgroup(rep.subgroup)
+        assert np.array_equal(fast.codes, slow.codes)
+        assert np.array_equal(fast.MUL, slow.MUL) and np.array_equal(fast.ADD, slow.ADD)
+
+
+def test_precomputed_tables_give_the_same_answers(reps) -> None:
+    for rep in (reps[0], reps[12], reps[-1]):
+        brace = brace_from_codes(P, rep.codes)
+        socle = socle_indices(brace)
+        assert np.array_equal(
+            annihilator_indices(brace, socle=socle), annihilator_indices(brace)
+        )
+        tables = ybe_tables(brace)
+        assert verify_nondegenerate(brace, tables=tables) == verify_nondegenerate(brace)
+        assert is_involutive(brace, tables=tables) == is_involutive(brace)
+    assert verify_braid(brace, tables=tables) == verify_braid(brace)

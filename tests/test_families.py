@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from sbc.families import (
     all_representatives,
     families_theta_p,
@@ -17,6 +19,26 @@ from sbc.subgroups import GroupType, generate, is_regular, isomorphism_type
 
 P = 5
 RNG = random.Random(1234)
+
+
+# The full families are uncached and take seconds each: build once per module.
+@pytest.fixture(scope="module")
+def fam_p():
+    return families_theta_p(P)
+
+
+@pytest.fixture(scope="module")
+def fam_p2():
+    return families_theta_p2(P)
+
+
+@pytest.fixture(scope="module")
+def fam_p3():
+    return families_theta_p3(P)
+
+
+def _reps(theta: int):
+    return [r for r in all_representatives(P) if r.theta_order == theta]
 
 
 def test_smallest_nonresidue() -> None:
@@ -34,8 +56,8 @@ def test_trivial_subgroup() -> None:
     assert len(theta_image(sub.elements)) == 1
 
 
-def test_theta_p_family_count_and_regularity() -> None:
-    family, reps = families_theta_p(P)
+def test_theta_p_family_count_and_regularity(fam_p) -> None:
+    family, reps = fam_p, _reps(P)
     assert len(family) == P**3 - 1 == 124
     assert len(set(family)) == len(family)
     assert len(reps) == 2 * P == 10
@@ -45,8 +67,8 @@ def test_theta_p_family_count_and_regularity() -> None:
         assert len(theta_image(sub.elements)) == P
 
 
-def test_theta_p_family_types_split() -> None:
-    family, _ = families_theta_p(P)
+def test_theta_p_family_types_split(fam_p) -> None:
+    family = fam_p
     abelian = sum(1 for sub in family if isomorphism_type(sub) is GroupType.ElemAbelian_p3)
     heis = sum(1 for sub in family if isomorphism_type(sub) is GroupType.HeisenbergM1)
     assert abelian == P * P == 25
@@ -54,8 +76,8 @@ def test_theta_p_family_types_split() -> None:
     assert abelian + heis == len(family)
 
 
-def test_theta_p2_family_count_and_regularity() -> None:
-    family, reps = families_theta_p2(P)
+def test_theta_p2_family_count_and_regularity(fam_p2) -> None:
+    family, reps = fam_p2, _reps(P * P)
     case1 = (P * P - 1) * (P * P - P)
     case2 = P * P * (P - 1) ** 2
     assert len(family) == case1 + case2 == 480 + 400
@@ -67,11 +89,11 @@ def test_theta_p2_family_count_and_regularity() -> None:
         assert len(theta_image(sub.elements)) == P * P
 
 
-def test_theta_p2_family_abelian_counts() -> None:
+def test_theta_p2_family_abelian_counts(fam_p2) -> None:
     # The family members are abelian exactly on the printed parameter loci:
     # Case I when v2 = u3 + det, Case II when y2 = a x3 - x3 y2.  Count both
     # ways and compare.
-    family, _ = families_theta_p2(P)
+    family = fam_p2
     abelian = sum(1 for sub in family if isomorphism_type(sub) is GroupType.ElemAbelian_p3)
     count1 = 0
     for u2 in range(P):
@@ -91,8 +113,8 @@ def test_theta_p2_family_abelian_counts() -> None:
     assert abelian == count1 + count2
 
 
-def test_theta_p3_family_count_and_regularity() -> None:
-    family, reps = families_theta_p3(P)
+def test_theta_p3_family_count_and_regularity(fam_p3) -> None:
+    family, reps = fam_p3, _reps(P**3)
     assert len(family) == (P - 1) * P**3 == 500
     assert len(set(family)) == len(family)
     assert len(reps) == 4
@@ -137,26 +159,23 @@ def test_representative_type_totals() -> None:
     assert len(abel) == 2 * P + 1 == 11
 
 
-def test_spans_agree_with_generic_closure() -> None:
+def test_spans_agree_with_generic_closure(fam_p, fam_p2, fam_p3) -> None:
     # The fast coset spans must produce the same subgroups as BFS closure.
     reps = all_representatives(P)
     for rec in reps:
         assert generate(rec.subgroup.generators) == rec.subgroup
-    fam_p, _ = families_theta_p(P)
-    fam_p2, _ = families_theta_p2(P)
-    fam_p3, _ = families_theta_p3(P)
     for fam in (fam_p, fam_p2, fam_p3):
         for sub in RNG.sample(fam, 10):
             assert generate(sub.generators) == sub
 
 
-def test_representatives_appear_in_their_families() -> None:
-    fam_p, reps_p = families_theta_p(P)
+def test_representatives_appear_in_their_families(fam_p, fam_p2, fam_p3) -> None:
+    reps_p = _reps(P)
     assert {r.subgroup for r in reps_p}.issubset(set(fam_p))
-    fam_p3, reps_p3 = families_theta_p3(P)
+    reps_p3 = _reps(P**3)
     assert {r.subgroup for r in reps_p3}.issubset(set(fam_p3))
     # The theta = p^2 reps are mostly in the family; the u3/u4 sweep uses the
     # reduced generator (s alpha1), which is a Case I member with u2 = 1,
     # u3 = 0, and the u5 line and Case II sweep are family members verbatim.
-    fam_p2, reps_p2 = families_theta_p2(P)
+    reps_p2 = _reps(P * P)
     assert {r.subgroup for r in reps_p2}.issubset(set(fam_p2))

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from sbc.automorphisms import AutM1Elt, GL2Mat, aut_apply, aut_compose, aut_inverse
-from sbc.families import families_theta_p3
+from sbc.families import all_representatives
 from sbc.group_core import M1Elt, m1_identity, m1_inv, m1_mul, m1_pow
 from sbc.holomorph import HolElt, hol_act, hol_inv, hol_mul
 from sbc.skewbrace import brace_from_subgroup
@@ -26,7 +26,7 @@ hols = st.builds(HolElt, elts, auts)
 
 @lru_cache(maxsize=1)
 def _brace():
-    rep = families_theta_p3(P)[1][-1]
+    (rep,) = [r for r in all_representatives(P) if r.rep_id == "r=p3/t3=1/s=delta"]
     return brace_from_subgroup(rep.subgroup)
 
 

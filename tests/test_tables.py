@@ -76,14 +76,13 @@ def test_apply_codes_broadcasts() -> None:
         assert len(np.unique(row)) == P**3
 
 
-def test_conj_column_matches_scalar() -> None:
-    t = aut_table(P)
+def test_one_element_image_matches_scalar() -> None:
+    codec = hol_codec(P)
     auts = enumerate_aut(P)
-    beta = RNG.randrange(t.N)
-    col = t.conj_column(beta)
-    for i in RNG.sample(range(t.N), 50):
-        expected = aut_compose(aut_compose(auts[i], auts[beta]), aut_inverse(auts[i]))
-        assert auts[col[i]] == expected
+    g = HolElt(RNG.choice(m1_elements(P)), auts[RNG.randrange(codec.N)])
+    image = codec.one_element_image(codec.encode(g))
+    for i in RNG.sample(range(codec.N), 50):
+        assert codec.decode(image[i]) == conj_by_aut(auts[i], g)
 
 
 def test_hol_codec_round_trip_and_ops() -> None:
@@ -124,7 +123,7 @@ def test_stabilizer_and_orbit_small_case() -> None:
     # automorphisms, order (p-1)^2 p^2 = 400, so the orbit has 30 members.
     sub = generate([HolElt(rho(P), e), HolElt(tau(P), e), HolElt(sigma(P), alpha3(P))])
     codes = codec.subgroup_codes(sub)
-    stab = codec.stabilizer(codes)
+    stab = codec.stabilizer(codes, [codec.encode(g) for g in sub.generators])
     assert len(stab) == 400
     t = aut_table(P)
     assert np.all(t.A2[stab] == 0) and np.all(t.A3[stab] == 0)
@@ -145,9 +144,11 @@ def test_transporter_between_conjugates() -> None:
 
     b = conjugate_subgroup(b_alpha, a)
     ca, cb = codec.subgroup_codes(a), codec.subgroup_codes(b)
-    assert codec.transporter_exists(ca, cb)
-    assert codec.transporter_exists(cb, ca)
+    ga = [codec.encode(g) for g in a.generators]
+    gb = [codec.encode(g) for g in b.generators]
+    assert codec.transporter_exists(ca, ga, cb)
+    assert codec.transporter_exists(cb, gb, ca)
     # <r, t, s alpha1> is never conjugate to <r, t, s alpha3> (different
     # printed stabilizer orders).
     c = generate([HolElt(rho(P), e), HolElt(tau(P), e), HolElt(sigma(P), alpha3(P))])
-    assert not codec.transporter_exists(ca, codec.subgroup_codes(c))
+    assert not codec.transporter_exists(ca, ga, codec.subgroup_codes(c))

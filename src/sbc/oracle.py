@@ -13,6 +13,28 @@ Each ambient is scanned by a layered lattice walk:
   order p**3 spans T<x> with x in the normalizer of T (T is maximal, hence
              normal, in any overgroup of order p**3).
 
+Centralizers and normalizers come from conjugating one element by the whole
+ambient at once.  For g = (n, a) and y = (m, b),
+
+  y g y^-1 = (m b(n) c(m^-1), c)   with c = b a b^-1,
+
+so the conjugates are gathers on the |A| x |A| and |A| x p**3 tables.  The
+automorphism part c depends on b alone, which gives a prefilter: only the b
+with c = a can centralize s, and only the b that send the automorphism parts
+of both generators of T into T's projection to A can normalize T.  The M1
+part is computed for the surviving b only.
+
+Within one parent (an order-p row or an order-p**2 row T) every extension is
+built once: the walk takes the least candidate not yet covered, builds the p
+cosets of the parent it generates, marks them covered and drops the covered
+candidates.  Each subgroup is then built once from each of its maximal
+subgroups, which gives two exact identities per ambient (asserted in the
+tests): built_p2 = (p + 1) * |layer 2|, since every order-p**2 group here is
+C_p x C_p; and built_p3 = sum over layer 3 of p**2 + p + 1 for an abelian T
+and p + 1 for a Heisenberg one.  Picking the least uncovered candidate is
+also what the element-by-element walk did, so the layers, their order and
+their generators do not depend on the shortcut.
+
 Results are deduplicated globally by the sorted tuple of holomorph codes, so
 subgroups shared between ambients are counted once.
 """
@@ -20,7 +42,7 @@ subgroups shared between ambients are counted once.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,13 +77,21 @@ class OracleRecord:
         return codec.materialize(np.array(self.codes, dtype=np.int64), gens)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OracleResult:
+    """Merged scan of all ambients; per_ambient_* follow the ambient order.
+
+    per_ambient_built_p2/p3 count the subgroups each layer built, repeats
+    included; the layers keep only the distinct ones.
+    """
+
     p: int
-    records: list[OracleRecord]
-    per_ambient_regular: list[int]
-    per_ambient_order_p: list[int]
-    per_ambient_order_p2: list[int]
+    records: tuple[OracleRecord, ...]
+    per_ambient_regular: tuple[int, ...]
+    per_ambient_order_p: tuple[int, ...]
+    per_ambient_order_p2: tuple[int, ...]
+    per_ambient_built_p2: tuple[int, ...]
+    per_ambient_built_p3: tuple[int, ...]
 
     def count_by_type(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -108,7 +138,17 @@ class AmbientScan:
         self.M1INV = m1.INV.astype(np.int64)
         self.size = p**3 * self.AL
         self.id_code = 0 * self.AL + int(pos[aut.identity])
-        self._pows: list[np.ndarray] | None = None
+        # Conjugation tables (see conj_all), each |A| x p**3 or smaller:
+        # AUT_CONJ[b, a] = b a b^-1, MUL_BY[v, m] = (m v) * p**3,
+        # INV_IMAGE[c, m] = c(m^-1), and MUL_FLAT[u * p**3 + v] = (u v) * |A|.
+        self.AUT_CONJ = self.LOC_COMP[self.LOC_COMP, self.LOC_INV[:, None]]
+        self.MUL_BY = np.ascontiguousarray(self.M1MUL.T) * p**3
+        self.INV_IMAGE = np.ascontiguousarray(self.LOC_APPLY[:, self.M1INV])
+        self.MUL_FLAT = (self.M1MUL * self.AL).ravel()
+        self._m_col = np.arange(p**3, dtype=np.int64)[:, None]
+        self._pows: np.ndarray | None = None
+        self.built_p2 = 0
+        self.built_p3 = 0
 
     # -- local group law ----------------------------------------------------
 
@@ -127,10 +167,28 @@ class AmbientScan:
         N = aut_table(self.p).N
         return np.sort(n * N + self.aut_global[a])
 
+    def conj_all(self, g: int, bs: np.ndarray | None = None) -> np.ndarray:
+        """Codes of y g y^-1 for every y = (m, b), b in bs (default: all of A).
+
+        With g = (n, a) and c = b a b^-1 the conjugate is (m b(n) c(m^-1), c),
+        so it takes three gathers on the small tables instead of two products
+        over the whole ambient.  Entry [m, j] is for y = (m, bs[j]); with bs
+        ascending, the flattened array is in y-code order.
+        """
+        n, a = divmod(int(g), self.AL)
+        if bs is None:
+            bs = np.arange(self.AL, dtype=np.int64)
+        c = self.AUT_CONJ[bs, a]
+        idx = self.MUL_BY[self.LOC_APPLY[bs, n]]
+        idx += self.INV_IMAGE[c]
+        out = self.MUL_FLAT[idx]
+        out += c[:, None]
+        return out.T
+
     # -- layers ---------------------------------------------------------------
 
-    def power_tables(self) -> list[np.ndarray]:
-        """pows[k][g] = g^k for k = 0..p-1; asserts the ambient has exponent p."""
+    def power_tables(self) -> np.ndarray:
+        """pows[k, g] = g^k for k = 0..p-1; asserts the ambient has exponent p."""
         if self._pows is None:
             everyone = np.arange(self.size, dtype=np.int64)
             pows = [np.full(self.size, self.id_code, dtype=np.int64), everyone]
@@ -139,7 +197,7 @@ class AmbientScan:
             closing = self.mul(pows[-1], everyone)
             if not np.all(closing == self.id_code):
                 raise AssertionError("ambient exponent is not p")
-            self._pows = pows
+            self._pows = np.stack(pows)
         return self._pows
 
     def order_p_subgroups(self) -> np.ndarray:
@@ -164,55 +222,67 @@ class AmbientScan:
 
     def order_p2_subgroups(self, layer1: np.ndarray) -> list[tuple[np.ndarray, int, int]]:
         """List of (sorted member row, generator s, generator x)."""
-        pows = self.power_tables()
-        everyone = np.arange(self.size, dtype=np.int64)
         seen: dict[bytes, tuple[np.ndarray, int, int]] = {}
+        built = 0
         for row in layer1:
             s = int(row[0]) if row[0] != self.id_code else int(row[1])
-            commute = self.mul(everyone, np.int64(s)) == self.mul(np.int64(s), everyone)
-            cz = everyone[commute]
-            covered = np.zeros(self.size, dtype=bool)
-            covered[row] = True
-            for x in cz:
-                if covered[x]:
-                    continue
-                members = np.concatenate([self.mul(row, pows[k][x]) for k in range(self.p)])
-                members.sort()
-                covered[members] = True
-                seen.setdefault(members.tobytes(), (members, s, int(x)))
+            a = s % self.AL
+            bs = np.flatnonzero(self.AUT_CONJ[:, a] == a)
+            fixed = self.conj_all(s, bs) == s
+            centralizer = (self._m_col * self.AL + bs)[fixed]
+            for members, x in self._extensions(row, centralizer):
+                built += 1
+                seen.setdefault(members.tobytes(), (members, s, x))
+        self.built_p2 = built
         return list(seen.values())
-
 
     def order_p3_subgroups(
         self, layer2: list[tuple[np.ndarray, int, int]]
     ) -> list[tuple[np.ndarray, tuple[int, int, int]]]:
         """List of (sorted member row, generating triple)."""
-        pows = self.power_tables()
-        everyone = np.arange(self.size, dtype=np.int64)
-        inv_all = self.inv(everyone)
         seen: dict[bytes, tuple[np.ndarray, tuple[int, int, int]]] = {}
+        built = 0
+        in_row = np.zeros(self.size, dtype=bool)
+        in_proj = np.zeros(self.AL, dtype=bool)
         for row, s, x in layer2:
-            conj_s = self.mul(self.mul(everyone, np.int64(s)), inv_all)
-            conj_x = self.mul(self.mul(everyone, np.int64(x)), inv_all)
-            in_row_s = self._member_mask(row, conj_s)
-            in_row_x = self._member_mask(row, conj_x)
-            normalizer = everyone[in_row_s & in_row_x]
-            covered = np.zeros(self.size, dtype=bool)
-            covered[row] = True
-            for y in normalizer:
-                if covered[y]:
-                    continue
-                members = np.concatenate([self.mul(row, pows[k][y]) for k in range(self.p)])
-                members.sort()
-                covered[members] = True
-                seen.setdefault(members.tobytes(), (members, (s, x, int(y))))
+            # y normalizes <s, x> iff it conjugates both into the row, so the
+            # automorphism parts b a b^-1 of both conjugates must lie in the
+            # row's projection to A; that settles b before any M1 work.
+            proj = row % self.AL
+            in_proj[proj] = True
+            keep = in_proj[self.AUT_CONJ[:, s % self.AL]]
+            keep &= in_proj[self.AUT_CONJ[:, x % self.AL]]
+            in_proj[proj] = False
+            bs = np.flatnonzero(keep)
+            in_row[row] = True
+            normal = in_row[self.conj_all(s, bs)] & in_row[self.conj_all(x, bs)]
+            in_row[row] = False
+            normalizer = (self._m_col * self.AL + bs)[normal]
+            for members, y in self._extensions(row, normalizer):
+                built += 1
+                seen.setdefault(members.tobytes(), (members, (s, x, y)))
+        self.built_p3 = built
         return list(seen.values())
 
-    @staticmethod
-    def _member_mask(sorted_row: np.ndarray, values: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(sorted_row, values)
-        idx[idx >= len(sorted_row)] = len(sorted_row) - 1
-        return sorted_row[idx] == values
+    def _extensions(self, row: np.ndarray, candidates: np.ndarray):
+        """Yield (sorted members of <row, y>, y) once per distinct extension.
+
+        row is a subgroup normalized by every candidate (ascending codes), and
+        the ambient has exponent p, so <row, y> is the union of the cosets
+        row y^k.  Each round takes the least candidate not yet covered by an
+        earlier extension, so no extension is built twice.
+        """
+        pows = self.power_tables()
+        covered = np.zeros(self.size, dtype=bool)
+        covered[row] = True
+        left = candidates[~covered[candidates]]
+        while left.size:
+            y = int(left[0])
+            members = self.mul(row[None, :], pows[:, y][:, None]).ravel()
+            members.sort()
+            covered[members] = True
+            yield members, y
+            left = left[~covered[left]]
 
     # -- classification -------------------------------------------------------
 
@@ -262,6 +332,8 @@ def _scan_one_ambient(args: tuple[int, tuple[int, ...]]) -> dict:
         "regular": n_regular,
         "order_p": len(layer1),
         "order_p2": len(layer2),
+        "built_p2": scan.built_p2,
+        "built_p3": scan.built_p3,
         "found": found,
     }
 
@@ -318,13 +390,14 @@ def enumerate_regular_subgroups(
                 merged[codes] = OracleRecord(
                     p, codes, gen_codes, GroupType(gtype), theta
                 )
-    records = [merged[k] for k in sorted(merged)]
     result = OracleResult(
         p=p,
-        records=records,
-        per_ambient_regular=[r["regular"] for r in results],
-        per_ambient_order_p=[r["order_p"] for r in results],
-        per_ambient_order_p2=[r["order_p2"] for r in results],
+        records=tuple(merged[k] for k in sorted(merged)),
+        per_ambient_regular=tuple(r["regular"] for r in results),
+        per_ambient_order_p=tuple(r["order_p"] for r in results),
+        per_ambient_order_p2=tuple(r["order_p2"] for r in results),
+        per_ambient_built_p2=tuple(r["built_p2"] for r in results),
+        per_ambient_built_p3=tuple(r["built_p3"] for r in results),
     )
     _SCAN_MEMO[p] = result
     return result

@@ -157,7 +157,14 @@ def _element_order(g: HolElt, cap: int) -> int:
 
 
 def isomorphism_type(sub: SubgroupHol) -> GroupType:
-    """Classify a subgroup of order p**3 by abelianness and exponent."""
+    """Classify a subgroup of order p**3 by abelianness and exponent.
+
+    Both are read off sub.generators.  A group of order p**3 has class at
+    most 2 < p for odd p, so it is a regular p-group: its elements of order
+    dividing p**k form a subgroup.  That subgroup contains the generators of
+    the largest order, hence the whole group, so the exponent is the largest
+    generator order.
+    """
     p = sub.p
     if sub.order != p**3:
         raise ValueError(f"not of order p**3: {sub.order}")
@@ -170,11 +177,7 @@ def isomorphism_type(sub: SubgroupHol) -> GroupType:
                 break
         if not abelian:
             break
-    exponent = 1
-    for g in sub.elements:
-        exponent = max(exponent, _element_order(g, p**3))
-        if exponent == p**3:
-            break
+    exponent = max(_element_order(g, p**3) for g in gens)
     if abelian:
         if exponent == p:
             return GroupType.ElemAbelian_p3

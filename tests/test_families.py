@@ -14,7 +14,7 @@ from sbc.families import (
     smallest_nonresidue,
     trivial_subgroup,
 )
-from sbc.holomorph import theta_image
+from sbc.holomorph import hol_identity, hol_mul, theta_image
 from sbc.subgroups import GroupType, generate, is_regular, isomorphism_type
 
 P = 5
@@ -149,6 +149,36 @@ def test_representative_types_match_declared() -> None:
         assert is_regular(rec.subgroup)
         assert isomorphism_type(rec.subgroup) is rec.group_type
         assert len(theta_image(rec.subgroup.elements)) == rec.theta_order
+
+
+def _exponent_all_elements(sub) -> int:
+    """Reference exponent: every element is multiplied up to its order."""
+    e = hol_identity(sub.p)
+    exponent = 1
+    for g in sub.elements:
+        acc, order = g, 1
+        while acc != e:
+            acc = hol_mul(acc, g)
+            order += 1
+        exponent = max(exponent, order)
+    return exponent
+
+
+TYPE_EXPONENT = {
+    GroupType.ElemAbelian_p3: P,
+    GroupType.HeisenbergM1: P,
+    GroupType.Cp2xCp: P * P,
+    GroupType.ExtraspecialM2: P * P,
+    GroupType.CyclicP3: P**3,
+}
+
+
+def test_isomorphism_type_exponent_matches_all_elements(fam_p2) -> None:
+    # isomorphism_type reads the exponent off the generators only.
+    subs = [r.subgroup for r in all_representatives(P)]
+    subs += random.Random(59).sample(fam_p2, 40)
+    for sub in subs:
+        assert TYPE_EXPONENT[isomorphism_type(sub)] == _exponent_all_elements(sub)
 
 
 def test_representative_type_totals() -> None:

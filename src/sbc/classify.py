@@ -249,14 +249,30 @@ def verify_pairwise_nonconjugate(p: int) -> int:
     return pairs
 
 
+def _orbit_rows(rep: Representative) -> np.ndarray:
+    """The Aut(M1) orbit of rep, one sorted code row per left coset of its
+    stabilizer: alpha S alpha^-1 depends only on the coset alpha Stab, and
+    distinct cosets give distinct conjugates."""
+    codec = hol_codec(rep.p)
+    stab = stabilizer_indices(rep)
+    transversal = []
+    uncovered = np.ones(codec.N, dtype=bool)
+    while uncovered.any():
+        alpha = int(np.argmax(uncovered))
+        transversal.append(alpha)
+        uncovered[codec.aut.compose_idx(alpha, stab)] = False
+    if len(transversal) * len(stab) != codec.N:
+        raise AssertionError("stabilizer cosets must partition Aut(M1)")
+    return codec.conj_matrix(rep.codes, np.array(transversal, dtype=np.int64))
+
+
 def orbit_union_keys(p: int) -> set[tuple[int, ...]]:
     """Every subgroup in every representative orbit, as sorted code tuples.
 
-    Memory scales with |Aut(M1)| * p**3; meant for desk-scale primes.
+    Conjugates by one automorphism per stabilizer coset, so memory scales
+    with the orbit size times p**3; meant for desk-scale primes.
     """
-    codec = hol_codec(p)
     out: set[tuple[int, ...]] = set()
     for rep in all_representatives(p):
-        rows = codec.orbit(rep.codes)
-        out.update(map(tuple, rows.tolist()))
+        out.update(map(tuple, _orbit_rows(rep).tolist()))
     return out

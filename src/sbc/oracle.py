@@ -342,15 +342,11 @@ def _sylow_ambient_indices(p: int) -> list[tuple[int, ...]]:
     from .automorphisms import sylow_p_subgroups_gl2
 
     aut = aut_table(p)
+    t1, t2 = np.divmod(np.arange(p * p), p)
     out = []
     for mats in sylow_p_subgroups_gl2(p):
-        keys = [
-            aut.pack(b1, b2, A.a1, A.a2, A.a3, A.a4)
-            for b1 in range(p)
-            for b2 in range(p)
-            for A in mats
-        ]
-        idx = aut.INDEX[np.array(keys, dtype=np.int64)]
+        entries = np.array([(A.a1, A.a2, A.a3, A.a4) for A in mats]).T
+        idx = aut.index(t1[:, None], t2[:, None], *entries[:, None, :]).ravel()
         if np.any(idx < 0):
             raise AssertionError("Sylow member missing from enumeration")
         out.append(tuple(sorted(int(i) for i in idx)))

@@ -8,7 +8,7 @@ exhaustive agreements the acceptance checks demand).
 
 Codes:
   M1 element   (a, b, c)            ->  (a p + b) p + c                in [0, p^3)
-  automorphism (b1, b2, a1..a4)     ->  enumeration index              in [0, N)
+  automorphism (b1, b2, A)          ->  (b1 p + b2) |GL2| + rank(A)    in [0, N)
   holomorph    (n, alpha)           ->  m1code(n) * N + index(alpha)   in [0, p^3 N)
 """
 
@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .automorphisms import AutM1Elt, GL2Mat, aut_packed_key, aut_order_total
+from .automorphisms import AutM1Elt, GL2Mat, aut_order_total
 from .group_core import M1Elt, half_mod, validate_prime
 from .holomorph import HolElt
 from .subgroups import SubgroupHol, subgroup_from_cosets
@@ -74,72 +74,67 @@ class M1Table:
 
 
 class AutTable:
-    """Coordinate arrays for the full automorphism group, in enumeration order."""
+    """The full automorphism group as arithmetic on enumeration indices.
+
+    Aut(M1) is the inner part (t1, t2) in F_p^2 times the matrix part A in
+    GL2(F_p), and the enumeration (packed-key order over (t1, t2, a1..a4),
+    singular A skipped) lists it as
+
+        index = (t1 p + t2) |GL2| + rank(A)
+
+    with rank(A) the position of A among the invertible matrices in packed
+    (a1, a2, a3, a4) order.  Only the |GL2| matrices and the p^4 rank table
+    are stored; coordinates and indices are computed.
+    """
 
     def __init__(self, p: int) -> None:
         validate_prime(p)
         self.p = p
         self.h = half_mod(p)
-        grid = np.arange(p**6, dtype=np.int64)
-        cols = []
-        rest = grid
-        for _ in range(6):
-            cols.append(rest % p)
-            rest = rest // p
-        a4, a3, a2, a1, t2, t1 = cols
-        det = (a1 * a4 - a2 * a3) % p
-        keep = det != 0
-        self.T1 = t1[keep]
-        self.T2 = t2[keep]
-        self.A1 = a1[keep]
-        self.A2 = a2[keep]
-        self.A3 = a3[keep]
-        self.A4 = a4[keep]
-        self.DET = det[keep]
-        self.N = int(keep.sum())
+        a1, a2, a3, a4 = np.indices((p, p, p, p), dtype=np.int64).reshape(4, -1)
+        invertible = (a1 * a4 - a2 * a3) % p != 0
+        self.GL = tuple(a[invertible] for a in (a1, a2, a3, a4))
+        self.n_gl = len(self.GL[0])
+        self.RANK = np.full(p**4, -1, dtype=np.int64)
+        self.RANK[invertible] = np.arange(self.n_gl, dtype=np.int64)
+        self.N = p * p * self.n_gl
         if self.N != aut_order_total(p):
             raise AssertionError("automorphism count mismatch")
-        self.INDEX = np.full(p**6, -1, dtype=np.int64)
-        self.INDEX[grid[keep]] = np.arange(self.N, dtype=np.int64)
         self._inv_mod = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int64)
-        self.identity = int(self.INDEX[self.pack(0, 0, 1, 0, 0, 1)])
+        self.identity = int(self.index(0, 0, 1, 0, 0, 1))
         self.INV = self._build_inverses()
 
-    # -- packing ---------------------------------------------------------
+    # -- index arithmetic ------------------------------------------------
 
-    def pack(self, t1, t2, a1, a2, a3, a4) -> np.ndarray:
+    def _code(self, t1, t2, a1, a2, a3, a4) -> np.ndarray:
+        # coordinates already reduced mod p, matrix part invertible
         p = self.p
-        key = np.asarray(t1, dtype=np.int64) % p
-        for v in (t2, a1, a2, a3, a4):
-            key = key * p + np.asarray(v, dtype=np.int64) % p
-        return key
+        return (t1 * p + t2) * self.n_gl + self.RANK[((a1 * p + a2) * p + a3) * p + a4]
+
+    def index(self, t1, t2, a1, a2, a3, a4) -> np.ndarray:
+        """Enumeration index of the coordinates, reduced mod p and broadcast;
+        -1 where the matrix part is singular."""
+        p = self.p
+        t1, t2, a1, a2, a3, a4 = (
+            np.asarray(v, dtype=np.int64) % p for v in (t1, t2, a1, a2, a3, a4)
+        )
+        singular = (a1 * a4 - a2 * a3) % p == 0
+        return np.where(singular, -1, self._code(t1, t2, a1, a2, a3, a4))
 
     def coords(self, idx: np.ndarray) -> tuple[np.ndarray, ...]:
-        return (
-            self.T1[idx],
-            self.T2[idx],
-            self.A1[idx],
-            self.A2[idx],
-            self.A3[idx],
-            self.A4[idx],
-        )
+        """(t1, t2, a1, a2, a3, a4) of an index or an index array."""
+        inner, rank = divmod(idx, self.n_gl)
+        t1, t2 = divmod(inner, self.p)
+        a1, a2, a3, a4 = self.GL
+        return t1, t2, a1[rank], a2[rank], a3[rank], a4[rank]
 
     def index_of(self, alpha: AutM1Elt) -> int:
-        return int(self.INDEX[aut_packed_key(alpha)])
+        A = alpha.A  # AutM1Elt holds reduced coordinates and an invertible A
+        return int(self._code(alpha.b1, alpha.b2, A.a1, A.a2, A.a3, A.a4))
 
     def aut_at(self, idx: int) -> AutM1Elt:
-        return AutM1Elt(
-            self.p,
-            int(self.T1[idx]),
-            int(self.T2[idx]),
-            GL2Mat(
-                self.p,
-                int(self.A1[idx]),
-                int(self.A2[idx]),
-                int(self.A3[idx]),
-                int(self.A4[idx]),
-            ),
-        )
+        t1, t2, a1, a2, a3, a4 = (int(v) for v in self.coords(idx))
+        return AutM1Elt(self.p, t1, t2, GL2Mat(self.p, a1, a2, a3, a4))
 
     # -- group operations --------------------------------------------------
 
@@ -160,21 +155,21 @@ class AutTable:
         return t1, t2, a1, a2, a3, a4
 
     def compose_idx(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        out = self.compose_coords(self.coords(np.asarray(i)), self.coords(np.asarray(j)))
-        return self.INDEX[self.pack(*out)]
+        return self._code(*self.compose_coords(self.coords(i), self.coords(j)))
 
     def _build_inverses(self) -> np.ndarray:
         p, h = self.p, self.h
-        d = self._inv_mod[self.DET]
-        b1 = (d * self.A4) % p
-        b2 = (-d * self.A2) % p
-        b3 = (-d * self.A3) % p
-        b4 = (d * self.A1) % p
-        c1 = h * self.A1 * self.A3 * b1 * (b1 - 1) + h * self.A2 * self.A4 * b3 * (b3 - 1) + self.A3 * b1 * self.A2 * b3
-        c2 = h * self.A1 * self.A3 * b2 * (b2 - 1) + h * self.A2 * self.A4 * b4 * (b4 - 1) + self.A3 * b2 * self.A2 * b4
-        t1 = (-d * (self.T1 * b1 + self.T2 * b3 + c1)) % p
-        t2 = (-d * (self.T1 * b2 + self.T2 * b4 + c2)) % p
-        inv = self.INDEX[self.pack(t1, t2, b1, b2, b3, b4)]
+        T1, T2, A1, A2, A3, A4 = self.coords(np.arange(self.N))
+        d = self._inv_mod[(A1 * A4 - A2 * A3) % p]
+        b1 = (d * A4) % p
+        b2 = (-d * A2) % p
+        b3 = (-d * A3) % p
+        b4 = (d * A1) % p
+        c1 = h * A1 * A3 * b1 * (b1 - 1) + h * A2 * A4 * b3 * (b3 - 1) + A3 * b1 * A2 * b3
+        c2 = h * A1 * A3 * b2 * (b2 - 1) + h * A2 * A4 * b4 * (b4 - 1) + A3 * b2 * A2 * b4
+        t1 = (-d * (T1 * b1 + T2 * b3 + c1)) % p
+        t2 = (-d * (T1 * b2 + T2 * b4 + c2)) % p
+        inv = self._code(t1, t2, b1, b2, b3, b4)
         check = self.compose_idx(np.arange(self.N), inv)
         if not np.all(check == self.identity):
             raise AssertionError("vectorized inverse failed self-check")

@@ -192,24 +192,24 @@ def test_criterion_7_formula_crosschecks_p5():
         POW[:, e] = m1.MUL[POW[:, e - 1], np.arange(cube)]
     codes = np.arange(cube, dtype=np.int64)
     va, vb, vc = codes // (p * p), (codes // p) % p, codes % p
-    SIG = ((aut.T1 * p + aut.A1) * p + aut.A3).astype(np.int64)
-    TAU = ((aut.T2 * p + aut.A2) * p + aut.A4).astype(np.int64)
-    RHO = (aut.DET * p * p).astype(np.int64)
+    allauts = np.arange(N, dtype=np.int64)
+    T1, T2, B1, B2, B3, B4 = aut.coords(allauts)
+    DET = (B1 * B4 - B2 * B3) % p
+    SIG = (T1 * p + B1) * p + B3
+    TAU = (T2 * p + B2) * p + B4
+    RHO = DET * p * p
     APPLY_DEF = m1.MUL[
         m1.MUL[POW[RHO[:, None], va[None, :]], POW[SIG[:, None], vb[None, :]]],
         POW[TAU[:, None], vc[None, :]],
     ].astype(np.int64)
 
     # one-formula application: all 12000 x 125
-    allauts = np.arange(N, dtype=np.int64)
     assert np.array_equal(aut.apply_codes(allauts[:, None], codes[None, :]), APPLY_DEF)
 
     # split-form application: all 12000 x 125, split taken by the library
     splits = [gamma_split(aut.aut_at(i)) for i in range(N)]
     R1 = np.array([s[0] for s in splits], dtype=np.int64)
     R3 = np.array([s[1] for s in splits], dtype=np.int64)
-    B1, B2, B3, B4 = (x.astype(np.int64) for x in (aut.A1, aut.A2, aut.A3, aut.A4))
-    DET = aut.DET.astype(np.int64)
     nb = B1[:, None] * vb[None, :] + B2[:, None] * vc[None, :]
     nc = B3[:, None] * vb[None, :] + B4[:, None] * vc[None, :]
     na = (
@@ -226,15 +226,13 @@ def test_criterion_7_formula_crosschecks_p5():
     # coordinates against the holomorph triple product, all 12000 x 3125
     grid = np.arange(p, dtype=np.int64)
     n1g, n3g = (x.ravel() for x in np.meshgrid(grid, grid, indexing="ij"))
-    syl0 = aut.INDEX[aut.pack(n1g, n3g, 1, 0, 0, 1)]
+    syl0 = aut.index(n1g, n3g, 1, 0, 0, 1)
     gcodes0 = (codes[:, None] * N + syl0[None, :]).ravel()
-    AUT0 = aut.INDEX[
-        aut.pack(
-            (n1g[None, :] * B4[:, None] - n3g[None, :] * B3[:, None]) % p,
-            (n3g[None, :] * B1[:, None] - n1g[None, :] * B2[:, None]) % p,
-            1, 0, 0, 1,
-        )
-    ]
+    AUT0 = aut.index(
+        (n1g[None, :] * B4[:, None] - n3g[None, :] * B3[:, None]) % p,
+        (n3g[None, :] * B1[:, None] - n1g[None, :] * B2[:, None]) % p,
+        1, 0, 0, 1,
+    )
     assert np.all(AUT0 >= 0)
 
     def conj_sweep(rows: np.ndarray, gcodes: np.ndarray, closed_n: np.ndarray,
@@ -257,12 +255,12 @@ def test_criterion_7_formula_crosschecks_p5():
 
     # conjugation with unipotent part (n2 != 0): lower-triangular matrix
     # block only, all 2000 x 12500
-    lower = np.flatnonzero(aut.A2 == 0).astype(np.int64)
+    lower = np.flatnonzero(B2 == 0).astype(np.int64)
     assert len(lower) == (p - 1) ** 2 * p * p**2  # r1, r3 free; b1, b4 units; b3 free
     n1f, n2f, n3f = (
         x.ravel() for x in np.meshgrid(grid, grid[1:], grid, indexing="ij")
     )
-    sylf = aut.INDEX[aut.pack(n1f, n3f, 1, 0, n2f, 1)]
+    sylf = aut.index(n1f, n3f, 1, 0, n2f, 1)
     gcodesf = (codes[:, None] * N + sylf[None, :]).ravel()
     inv_tab = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int64)
     b1i = inv_tab[B1[lower]]
@@ -274,7 +272,7 @@ def test_criterion_7_formula_crosschecks_p5():
     ) % p
     e2 = ((b1i * B4[lower])[:, None] * n2f[None, :]) % p
     e3 = (B1[lower][:, None] * n3f[None, :]) % p
-    AUTF = aut.INDEX[aut.pack(e1, e3, 1, 0, e2, 1)]
+    AUTF = aut.index(e1, e3, 1, 0, e2, 1)
     assert np.all(AUTF >= 0)
     assert len(gcodesf) == 12500
     conj_sweep(lower, gcodesf, APPLY_DEF[lower], AUTF, step=250)

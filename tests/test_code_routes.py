@@ -12,7 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from sbc.classify import classification_records
+from sbc.classify import _orbit_rows, classification_records
 from sbc.families import all_representatives, trivial_subgroup
 from sbc.skewbrace import (
     annihilator_indices,
@@ -110,4 +110,14 @@ def test_precomputed_tables_give_the_same_answers(reps) -> None:
         tables = ybe_tables(brace)
         assert verify_nondegenerate(brace, tables=tables) == verify_nondegenerate(brace)
         assert is_involutive(brace, tables=tables) == is_involutive(brace)
-    assert verify_braid(brace, tables=tables) == verify_braid(brace)
+        assert verify_braid(brace, tables=tables) == verify_braid(brace)
+
+
+def test_coset_orbit_matches_full_orbit(reps) -> None:
+    codec = hol_codec(P)
+    for rep in (reps[0], reps[12], reps[30], reps[-1]):
+        rows = _orbit_rows(rep)
+        full = codec.orbit(rep.codes)
+        # one conjugate per stabilizer coset, no two alike
+        assert len(np.unique(rows, axis=0)) == len(rows) == len(full), rep.rep_id
+        assert np.array_equal(np.unique(rows, axis=0), full), rep.rep_id

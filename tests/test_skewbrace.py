@@ -140,3 +140,62 @@ def test_trivial_brace_solution_is_conjugation():
     j = np.arange(k)[None, :]
     conj = br.MUL[br.MUL[br.INV_MUL[j], i], j]
     assert np.array_equal(R2, conj)
+
+
+def _first_braid_failure(R1, R2):
+    """Scalar lexicographic scan for the first triple breaking the braid
+    relation, straight from the two tables."""
+    R1, R2 = R1.tolist(), R2.tolist()
+    k = len(R1)
+
+    def r12(a, b, c):
+        return R1[a][b], R2[a][b], c
+
+    def r23(a, b, c):
+        return a, R1[b][c], R2[b][c]
+
+    for a in range(k):
+        for b in range(k):
+            for c in range(k):
+                if r12(*r23(*r12(a, b, c))) != r23(*r12(*r23(a, b, c))):
+                    return (a, b, c)
+    return None
+
+
+@pytest.mark.parametrize("corrupt", ["r1-row", "r2-column"])
+def test_braid_reports_first_failing_triple(rep_braces, corrupt):
+    _, br = rep_braces[-1]
+    R1, R2 = (T.copy() for T in ybe_tables(br))
+    # a swap inside one row of R1 (or one column of R2) keeps the solution
+    # non-degenerate, so only the braid check can see it
+    if corrupt == "r1-row":
+        R1[3, [7, 40]] = R1[3, [40, 7]]
+    else:
+        R2[[9, 51], 2] = R2[[51, 9], 2]
+    assert verify_nondegenerate(br, tables=(R1, R2))
+    want = _first_braid_failure(R1, R2)
+    assert want is not None
+    assert verify_braid(br, tables=(R1, R2)) == want
+
+
+def test_braid_relation_on_sampled_triples_from_the_brace_laws(rep_braces):
+    # r(a, b) = (lambda_a(b), lambda_a(b)^-1 (*) a (*) b) evaluated from the
+    # brace laws alone, independent of ybe_tables and the pair-code sweep
+    rng = np.random.default_rng(20261018)
+    for rep, br in rep_braces[::7]:
+        MUL, ADD = br.MUL.tolist(), br.ADD.tolist()
+        INV_MUL, INV_ADD = br.INV_MUL.tolist(), br.INV_ADD.tolist()
+
+        def r(a, b):
+            lam = ADD[INV_ADD[a]][MUL[a][b]]
+            return lam, MUL[MUL[INV_MUL[lam]][a]][b]
+
+        def r12(a, b, c):
+            return (*r(a, b), c)
+
+        def r23(a, b, c):
+            return (a, *r(b, c))
+
+        for a, b, c in rng.integers(0, br.order, size=(2000, 3)).tolist():
+            lhs = r12(*r23(*r12(a, b, c)))
+            assert lhs == r23(*r12(*r23(a, b, c))), (rep.rep_id, a, b, c)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import numpy as np
+import pytest
 
 from sbc.automorphisms import (
     aut_compose,
@@ -37,11 +38,37 @@ def test_aut_table_enumeration_matches_scalar() -> None:
     t = aut_table(P)
     auts = enumerate_aut(P)
     assert t.N == len(auts) == 12000
-    idxs = RNG.sample(range(t.N), 200)
-    for i in idxs:
-        assert t.aut_at(i) == auts[i]
-        assert t.index_of(auts[i]) == i
+    for i, alpha in enumerate(auts):
+        assert t.aut_at(i) == alpha
+        assert t.index_of(alpha) == i
     assert t.aut_at(t.identity).is_identity()
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_aut_index_inverts_coords(p: int) -> None:
+    t = aut_table(p)
+    idx = np.arange(t.N)
+    coords = t.coords(idx)
+    assert np.array_equal(t.index(*coords), idx)
+    # arguments are reduced mod p
+    assert np.array_equal(t.index(*(c + 3 * p for c in coords)), idx)
+    assert np.array_equal(t.index(*(c - p for c in coords)), idx)
+    # the inner part times GL2 in packed order
+    t1, t2, *mat = coords
+    assert np.array_equal(idx // t.n_gl, t1 * p + t2)
+    key = ((mat[0] * p + mat[1]) * p + mat[2]) * p + mat[3]
+    assert np.all(np.diff(key.reshape(p * p, -1), axis=1) > 0)
+
+
+def test_aut_index_singular_matrix_is_minus_one() -> None:
+    t = aut_table(P)
+    assert t.index(1, 2, 0, 0, 0, 0) == -1
+    assert t.index(0, 0, 1, 2, 2, 4) == -1  # det 1*4 - 2*2 = 0
+    assert t.index(3, 4, 2, 1, 4, 2) == -1  # det 4 - 4 = 0
+    a = np.arange(P)
+    got = t.index(a[:, None], 0, 1, a[None, :], 0, 0)  # a4 = 0: det 0
+    assert got.shape == (P, P) and np.all(got == -1)
+    assert t.index(0, 0, 1, 0, 0, 1) == t.identity
 
 
 def test_aut_table_compose_and_inverse_match_scalar() -> None:
@@ -125,8 +152,8 @@ def test_stabilizer_and_orbit_small_case() -> None:
     codes = codec.subgroup_codes(sub)
     stab = codec.stabilizer(codes, [codec.encode(g) for g in sub.generators])
     assert len(stab) == 400
-    t = aut_table(P)
-    assert np.all(t.A2[stab] == 0) and np.all(t.A3[stab] == 0)
+    _, _, _, a2, a3, _ = aut_table(P).coords(stab)
+    assert np.all(a2 == 0) and np.all(a3 == 0)
     orb = codec.orbit(codes)
     assert orb.shape == (12000 // 400, len(codes))
     assert any(np.array_equal(row, codes) for row in orb)

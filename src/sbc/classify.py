@@ -146,11 +146,24 @@ class CountReport:
     hgs_totals: dict
 
 
-def _scale_factor(p: int) -> int:
+def _report(p: int, regular: dict, classes: dict) -> CountReport:
+    """The report from regular-subgroup counts by structure and theta order;
+    only the abelian counts are scaled, by |GL3(F_p)| / |Aut(M1)|."""
     num, den = gl3_order(p), aut_order_total(p)
     if num % den:
         raise AssertionError("automorphism order ratio is not integral")
-    return num // den
+    hgs = {
+        MUL_TAG: dict(regular[MUL_TAG]),
+        AB_TAG: {t: n * (num // den) for t, n in regular[AB_TAG].items()},
+    }
+    return CountReport(
+        p=p,
+        regular_by_structure=regular,
+        hgs_by_structure=hgs,
+        class_counts=classes,
+        total_regular=sum(n for by in regular.values() for n in by.values()),
+        hgs_totals={tag: sum(by.values()) for tag, by in hgs.items()},
+    )
 
 
 def count_report(p: int) -> CountReport:
@@ -161,19 +174,7 @@ def count_report(p: int) -> CountReport:
         slot = regular[rec.structure]
         slot[rec.theta_order] = slot.get(rec.theta_order, 0) + rec.orbit_size
         classes[rec.structure] += 1
-    scale = _scale_factor(p)
-    hgs = {
-        MUL_TAG: dict(regular[MUL_TAG]),
-        AB_TAG: {t: n * scale for t, n in regular[AB_TAG].items()},
-    }
-    return CountReport(
-        p=p,
-        regular_by_structure=regular,
-        hgs_by_structure=hgs,
-        class_counts=classes,
-        total_regular=sum(n for by in regular.values() for n in by.values()),
-        hgs_totals={tag: sum(by.values()) for tag, by in hgs.items()},
-    )
+    return _report(p, regular, classes)
 
 
 def closed_form_count_report(p: int) -> CountReport:
@@ -191,19 +192,7 @@ def closed_form_count_report(p: int) -> CountReport:
             p**2: (p**2 - 2) * p**2,
         },
     }
-    scale = _scale_factor(p)
-    hgs = {
-        MUL_TAG: dict(regular[MUL_TAG]),
-        AB_TAG: {t: n * scale for t, n in regular[AB_TAG].items()},
-    }
-    report = CountReport(
-        p=p,
-        regular_by_structure=regular,
-        hgs_by_structure=hgs,
-        class_counts={MUL_TAG: 2 * p**2 - p + 3, AB_TAG: 2 * p + 1},
-        total_regular=sum(n for by in regular.values() for n in by.values()),
-        hgs_totals={tag: sum(by.values()) for tag, by in hgs.items()},
-    )
+    report = _report(p, regular, {MUL_TAG: 2 * p**2 - p + 3, AB_TAG: 2 * p + 1})
     if report.hgs_totals != {
         MUL_TAG: (2 * p**3 - 3 * p + 1) * p**2,
         AB_TAG: (p**3 - 1) * (p**2 + p - 1) * p**2,

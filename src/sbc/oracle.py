@@ -8,21 +8,24 @@ Each ambient is scanned by a layered lattice walk:
 
   order p    every non-identity element generates one (the ambient has
              exponent p, which is asserted, not assumed);
-  order p**2 spans <s, x> with x in the centralizer of s (such groups are
-             abelian, so both generators commute);
+  order p**2 spans <s, x> with x in the normalizer of <s>;
   order p**3 spans T<x> with x in the normalizer of T (T is maximal, hence
              normal, in any overgroup of order p**3).
 
-Centralizers and normalizers come from conjugating one element by the whole
-ambient at once.  For g = (n, a) and y = (m, b),
+The two upper layers are one step: extend a parent R by the y that
+normalize it.  For a parent <s> of order p that is the centralizer of s:
+N(<s>)/C(s) embeds in Aut(C_p), of order p - 1, and is a p-group (both the
+ambient and its A are), so it is trivial.
+
+Normalizers come from conjugating one element by the whole ambient at once.
+For g = (n, a) and y = (m, b),
 
   y g y^-1 = (m b(n) c(m^-1), c)   with c = b a b^-1,
 
 so the conjugates are gathers on the |A| x |A| and |A| x p**3 tables.  The
 automorphism part c depends on b alone, which gives a prefilter: only the b
-with c = a can centralize s, and only the b that send the automorphism parts
-of both generators of T into T's projection to A can normalize T.  The M1
-part is computed for the surviving b only.
+that send the automorphism part of every generator of R into R's projection
+to A can normalize R.  The M1 part is computed for the surviving b only.
 
 Within one parent (an order-p row or an order-p**2 row T) every extension is
 built once: the walk takes the least candidate not yet covered, builds the p
@@ -41,6 +44,7 @@ subgroups shared between ambients are counted once.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -146,7 +150,14 @@ class AmbientScan:
         self.INV_IMAGE = np.ascontiguousarray(self.LOC_APPLY[:, self.M1INV])
         self.MUL_FLAT = (self.M1MUL * self.AL).ravel()
         self._m_col = np.arange(p**3, dtype=np.int64)[:, None]
-        self._pows: np.ndarray | None = None
+        # POW[k, g] = g^k for k = 0..p-1; the ambient must have exponent p.
+        everyone = np.arange(self.size, dtype=np.int64)
+        pows = [np.full(self.size, self.id_code, dtype=np.int64), everyone]
+        for _ in range(2, p):
+            pows.append(self.mul(pows[-1], everyone))
+        if not np.all(self.mul(pows[-1], everyone) == self.id_code):
+            raise AssertionError("ambient exponent is not p")
+        self.POW = np.stack(pows)
         self.built_p2 = 0
         self.built_p3 = 0
 
@@ -187,82 +198,70 @@ class AmbientScan:
 
     # -- layers ---------------------------------------------------------------
 
-    def power_tables(self) -> np.ndarray:
-        """pows[k, g] = g^k for k = 0..p-1; asserts the ambient has exponent p."""
-        if self._pows is None:
-            everyone = np.arange(self.size, dtype=np.int64)
-            pows = [np.full(self.size, self.id_code, dtype=np.int64), everyone]
-            for _ in range(2, self.p):
-                pows.append(self.mul(pows[-1], everyone))
-            closing = self.mul(pows[-1], everyone)
-            if not np.all(closing == self.id_code):
-                raise AssertionError("ambient exponent is not p")
-            self._pows = np.stack(pows)
-        return self._pows
-
     def order_p_subgroups(self) -> np.ndarray:
         """(count, p) sorted member rows, one per subgroup of order p."""
-        pows = self.power_tables()
         everyone = np.arange(self.size, dtype=np.int64)
         nonid = everyone[everyone != self.id_code]
         reps = nonid.copy()
         for k in range(2, self.p):
-            np.minimum(reps, pows[k][nonid], out=reps)
+            np.minimum(reps, self.POW[k][nonid], out=reps)
         reps = np.unique(reps)
-        rows = np.stack(
-            [np.full(len(reps), self.id_code, dtype=np.int64)]
-            + [pows[k][reps] for k in range(1, self.p)],
-            axis=1,
-        )
+        rows = self.POW[:, reps].T.copy()
         rows.sort(axis=1)
         expected = (self.size - 1) // (self.p - 1)
         if len(rows) != expected:
             raise AssertionError("order-p subgroup count off")
         return rows
 
-    def order_p2_subgroups(self, layer1: np.ndarray) -> list[tuple[np.ndarray, int, int]]:
-        """List of (sorted member row, generator s, generator x)."""
-        seen: dict[bytes, tuple[np.ndarray, int, int]] = {}
-        built = 0
-        for row in layer1:
-            s = int(row[0]) if row[0] != self.id_code else int(row[1])
-            a = s % self.AL
-            bs = np.flatnonzero(self.AUT_CONJ[:, a] == a)
-            fixed = self.conj_all(s, bs) == s
-            centralizer = (self._m_col * self.AL + bs)[fixed]
-            for members, x in self._extensions(row, centralizer):
-                built += 1
-                seen.setdefault(members.tobytes(), (members, s, x))
-        self.built_p2 = built
-        return list(seen.values())
+    def order_p2_subgroups(
+        self, layer1: np.ndarray
+    ) -> list[tuple[np.ndarray, tuple[int, int]]]:
+        """List of (sorted member row, generating pair (s, x)); s is the least
+        non-identity member of the order-p parent."""
+        parents = (
+            (row, (int(row[0]) if row[0] != self.id_code else int(row[1]),))
+            for row in layer1
+        )
+        layer2, self.built_p2 = self._next_layer(parents)
+        return layer2
 
     def order_p3_subgroups(
-        self, layer2: list[tuple[np.ndarray, int, int]]
+        self, layer2: list[tuple[np.ndarray, tuple[int, int]]]
     ) -> list[tuple[np.ndarray, tuple[int, int, int]]]:
         """List of (sorted member row, generating triple)."""
-        seen: dict[bytes, tuple[np.ndarray, tuple[int, int, int]]] = {}
+        layer3, self.built_p3 = self._next_layer(layer2)
+        return layer3
+
+    def _next_layer(
+        self, parents: Iterable[tuple[np.ndarray, tuple[int, ...]]]
+    ) -> tuple[list[tuple[np.ndarray, tuple[int, ...]]], int]:
+        """(distinct <row, y> with generators gens + (y,), number built) for
+        the parents (sorted row, gens), y running over the row's normalizer."""
+        seen: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}
         built = 0
         in_row = np.zeros(self.size, dtype=bool)
         in_proj = np.zeros(self.AL, dtype=bool)
-        for row, s, x in layer2:
-            # y normalizes <s, x> iff it conjugates both into the row, so the
-            # automorphism parts b a b^-1 of both conjugates must lie in the
-            # row's projection to A; that settles b before any M1 work.
+        for row, gens in parents:
+            # y normalizes the row iff it conjugates every generator into it,
+            # so the automorphism parts b a b^-1 of the conjugates must lie
+            # in the row's projection to A; that settles b before any M1 work.
             proj = row % self.AL
             in_proj[proj] = True
-            keep = in_proj[self.AUT_CONJ[:, s % self.AL]]
-            keep &= in_proj[self.AUT_CONJ[:, x % self.AL]]
+            keep = in_proj[self.AUT_CONJ[:, gens[0] % self.AL]]
+            for g in gens[1:]:
+                keep &= in_proj[self.AUT_CONJ[:, g % self.AL]]
             in_proj[proj] = False
             bs = np.flatnonzero(keep)
             in_row[row] = True
-            normal = in_row[self.conj_all(s, bs)] & in_row[self.conj_all(x, bs)]
+            normal = in_row[self.conj_all(gens[0], bs)]
+            for g in gens[1:]:
+                normal &= in_row[self.conj_all(g, bs)]
             in_row[row] = False
             normalizer = (self._m_col * self.AL + bs)[normal]
             for members, y in self._extensions(row, normalizer):
                 built += 1
-                seen.setdefault(members.tobytes(), (members, (s, x, y)))
-        self.built_p3 = built
-        return list(seen.values())
+                seen.setdefault(members.tobytes(), (members, gens + (y,)))
+        return list(seen.values()), built
 
     def _extensions(self, row: np.ndarray, candidates: np.ndarray):
         """Yield (sorted members of <row, y>, y) once per distinct extension.
@@ -272,13 +271,12 @@ class AmbientScan:
         row y^k.  Each round takes the least candidate not yet covered by an
         earlier extension, so no extension is built twice.
         """
-        pows = self.power_tables()
         covered = np.zeros(self.size, dtype=bool)
         covered[row] = True
         left = candidates[~covered[candidates]]
         while left.size:
             y = int(left[0])
-            members = self.mul(row[None, :], pows[:, y][:, None]).ravel()
+            members = self.mul(row[None, :], self.POW[:, y][:, None]).ravel()
             members.sort()
             covered[members] = True
             yield members, y
@@ -315,7 +313,7 @@ def _scan_one_ambient(args: tuple[int, tuple[int, ...]]) -> dict:
         if not scan.is_regular(row):
             continue
         n_regular += 1
-        # Ambient exponent p is asserted in power_tables, so the type is
+        # Ambient exponent p is asserted in the constructor, so the type is
         # decided by abelianness alone.
         gtype = (
             GroupType.ElemAbelian_p3 if scan.is_abelian(gens) else GroupType.HeisenbergM1

@@ -26,6 +26,10 @@ from .subgroups import SubgroupHol, subgroup_from_cosets
 
 __all__ = ["AutTable", "M1Table", "HolCodec", "aut_table", "m1_table", "hol_codec"]
 
+# Automorphisms per step of the inverse build, so its int64 temporaries stay
+# at 512 kB each whatever the prime (|Aut(M1)| = 1,597,200 at p = 11).
+_INVERSE_CHUNK = 1 << 16
+
 
 @lru_cache(maxsize=4)
 def m1_table(p: int) -> "M1Table":
@@ -57,6 +61,8 @@ class M1Table:
         self.MUL = self._join(xa + ya + xc * yb, xb + yb, xc + yc).astype(np.int32)
         self.INV = self._join(-a + b * c, -b, -c).astype(np.int32)
         self.CENTER = codes[(b == 0) & (c == 0)].astype(np.int32)
+        for table in (self.MUL, self.INV, self.CENTER):  # shared by the cache
+            table.flags.writeable = False
 
     def _split(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         p = self.p
@@ -103,6 +109,8 @@ class AutTable:
         self._inv_mod = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int64)
         self.identity = int(self.index(0, 0, 1, 0, 0, 1))
         self.INV = self._build_inverses()
+        for table in (*self.GL, self.RANK, self.INV, self._inv_mod):  # shared by the cache
+            table.flags.writeable = False
 
     # -- index arithmetic ------------------------------------------------
 
@@ -158,21 +166,21 @@ class AutTable:
         return self._code(*self.compose_coords(self.coords(i), self.coords(j)))
 
     def _build_inverses(self) -> np.ndarray:
-        p, h = self.p, self.h
-        T1, T2, A1, A2, A3, A4 = self.coords(np.arange(self.N))
-        d = self._inv_mod[(A1 * A4 - A2 * A3) % p]
-        b1 = (d * A4) % p
-        b2 = (-d * A2) % p
-        b3 = (-d * A3) % p
-        b4 = (d * A1) % p
-        c1 = h * A1 * A3 * b1 * (b1 - 1) + h * A2 * A4 * b3 * (b3 - 1) + A3 * b1 * A2 * b3
-        c2 = h * A1 * A3 * b2 * (b2 - 1) + h * A2 * A4 * b4 * (b4 - 1) + A3 * b2 * A2 * b4
-        t1 = (-d * (T1 * b1 + T2 * b3 + c1)) % p
-        t2 = (-d * (T1 * b2 + T2 * b4 + c2)) % p
-        inv = self._code(t1, t2, b1, b2, b3, b4)
-        check = self.compose_idx(np.arange(self.N), inv)
-        if not np.all(check == self.identity):
-            raise AssertionError("vectorized inverse failed self-check")
+        """(t, A)^-1 = (-det(A)^-1 t', A^-1), t' the inner part of the
+        product (t, A)(0, A^-1); built and self-checked in chunks."""
+        p = self.p
+        inv = np.empty(self.N, dtype=np.int64)
+        for start in range(0, self.N, _INVERSE_CHUNK):
+            stop = min(start + _INVERSE_CHUNK, self.N)
+            idx = np.arange(start, stop)
+            x = self.coords(idx)
+            a1, a2, a3, a4 = x[2:]
+            d = self._inv_mod[(a1 * a4 - a2 * a3) % p]
+            ainv = ((d * a4) % p, (-d * a2) % p, (-d * a3) % p, (d * a1) % p)
+            t1, t2 = self.compose_coords(x, (0, 0, *ainv))[:2]
+            inv[start:stop] = self._code((-d * t1) % p, (-d * t2) % p, *ainv)
+            if not np.all(self.compose_idx(idx, inv[start:stop]) == self.identity):
+                raise AssertionError("vectorized inverse failed self-check")
         return inv
 
     def apply_codes(self, idx: np.ndarray, ncode: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ def _member_mask(sorted_row, values):
 
 
 def reference_order_p2(scan, layer1):
-    pows = scan.power_tables()
+    pows = scan.POW
     everyone = np.arange(scan.size, dtype=np.int64)
     seen = {}
     for row in layer1:
@@ -45,16 +45,16 @@ def reference_order_p2(scan, layer1):
             members = np.concatenate([scan.mul(row, pows[k][x]) for k in range(scan.p)])
             members.sort()
             covered[members] = True
-            seen.setdefault(members.tobytes(), (members, s, int(x)))
+            seen.setdefault(members.tobytes(), (members, (s, int(x))))
     return list(seen.values())
 
 
 def reference_order_p3(scan, layer2):
-    pows = scan.power_tables()
+    pows = scan.POW
     everyone = np.arange(scan.size, dtype=np.int64)
     inv_all = scan.inv(everyone)
     seen = {}
-    for row, s, x in layer2:
+    for row, (s, x) in layer2:
         conj_s = scan.mul(scan.mul(everyone, np.int64(s)), inv_all)
         conj_x = scan.mul(scan.mul(everyone, np.int64(x)), inv_all)
         normalizer = everyone[_member_mask(row, conj_s) & _member_mask(row, conj_x)]
@@ -120,6 +120,20 @@ def test_conj_all_matches_full_products(sylow_scan):
         assert np.array_equal(scan.conj_all(int(g), bs), got[:, bs])
 
 
+def test_normalizer_of_order_p_group_is_centralizer(sylow_scan):
+    # N(<s>)/C(s) embeds in Aut(C_p), of order p - 1, and is a p-group, so
+    # the normalizer test that builds layer 2 keeps exactly the centralizer,
+    # both in the automorphism prefilter and in the ambient.
+    scan, layer1 = sylow_scan[:2]
+    for row in layer1:
+        s = int(row[0]) if row[0] != scan.id_code else int(row[1])
+        a = s % scan.AL
+        bs = np.flatnonzero(np.isin(scan.AUT_CONJ[:, a], row % scan.AL))
+        assert np.array_equal(bs, np.flatnonzero(scan.AUT_CONJ[:, a] == a))
+        conj = scan.conj_all(s, bs)
+        assert np.array_equal(np.isin(conj, row), conj == s)
+
+
 def test_layers_match_reference_walk(small_ambient):
     scan = small_ambient
     assert scan.size == 5**4
@@ -127,9 +141,9 @@ def test_layers_match_reference_walk(small_ambient):
     layer2 = scan.order_p2_subgroups(layer1)
     want2 = reference_order_p2(scan, layer1)
     assert len(layer2) == len(want2)
-    for (row, s, x), (want_row, want_s, want_x) in zip(layer2, want2):
+    for (row, gens), (want_row, want_gens) in zip(layer2, want2):
         assert np.array_equal(row, want_row)
-        assert (s, x) == (want_s, want_x)
+        assert gens == want_gens
     layer3 = scan.order_p3_subgroups(layer2)
     want3 = reference_order_p3(scan, want2)
     assert len(layer3) == len(want3)

@@ -84,6 +84,26 @@ def test_aut_table_compose_and_inverse_match_scalar() -> None:
         assert auts[k] == aut_inverse(auts[i])
 
 
+def test_aut_inverse_across_build_chunks_matches_scalar() -> None:
+    # at p = 7 the inverses are built in two chunks of at most 2**16
+    t = aut_table(7)
+    assert 1 << 16 < t.N < 2 << 16
+    for i in range((1 << 16) - 300, (1 << 16) + 300):
+        assert t.aut_at(int(t.INV[i])) == aut_inverse(t.aut_at(i))
+    assert np.array_equal(t.INV[t.INV], np.arange(t.N))
+
+
+def test_cached_tables_are_read_only() -> None:
+    aut, m1 = aut_table(P), m1_table(P)
+    # writing the same value back leaves the cache intact if the write succeeds
+    with pytest.raises(ValueError):
+        aut.INV[0] = aut.INV[0]
+    with pytest.raises(ValueError):
+        m1.MUL[0, 0] = m1.MUL[0, 0]
+    for table in (*aut.GL, aut.RANK, aut.INV, aut._inv_mod, m1.MUL, m1.INV, m1.CENTER):
+        assert not table.flags.writeable
+
+
 def test_aut_table_apply_matches_scalar() -> None:
     t = aut_table(P)
     auts = enumerate_aut(P)

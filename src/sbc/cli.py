@@ -33,6 +33,7 @@ from .classify import (
     closed_form_count_report,
     count_report,
     expected_stabilizer_order,
+    orbit_union_keys,
     record_to_dict,
     verify_pairwise_nonconjugate,
 )
@@ -376,6 +377,8 @@ def _verify_checks(p: int, oracle_budget: int, jobs: int):
                 raise AssertionError("oracle counts disagree with closed forms")
             if sum(len(v) for v in bucket_by_theta(result).values()) != report.total_regular:
                 raise AssertionError("oracle total off")
+            if result.keys() != orbit_union_keys(p):
+                raise AssertionError("oracle subgroups differ from the representative orbits")
 
         checks.append(("oracle-equivalence", oracle_equivalence))
     return checks

@@ -208,6 +208,12 @@ class HolCodec:
     when those images lie in a target T with |T| = |S|, the image is T.
     Stabilizers and transporters therefore sweep |Aut(M1)| x (generator
     count) conjugates, and memory stays O(|Aut(M1)| + p^3).
+
+    The sweep over all of Aut(M1) = Inn(M1) x| GL2(F_p) composes each code
+    with the |GL2| matrix parts only; the p^2 inner parts shift three mod-p
+    coordinates of the result affinely.  Its columns follow the automorphism
+    index (t1 p + t2) |GL2| + rank(A), as a sweep over an explicit index list
+    would, so the two are interchangeable.
     """
 
     def __init__(self, p: int) -> None:
@@ -257,12 +263,14 @@ class HolCodec:
     def conj_images(self, codes: np.ndarray, aut_rows: np.ndarray | None = None) -> np.ndarray:
         """Row i = listed code i conjugated by each automorphism in aut_rows.
 
-        Shape (len(codes), len(aut_rows)); aut_rows defaults to every
-        automorphism.  Automorphisms run along the last axis, so a handful
-        of generators still gives long vectorized rows.
+        Shape (len(codes), len(aut_rows)), column j for automorphism
+        aut_rows[j].  Without aut_rows the columns are all N automorphisms
+        in index order, (t1 p + t2) |GL2| + rank(A), and come from the
+        decomposed sweep below; with aut_rows each column is two
+        compositions, the reference the sweep is tested against.
         """
         if aut_rows is None:
-            aut_rows = np.arange(self.N)
+            return self._conj_sweep(np.asarray(codes))
         nparts, aparts = np.divmod(np.asarray(codes), self.N)
         new_n = self.aut.apply_codes(aut_rows[None, :], nparts[:, None])
         # conjugation fixes the identity automorphism: only the other
@@ -275,12 +283,59 @@ class HolCodec:
         )
         return new_n * self.N + new_a
 
+    def _conj_sweep(self, codes: np.ndarray) -> np.ndarray:
+        """conj_images under every automorphism, composed once per matrix part.
+
+        (0, A) has index rank(A), and (t, A) = (s, I)(0, A) with s = t A^-1.
+        So the conjugate of (n, beta) by (t, A) has
+          M1 part   (0, A)(n), its a coordinate plus t1 b + t2 c for (b, c)
+                    those of n;
+          aut part  (u + s (B - det(B) I), B), with (u, B) the conjugate of
+                    beta by (0, A), since (s, I)(u, B)(-s, I) = (u + sB - det(B) s, B).
+        The three coordinates that move with t are X(t1, A) + Y(t2, A), both
+        terms reduced mod p, so one key add and one gather on an 8 p^3 table
+        give each row.  Compositions: 2 |GL2| per listed code, not 2 N.
+        """
+        aut, p, g, N = self.aut, self.p, self.aut.n_gl, self.N
+        mats = np.arange(g)
+        mats_inv = aut.INV[mats]
+        ai1, ai2, ai3, ai4 = aut.coords(mats_inv)[2:]
+        nparts, aparts = np.divmod(codes.reshape(-1, 1), N)  # (k, 1)
+        n0 = aut.apply_codes(mats, nparts)  # (k, g)
+        gamma = aut.compose_idx(aut.compose_idx(mats, aparts), mats_inv)
+        u1, u2, b1, b2, b3, b4 = (v[:, None] for v in aut.coords(gamma))
+        d = (b1 * b4 - b2 * b3) % p
+        # t M with M = A^-1 (B - det(B) I), the row vector t on the left
+        m11, m12 = ai1 * (b1 - d) + ai2 * b3, ai1 * b2 + ai2 * (b4 - d)
+        m21, m22 = ai3 * (b1 - d) + ai4 * b3, ai3 * b2 + ai4 * (b4 - d)
+        t = np.arange(p).reshape(p, 1)
+        na = (n0 // (p * p))[:, None]
+        nb, nc = ((nparts // p) % p)[..., None], (nparts % p)[..., None]
+
+        def key(xa, x1, x2):  # each coordinate reduced, so a sum of two keys
+            return ((xa % p) * (2 * p) + x1 % p) * (2 * p) + x2 % p  # stays below 8 p^3
+
+        x = key(na + t * nb, u1 + t * m11, u2 + t * m12)  # (k, t1, A)
+        y = key(t * nc, t * m21, t * m22)  # (k, t2, A)
+        # lut[key]: the code's terms from the M1 part's a coordinate and the inner part
+        xs = np.arange(2 * p) % p
+        lut = (xs[:, None, None] * (p * p * N) + (xs[:, None] * p + xs) * g).reshape(-1)
+        base = (n0 % (p * p)) * N + gamma % g
+        out = np.empty((len(codes), p, p, g), dtype=np.int64)
+        buf = np.empty((p, p, g), dtype=np.int64)
+        for row, xi, yi, bi in zip(out, x, y, base):
+            np.add(xi[:, None, :], yi[None, :, :], out=buf)
+            np.take(lut, buf, out=row, mode="wrap")  # keys lie in range; "wrap" is unbuffered
+            row += bi
+        return out.reshape(len(codes), N)
+
     def conj_matrix(self, codes: np.ndarray, aut_rows: np.ndarray | None = None) -> np.ndarray:
         """Row r = the sorted conjugate of the code set under automorphism r.
 
         Shape (len(aut_rows), len(codes)).  Rows are sorted, so equal rows
-        mean equal subgroups.  This maps every element (N x |S| entries); it
-        is the reference the generator sweeps are tested against.
+        mean equal subgroups.  This maps every element (N x |S| entries); with
+        aut_rows = np.arange(N) it is the composition-route reference the
+        generator sweeps are tested against.
         """
         return np.sort(self.conj_images(codes, aut_rows).T, axis=1)
 

@@ -89,6 +89,8 @@ def test_criterion_2_classify_counts_p7_in_5min():
     assert 94 == 2 * p**2 - p + 3
     assert 15 == 2 * p + 1
     assert pairs == 927
+    for rec in records:
+        assert rec.autbr_order == expected_stabilizer_order(rec.rep_id, p), rec.rep_id
     report = count_report(p)
     assert report == closed_form_count_report(p)
     assert report.hgs_totals == {MUL_TAG: 32634, AB_TAG: 921690}

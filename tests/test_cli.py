@@ -112,6 +112,18 @@ def test_verify_with_oracle(capsys, oracle_p5):
     assert payload["all_pass"] is True
 
 
+def test_verify_compares_oracle_subgroups_not_only_counts(capsys, monkeypatch, oracle_p5):
+    assert len(oracle_p5.records) == 6625
+    keys = cli.orbit_union_keys(5)
+    # the same number of subgroups, one of them swapped for a non-subgroup
+    tampered = (keys - {min(keys)}) | {tuple(range(125))}
+    monkeypatch.setattr(cli, "orbit_union_keys", lambda p: tampered)
+    code, out = run(capsys, "verify", "--prime", "5")
+    assert code == 1
+    assert "FAIL  oracle-equivalence" in out
+    assert "oracle subgroups differ from the representative orbits" in out
+
+
 def test_verify_reports_injected_failure(capsys, monkeypatch):
     monkeypatch.setattr(cli, "expected_stabilizer_order", lambda rep_id, p: 999)
     code, out = run(capsys, "verify", "--prime", "5", "--oracle-budget", "3")

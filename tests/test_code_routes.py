@@ -61,9 +61,48 @@ def test_codes_match_the_scalar_subgroup(reps) -> None:
 
 def test_generator_stabilizer_matches_full_conjugation(reps) -> None:
     codec = hol_codec(P)
+    every = np.arange(codec.N)  # explicit rows: the composition route
     for rep in reps:
-        full = np.flatnonzero((codec.conj_matrix(rep.codes) == rep.codes).all(axis=1))
+        full = np.flatnonzero((codec.conj_matrix(rep.codes, every) == rep.codes).all(axis=1))
         assert np.array_equal(codec.stabilizer(rep.codes, rep.gen_codes), full), rep.rep_id
+
+
+def _composed_rows(codec, codes):
+    """conj_images(codes, every automorphism) by the composition route, a
+    few codes at a time: each composition holds some 20 (codes, N) arrays."""
+    every = np.arange(codec.N)
+    step = max(1, (1 << 18) // codec.N)
+    return np.concatenate(
+        [codec.conj_images(codes[i : i + step], every) for i in range(0, len(codes), step)]
+    )
+
+
+@pytest.mark.parametrize("p, elements", [(5, True), (7, False)])
+def test_decomposed_sweep_matches_composition_route(p, elements) -> None:
+    """The full sweep, one composition per matrix part plus affine inner
+    offsets, gives the composition route's rows: at p = 5 for every element
+    of every representative, at p = 7 for every generator."""
+    codec = hol_codec(p)
+    identity = codec.aut.identity
+    codes = np.unique(
+        np.concatenate([r.codes if elements else r.gen_codes for r in all_representatives(p)])
+    )
+    nparts, aparts = np.divmod(codes, codec.N)
+    assert (aparts == identity).any() and (aparts != identity).any()
+    # the composition route conjugates the M1 part and the automorphism part
+    # independently: one reference row per distinct part, M1 part 0 being
+    # fixed by every automorphism
+    ns, n_at = np.unique(nparts, return_inverse=True)
+    auts, a_at = np.unique(aparts, return_inverse=True)
+    n_rows = _composed_rows(codec, ns * codec.N + identity) - identity
+    a_rows = _composed_rows(codec, auts)
+    step = (1 << 20) // codec.N
+    for lo in range(0, len(codes), step):
+        at = slice(lo, lo + step)
+        assert np.array_equal(codec.conj_images(codes[at]), n_rows[n_at[at]] + a_rows[a_at[at]])
+    # and with no split, for two codes of each kind
+    pick = np.concatenate([codes[aparts == identity][:2], codes[aparts != identity][:2]])
+    assert np.array_equal(codec.conj_images(pick), _composed_rows(codec, pick))
 
 
 def test_transporter_matches_orbit_membership(reps) -> None:

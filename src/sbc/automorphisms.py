@@ -37,13 +37,11 @@ __all__ = [
     "aut_apply_split",
     "aut_compose",
     "aut_compose_triangular",
-    "aut_from_json",
     "aut_from_matrix",
     "aut_identity",
     "aut_inverse",
     "aut_order_total",
     "aut_pow",
-    "aut_to_json",
     "aut_packed_key",
     "beta",
     "enumerate_aut",
@@ -399,14 +397,3 @@ def sylow_aut_coords(x: AutM1Elt) -> tuple[int, int, int] | None:
 
 def sylow_aut_from_coords(p: int, n1: int, n2: int, n3: int) -> AutM1Elt:
     return AutM1Elt(p, n1, n3, GL2Mat(p, 1, 0, n2, 1))
-
-
-def aut_to_json(x: AutM1Elt) -> dict:
-    return {"b1": x.b1, "b2": x.b2, "A": [x.A.a1, x.A.a2, x.A.a3, x.A.a4]}
-
-
-def aut_from_json(p: int, data: dict) -> AutM1Elt:
-    A = data["A"]
-    if len(A) != 4:
-        raise ValueError(f"expected A as [a1, a2, a3, a4], got {A!r}")
-    return AutM1Elt(p, data["b1"], data["b2"], GL2Mat(p, *A))

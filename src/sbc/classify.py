@@ -255,13 +255,18 @@ def _orbit_rows(rep: Representative) -> np.ndarray:
     return codec.conj_matrix(rep.codes, np.array(transversal, dtype=np.int64))
 
 
-def orbit_union_keys(p: int) -> set[tuple[int, ...]]:
-    """Every subgroup in every representative orbit, as sorted code tuples.
+def orbit_union_keys(p: int) -> np.ndarray:
+    """Every subgroup in every representative orbit: a read-only array of
+    sorted code rows, distinct and in lexicographic order.
 
     Conjugates by one automorphism per stabilizer coset, so memory scales
-    with the orbit size times p**3; meant for desk-scale primes.
+    with the orbit size times p**3; meant for desk-scale primes.  Each orbit
+    lists its members once, so the union has sum |orbit| rows exactly when
+    no two representatives are conjugate.
     """
-    out: set[tuple[int, ...]] = set()
-    for rep in all_representatives(p):
-        out.update(map(tuple, _orbit_rows(rep).tolist()))
+    rows = np.vstack([_orbit_rows(rep) for rep in all_representatives(p)])
+    out = np.unique(rows, axis=0)
+    if len(out) != len(rows):
+        raise AssertionError("two representative orbits overlap")
+    out.flags.writeable = False
     return out

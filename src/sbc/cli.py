@@ -38,7 +38,7 @@ from .classify import (
     verify_pairwise_nonconjugate,
 )
 from .group_core import validate_prime
-from .oracle import DEFAULT_ORACLE_BUDGET, bucket_by_theta, enumerate_regular_subgroups
+from .oracle import DEFAULT_ORACLE_BUDGET, enumerate_regular_subgroups
 from .skewbrace import (
     brace_from_codes,
     is_involutive,
@@ -63,24 +63,20 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_id in [
-        ("classify", False),
-        ("count", False),
-        ("oracle", False),
-        ("verify", False),
-        ("brace", True),
-        ("ybe", True),
-    ]:
+    for name in ["classify", "count", "oracle", "verify", "brace", "ybe"]:
         cmd = sub.add_parser(name)
         cmd.add_argument("--prime", type=int, required=True)
-        cmd.add_argument("--theta", choices=["1", "p", "p2", "p3"], default=None)
         cmd.add_argument("--format", choices=["json", "csv", "table"], default="table")
         cmd.add_argument("--out", default=None)
-        cmd.add_argument("--oracle-budget", type=int, default=DEFAULT_ORACLE_BUDGET)
-        cmd.add_argument("--jobs", type=int, default=1)
-        cmd.add_argument("--full-ybe", action="store_true")
-        if needs_id:
+        if name == "classify":
+            cmd.add_argument("--theta", choices=["1", "p", "p2", "p3"], default=None)
+        if name in ("oracle", "verify"):
+            cmd.add_argument("--oracle-budget", type=int, default=DEFAULT_ORACLE_BUDGET)
+            cmd.add_argument("--jobs", type=int, default=1)
+        if name in ("brace", "ybe"):
             cmd.add_argument("--id", required=True, dest="rep_id")
+        if name == "ybe":
+            cmd.add_argument("--full-ybe", action="store_true")
     return parser
 
 
@@ -232,30 +228,29 @@ def cmd_count(args) -> int:
 
 def cmd_oracle(args) -> int:
     p = args.prime
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     result = enumerate_regular_subgroups(p, budget=args.oracle_budget, jobs=args.jobs)
     by_type = result.count_by_type()
-    known = sum(by_type.values())
+    total = len(result.codes)
+    thetas, theta_counts = np.unique(result.theta, return_counts=True)
     counts = {
-        "by_type": {**by_type, "other": len(result.records) - known},
-        "by_theta": {str(t): len(v) for t, v in sorted(bucket_by_theta(result).items())},
+        "by_type": {**by_type, "other": total - sum(by_type.values())},
+        "by_theta": {str(t): int(n) for t, n in zip(thetas, theta_counts)},
         "by_type_and_theta": {
             tag: {str(t): n for t, n in sorted(by.items())}
             for tag, by in sorted(result.count_by_type_and_theta().items())
         },
         "per_ambient_regular": result.per_ambient_regular,
-        "total": len(result.records),
+        "total": total,
     }
     if args.out:
         dump = {
             "p": p,
             "counts": counts,
             "subgroups": [
-                {
-                    "codes": list(rec.codes),
-                    "type": rec.group_type.value,
-                    "theta": rec.theta_order,
-                }
-                for rec in result.records
+                {"codes": row.tolist(), "type": str(tag), "theta": int(theta)}
+                for row, tag, theta in zip(result.codes, result.types, result.theta)
             ],
         }
         _emit(_json_text(dump), args.out)
@@ -375,9 +370,9 @@ def _verify_checks(p: int, oracle_budget: int, jobs: int):
             want_ab = report.regular_by_structure["ElemAbelian_p3"]
             if split.get("HeisenbergM1") != want_m1 or split.get("ElemAbelian_p3") != want_ab:
                 raise AssertionError("oracle counts disagree with closed forms")
-            if sum(len(v) for v in bucket_by_theta(result).values()) != report.total_regular:
+            if len(result.codes) != report.total_regular:
                 raise AssertionError("oracle total off")
-            if result.keys() != orbit_union_keys(p):
+            if not np.array_equal(result.codes, orbit_union_keys(p)):
                 raise AssertionError("oracle subgroups differ from the representative orbits")
 
         checks.append(("oracle-equivalence", oracle_equivalence))
@@ -396,6 +391,8 @@ def _random_aut(rng, p: int):
 
 def cmd_verify(args) -> int:
     p = args.prime
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     results = []
     for name, check in _verify_checks(p, args.oracle_budget, args.jobs):
         try:
@@ -514,8 +511,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         validate_prime(args.prime)
-        if args.jobs < 1:
-            raise ValueError("--jobs must be at least 1")
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -95,20 +95,10 @@ def _pow_codes(p: int, g: HolElt) -> np.ndarray:
 
 
 def _span(p: int, g1: HolElt, g2: HolElt, g3: HolElt) -> np.ndarray:
-    """Sorted codes of {g1^k g2^i g3^j}, which must be p^3 distinct elements.
-
-    With g1 = (r, 1) the left factor only shifts the central coordinate, so
-    the product collapses to index arithmetic.
-    """
+    """Sorted codes of {g1^k g2^i g3^j}, which must be p^3 distinct elements."""
     codec = hol_codec(p)
     q = codec.mul_codes(_pow_codes(p, g2)[:, None], _pow_codes(p, g3)[None, :])
-    if g1.alpha.is_identity() and g1.n == rho(p):
-        n, aidx = np.divmod(q[None, :, :], codec.N)
-        a, rest = np.divmod(n, p * p)
-        k = np.arange(p, dtype=np.int64)[:, None, None]
-        codes = (((a + k) % p) * (p * p) + rest) * codec.N + aidx
-    else:
-        codes = codec.mul_codes(_pow_codes(p, g1)[:, None, None], q[None, :, :])
+    codes = codec.mul_codes(_pow_codes(p, g1)[:, None, None], q[None, :, :])
     codes = np.unique(codes.ravel())
     if len(codes) != p**3:
         raise AssertionError("span is not a transversal")

@@ -21,15 +21,12 @@ __all__ = [
     "m1_commutator",
     "m1_elements",
     "m1_from_code",
-    "m1_from_json",
     "m1_identity",
     "m1_inv",
     "m1_mul",
     "m1_order",
     "m1_pow",
     "m1_subgroup_inventory",
-    "m1_to_json",
-    "m1_to_text",
     "rho",
     "sigma",
     "tau",
@@ -191,17 +188,3 @@ def m1_subgroup_inventory(p: int) -> tuple[list[frozenset[M1Elt]], list[frozense
     order_p2 = [_pair_span(r, t)]
     order_p2.extend(_pair_span(r, m1_mul(s, m1_pow(t, d))) for d in range(p))
     return order_p, order_p2
-
-
-def m1_to_text(x: M1Elt) -> str:
-    return f"r^{x.a} s^{x.b} t^{x.c}"
-
-
-def m1_to_json(x: M1Elt) -> list[int]:
-    return [x.a, x.b, x.c]
-
-
-def m1_from_json(p: int, data: list[int]) -> M1Elt:
-    if len(data) != 3:
-        raise ValueError(f"expected [a, b, c], got {data!r}")
-    return M1Elt(p, *data)

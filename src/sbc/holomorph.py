@@ -38,13 +38,11 @@ __all__ = [
     "conj_by_aut",
     "conj_by_aut_closed",
     "hol_act",
-    "hol_from_json",
     "hol_identity",
     "hol_inv",
     "hol_mul",
     "hol_pow",
     "hol_pow_closed",
-    "hol_to_json",
     "theta",
     "theta_image",
 ]
@@ -187,17 +185,3 @@ def conj_by_aut_closed(alpha: AutM1Elt, g: HolElt) -> HolElt:
     e2 = n2 * b1_inv * b4
     e3 = n3 * b1
     return HolElt(new_n, sylow_aut_from_coords(p, e1, e2, e3))
-
-
-def hol_to_json(g: HolElt) -> dict:
-    from .automorphisms import aut_to_json
-    from .group_core import m1_to_json
-
-    return {"n": m1_to_json(g.n), "alpha": aut_to_json(g.alpha)}
-
-
-def hol_from_json(p: int, data: dict) -> HolElt:
-    from .automorphisms import aut_from_json
-    from .group_core import m1_from_json
-
-    return HolElt(m1_from_json(p, data["n"]), aut_from_json(p, data["alpha"]))

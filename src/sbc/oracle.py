@@ -38,8 +38,9 @@ and p + 1 for a Heisenberg one.  Picking the least uncovered candidate is
 also what the element-by-element walk did, so the layers, their order and
 their generators do not depend on the shortcut.
 
-Results are deduplicated globally by the sorted tuple of holomorph codes, so
-subgroups shared between ambients are counted once.
+Each subgroup is a sorted row of global holomorph codes.  The ambients'
+rows are merged by one lexicographic unique, so subgroups shared between
+ambients are counted once.
 """
 
 from __future__ import annotations
@@ -51,46 +52,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group_core import validate_prime
-from .subgroups import GroupType, SubgroupHol
-from .tables import aut_table, hol_codec, m1_table
+from .subgroups import GroupType
+from .tables import aut_table, m1_table
 
 __all__ = [
     "AmbientScan",
-    "OracleRecord",
     "OracleResult",
-    "bucket_by_theta",
     "enumerate_regular_subgroups",
 ]
 
 DEFAULT_ORACLE_BUDGET = 5
 
 
-@dataclass(frozen=True)
-class OracleRecord:
-    """One regular subgroup found by the scan, in global code form."""
-
-    p: int
-    codes: tuple[int, ...]
-    gen_codes: tuple[int, ...]
-    group_type: GroupType
-    theta_order: int
-
-    def to_subgroup(self) -> SubgroupHol:
-        codec = hol_codec(self.p)
-        gens = [codec.decode(c) for c in self.gen_codes]
-        return codec.materialize(np.array(self.codes, dtype=np.int64), gens)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleResult:
     """Merged scan of all ambients; per_ambient_* follow the ambient order.
+
+    codes holds one regular subgroup per row, as its sorted global holomorph
+    codes; the rows are distinct and in lexicographic order.  theta and types
+    give each row's theta order and GroupType value.  The arrays are
+    read-only, since the result is memoized and shared.
 
     per_ambient_built_p2/p3 count the subgroups each layer built, repeats
     included; the layers keep only the distinct ones.
     """
 
     p: int
-    records: tuple[OracleRecord, ...]
+    codes: np.ndarray
+    theta: np.ndarray
+    types: np.ndarray
     per_ambient_regular: tuple[int, ...]
     per_ambient_order_p: tuple[int, ...]
     per_ambient_order_p2: tuple[int, ...]
@@ -98,20 +88,15 @@ class OracleResult:
     per_ambient_built_p3: tuple[int, ...]
 
     def count_by_type(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for rec in self.records:
-            out[rec.group_type.value] = out.get(rec.group_type.value, 0) + 1
-        return out
+        tags, counts = np.unique(self.types, return_counts=True)
+        return {str(t): int(n) for t, n in zip(tags, counts)}
 
     def count_by_type_and_theta(self) -> dict[str, dict[int, int]]:
         out: dict[str, dict[int, int]] = {}
-        for rec in self.records:
-            slot = out.setdefault(rec.group_type.value, {})
-            slot[rec.theta_order] = slot.get(rec.theta_order, 0) + 1
+        for tag in np.unique(self.types):
+            thetas, counts = np.unique(self.theta[self.types == tag], return_counts=True)
+            out[str(tag)] = {int(t): int(n) for t, n in zip(thetas, counts)}
         return out
-
-    def keys(self) -> set[tuple[int, ...]]:
-        return {rec.codes for rec in self.records}
 
 
 class AmbientScan:
@@ -300,43 +285,36 @@ class AmbientScan:
         return True
 
 
-def _scan_one_ambient(args: tuple[int, tuple[int, ...]]) -> dict:
-    """Worker: full three-layer scan of one ambient; returns plain data."""
+def _scan_one_ambient(args: tuple[int, np.ndarray]) -> dict:
+    """Worker: full three-layer scan of one ambient; returns plain data, the
+    regular subgroups as rows of sorted global codes."""
     p, aut_idx = args
-    scan = AmbientScan(p, np.array(aut_idx, dtype=np.int64))
+    scan = AmbientScan(p, aut_idx)
     layer1 = scan.order_p_subgroups()
     layer2 = scan.order_p2_subgroups(layer1)
     layer3 = scan.order_p3_subgroups(layer2)
-    found = []
-    n_regular = 0
-    for row, gens in layer3:
-        if not scan.is_regular(row):
-            continue
-        n_regular += 1
-        # Ambient exponent p is asserted in the constructor, so the type is
-        # decided by abelianness alone.
-        gtype = (
-            GroupType.ElemAbelian_p3 if scan.is_abelian(gens) else GroupType.HeisenbergM1
-        )
-        found.append(
-            (
-                tuple(scan.to_global(row).tolist()),
-                tuple(scan.to_global(np.array(gens, dtype=np.int64)).tolist()),
-                gtype.value,
-                scan.theta_order(row),
-            )
-        )
+    regular = [(row, gens) for row, gens in layer3 if scan.is_regular(row)]
+    # Ambient exponent p is asserted in the constructor, so the type is
+    # decided by abelianness alone.
+    types = [
+        (GroupType.ElemAbelian_p3 if scan.is_abelian(gens) else GroupType.HeisenbergM1).value
+        for _, gens in regular
+    ]
+    codes = np.array([scan.to_global(row) for row, _ in regular], dtype=np.int64)
     return {
-        "regular": n_regular,
+        "regular": len(regular),
         "order_p": len(layer1),
         "order_p2": len(layer2),
         "built_p2": scan.built_p2,
         "built_p3": scan.built_p3,
-        "found": found,
+        "codes": codes.reshape(-1, p**3),
+        "theta": np.array([scan.theta_order(row) for row, _ in regular], dtype=np.int64),
+        "types": np.array(types, dtype=str),
     }
 
 
-def _sylow_ambient_indices(p: int) -> list[tuple[int, ...]]:
+def _sylow_ambient_indices(p: int) -> list[np.ndarray]:
+    """The Aut(M1) indices of each Sylow p-subgroup, one array per ambient."""
     from .automorphisms import sylow_p_subgroups_gl2
 
     aut = aut_table(p)
@@ -347,7 +325,7 @@ def _sylow_ambient_indices(p: int) -> list[tuple[int, ...]]:
         idx = aut.index(t1[:, None], t2[:, None], *entries[:, None, :]).ravel()
         if np.any(idx < 0):
             raise AssertionError("Sylow member missing from enumeration")
-        out.append(tuple(sorted(int(i) for i in idx)))
+        out.append(idx)
     return out
 
 
@@ -377,16 +355,19 @@ def enumerate_regular_subgroups(
             results = list(pool.map(_scan_one_ambient, args))
     else:
         results = [_scan_one_ambient(a) for a in args]
-    merged: dict[tuple[int, ...], OracleRecord] = {}
-    for res in results:
-        for codes, gen_codes, gtype, theta in res["found"]:
-            if codes not in merged:
-                merged[codes] = OracleRecord(
-                    p, codes, gen_codes, GroupType(gtype), theta
-                )
+    # popping the per-ambient rows frees them before the unique copies them
+    codes, first = np.unique(
+        np.vstack([r.pop("codes") for r in results]), axis=0, return_index=True
+    )
+    theta = np.concatenate([r["theta"] for r in results])[first]
+    types = np.concatenate([r["types"] for r in results])[first]
+    for arr in (codes, theta, types):
+        arr.flags.writeable = False
     result = OracleResult(
         p=p,
-        records=tuple(merged[k] for k in sorted(merged)),
+        codes=codes,
+        theta=theta,
+        types=types,
         per_ambient_regular=tuple(r["regular"] for r in results),
         per_ambient_order_p=tuple(r["order_p"] for r in results),
         per_ambient_order_p2=tuple(r["order_p2"] for r in results),
@@ -395,10 +376,3 @@ def enumerate_regular_subgroups(
     )
     _SCAN_MEMO[p] = result
     return result
-
-
-def bucket_by_theta(result: OracleResult) -> dict[int, list[OracleRecord]]:
-    out: dict[int, list[OracleRecord]] = {}
-    for rec in result.records:
-        out.setdefault(rec.theta_order, []).append(rec)
-    return out

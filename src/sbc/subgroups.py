@@ -9,7 +9,6 @@ compare equal exactly when they have the same elements.
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -19,14 +18,12 @@ from .holomorph import HolElt, conj_by_aut, hol_identity, hol_mul
 __all__ = [
     "GroupType",
     "SubgroupHol",
-    "canonical_key",
     "conjugate_subgroup",
     "generate",
     "hol_elt_coords",
     "is_regular",
     "isomorphism_type",
     "subgroup_from_cosets",
-    "subgroup_to_json",
 ]
 
 
@@ -65,12 +62,6 @@ class SubgroupHol:
 
     def key(self) -> tuple[tuple[int, ...], ...]:
         return tuple(hol_elt_coords(g) for g in self.elements)
-
-    def key_digest(self) -> str:
-        h = hashlib.sha256()
-        for row in self.key():
-            h.update(bytes(row))
-        return h.hexdigest()[:16]
 
     def __contains__(self, g: HolElt) -> bool:
         return g in set(self.elements)
@@ -194,18 +185,3 @@ def conjugate_subgroup(alpha: AutM1Elt, sub: SubgroupHol) -> SubgroupHol:
     gens = tuple(conj_by_aut(alpha, g) for g in sub.generators)
     els = tuple(conj_by_aut(alpha, g) for g in sub.elements)
     return SubgroupHol(sub.p, gens, els)
-
-
-def canonical_key(sub: SubgroupHol) -> tuple[tuple[int, ...], ...]:
-    return sub.key()
-
-
-def subgroup_to_json(sub: SubgroupHol) -> dict:
-    from .holomorph import hol_to_json
-
-    return {
-        "generators": [hol_to_json(g) for g in sub.generators],
-        "order": sub.order,
-        "type": isomorphism_type(sub).value if sub.order == sub.p**3 else None,
-        "key": sub.key_digest(),
-    }

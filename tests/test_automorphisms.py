@@ -17,14 +17,12 @@ from sbc.automorphisms import (
     aut_apply_split,
     aut_compose,
     aut_compose_triangular,
-    aut_from_json,
     aut_from_matrix,
     aut_identity,
     aut_inverse,
     aut_order_total,
     aut_packed_key,
     aut_pow,
-    aut_to_json,
     enumerate_aut,
     gamma_split,
     gl2_order,
@@ -291,13 +289,3 @@ def test_sylow_normal_form_power_rule() -> None:
                 P, j * n1 + n2 * n3 * (j * (j - 1) // 2), j * n2, j * n3
             )
             assert aut_pow(x, j) == expected
-
-
-def test_json_round_trip() -> None:
-    for _ in range(20):
-        x = random_aut()
-        data = aut_to_json(x)
-        assert set(data) == {"b1", "b2", "A"}
-        assert aut_from_json(P, data) == x
-    with pytest.raises(ValueError):
-        aut_from_json(P, {"b1": 0, "b2": 0, "A": [1, 0, 0]})

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import sbc.cli as cli
@@ -103,7 +104,7 @@ def test_verify_without_oracle(capsys):
 
 def test_verify_with_oracle(capsys, oracle_p5):
     # touching the fixture first keeps the scan shared across the session
-    assert len(oracle_p5.records) == 6625
+    assert len(oracle_p5.codes) == 6625
     code, out = run(capsys, "verify", "--prime", "5", "--format", "json")
     assert code == 0
     payload = json.loads(out)
@@ -113,10 +114,10 @@ def test_verify_with_oracle(capsys, oracle_p5):
 
 
 def test_verify_compares_oracle_subgroups_not_only_counts(capsys, monkeypatch, oracle_p5):
-    assert len(oracle_p5.records) == 6625
-    keys = cli.orbit_union_keys(5)
+    assert len(oracle_p5.codes) == 6625
     # the same number of subgroups, one of them swapped for a non-subgroup
-    tampered = (keys - {min(keys)}) | {tuple(range(125))}
+    tampered = cli.orbit_union_keys(5).copy()
+    tampered[0] = np.arange(125)
     monkeypatch.setattr(cli, "orbit_union_keys", lambda p: tampered)
     code, out = run(capsys, "verify", "--prime", "5")
     assert code == 1
@@ -157,13 +158,28 @@ def test_verify_catches_perturbed_composition(capsys, monkeypatch):
         ["count", "--prime", "10"],
         ["brace", "--prime", "5", "--id", "r=p9/bogus"],
         ["oracle", "--prime", "7"],
-        ["classify", "--prime", "5", "--jobs", "0"],
+        ["oracle", "--prime", "5", "--jobs", "0"],
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--prime", "5", "--theta", "p"],
+        ["classify", "--prime", "5", "--jobs", "2"],
+        ["brace", "--prime", "5", "--id", "r=1/trivial", "--full-ybe"],
+    ],
+)
+def test_options_a_command_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_oracle_counts_and_dump(capsys, tmp_path, oracle_p5):

@@ -12,7 +12,8 @@ import random
 import numpy as np
 import pytest
 
-from sbc.classify import _orbit_rows, classification_records
+import sbc.classify as classify
+from sbc.classify import _orbit_rows, classification_records, orbit_union_keys
 from sbc.families import all_representatives, trivial_subgroup
 from sbc.skewbrace import (
     annihilator_indices,
@@ -160,3 +161,14 @@ def test_coset_orbit_matches_full_orbit(reps) -> None:
         # one conjugate per stabilizer coset, no two alike
         assert len(np.unique(rows, axis=0)) == len(rows) == len(full), rep.rep_id
         assert np.array_equal(np.unique(rows, axis=0), full), rep.rep_id
+
+
+def test_orbit_union_rejects_overlapping_orbits(reps, monkeypatch) -> None:
+    union = orbit_union_keys(P)
+    # one row per subgroup of every orbit: the sum of the orbit sizes
+    assert union.shape == (6625, P**3)
+    assert union.dtype == np.int64 and not union.flags.writeable
+    # a representative listed twice makes two orbits coincide
+    monkeypatch.setattr(classify, "all_representatives", lambda p: reps + reps[7:8])
+    with pytest.raises(AssertionError, match="orbits overlap"):
+        orbit_union_keys(P)

@@ -1,4 +1,5 @@
-"""Byte-level pins of the command-line output at p = 5.
+"""Byte-level pins of the command-line output at p = 5, and of the counts at
+p = 7.
 
 Every digest is the SHA-256 of the exact bytes a command writes.  They were
 recorded from a build whose outputs the acceptance gates had checked, so a
@@ -21,6 +22,7 @@ DIGESTS = {
     "classify-csv": "fabadb097436607392ea9b98eb84faa91fcff5e052e5269fdcb3b8b681da79f8",
     "classify-table": "c7b677361ba455059e07654571ca0655cb034811089ec310da648ebf26755212",
     "count-json": "c7a0ffe01c480156eb6790f16110ee8bf07022ad8e8d0bedcafd669341463c4a",
+    "count-json-p7": "de255e1cfe2a062e6f37666273d37c6397e0bd3445ea2b9246dc66691bfcdf94",
     "brace-all": "9392d0eafba88faa395e6176205a16ccdc03fdeddeae76b89201651205ad8655",
     "ybe-json-all": "076686d8417b84ce8cc730c0ede82c0e2064842da5098de4b75df681068d30f0",
     "oracle-stdout": "e8f71972bcdce693202ddba470fe17526d5b13bb108e12a47ad0726b60a57198",
@@ -49,6 +51,11 @@ def test_count_bytes(capsys):
     assert _sha(out) == DIGESTS["count-json"]
 
 
+def test_count_bytes_p7(capsys):
+    out = _stdout(capsys, "count", "--prime", "7", "--format", "json")
+    assert _sha(out) == DIGESTS["count-json-p7"]
+
+
 def test_brace_and_ybe_bytes_for_every_id(capsys):
     ids = [rep.rep_id for rep in all_representatives(5)]
     assert len(ids) == 59
@@ -62,7 +69,7 @@ def test_brace_and_ybe_bytes_for_every_id(capsys):
 
 def test_oracle_and_verify_bytes(capsys, tmp_path, oracle_p5):
     # touching the fixture first keeps the scan shared across the session
-    assert len(oracle_p5.records) == 6625
+    assert len(oracle_p5.codes) == 6625
     dump = tmp_path / "scan.json"
     out = _stdout(capsys, "oracle", "--prime", "5", "--out", str(dump))
     assert _sha(out) == DIGESTS["oracle-stdout"]

@@ -15,15 +15,12 @@ from sbc.group_core import (
     m1_commutator,
     m1_elements,
     m1_from_code,
-    m1_from_json,
     m1_identity,
     m1_inv,
     m1_mul,
     m1_order,
     m1_pow,
     m1_subgroup_inventory,
-    m1_to_json,
-    m1_to_text,
     rho,
     sigma,
     tau,
@@ -199,12 +196,3 @@ def test_code_round_trip() -> None:
     for x in m1_elements(P):
         assert m1_from_code(P, m1_code(x)) == x
     assert sorted(m1_code(x) for x in m1_elements(P)) == list(range(P**3))
-
-
-def test_text_and_json_forms() -> None:
-    x = M1Elt(P, 1, 2, 3)
-    assert m1_to_text(x) == "r^1 s^2 t^3"
-    assert m1_to_json(x) == [1, 2, 3]
-    assert m1_from_json(P, [1, 2, 3]) == x
-    with pytest.raises(ValueError):
-        m1_from_json(P, [1, 2])

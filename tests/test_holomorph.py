@@ -37,13 +37,11 @@ from sbc.holomorph import (
     conj_by_aut,
     conj_by_aut_closed,
     hol_act,
-    hol_from_json,
     hol_identity,
     hol_inv,
     hol_mul,
     hol_pow,
     hol_pow_closed,
-    hol_to_json,
     theta,
     theta_image,
 )
@@ -249,11 +247,3 @@ def test_hol_pow_generic_matches_closed_on_sylow() -> None:
         assert hol_pow(g, r) == hol_pow_closed(g, r)
     g = random_hol()
     assert hol_pow(g, -3) == hol_inv(hol_pow(g, 3))
-
-
-def test_json_round_trip() -> None:
-    for _ in range(20):
-        g = random_hol()
-        data = hol_to_json(g)
-        assert set(data) == {"n", "alpha"}
-        assert hol_from_json(P, data) == g

@@ -7,14 +7,9 @@ import pytest
 
 from sbc.automorphisms import sylow_aut_subgroup, sylow_p_subgroups_gl2
 from sbc.group_core import M1Elt, m1_code
-from sbc.oracle import (
-    AmbientScan,
-    _sylow_ambient_indices,
-    bucket_by_theta,
-    enumerate_regular_subgroups,
-)
+from sbc.oracle import AmbientScan, _sylow_ambient_indices, enumerate_regular_subgroups
 from sbc.subgroups import GroupType, is_regular, isomorphism_type
-from sbc.tables import aut_table
+from sbc.tables import aut_table, hol_codec
 
 
 # -- element-by-element reference walk ---------------------------------------
@@ -198,7 +193,7 @@ def test_m1_ambient_recovers_known_subgroup_lattice():
 
 
 def test_total_counts(oracle_p5):
-    assert len(oracle_p5.records) == 6625
+    assert oracle_p5.codes.shape == (6625, 125)
     by_type = oracle_p5.count_by_type()
     assert by_type == {
         GroupType.HeisenbergM1.value: 5900,
@@ -207,8 +202,8 @@ def test_total_counts(oracle_p5):
 
 
 def test_theta_buckets(oracle_p5):
-    buckets = bucket_by_theta(oracle_p5)
-    assert {k: len(v) for k, v in buckets.items()} == {1: 1, 5: 744, 25: 2880, 125: 3000}
+    thetas, counts = np.unique(oracle_p5.theta, return_counts=True)
+    assert dict(zip(thetas.tolist(), counts.tolist())) == {1: 1, 5: 744, 25: 2880, 125: 3000}
 
 
 def test_type_by_theta_matches_closed_forms(oracle_p5):
@@ -237,39 +232,52 @@ def test_per_ambient_counts_are_uniform(oracle_p5):
 
 def test_result_is_immutable(oracle_p5):
     with pytest.raises(dataclasses.FrozenInstanceError):
-        oracle_p5.records = ()
-    assert isinstance(oracle_p5.records, tuple)
+        oracle_p5.codes = oracle_p5.codes[:1]
+    # the memoized result is shared, so its arrays refuse writes too
+    for arr in (oracle_p5.codes, oracle_p5.theta, oracle_p5.types):
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
     assert isinstance(oracle_p5.per_ambient_regular, tuple)
 
 
 def test_record_keys_are_distinct(oracle_p5):
-    assert len(oracle_p5.keys()) == len(oracle_p5.records)
+    codes = oracle_p5.codes
+    assert codes.dtype == np.int64
+    assert len(oracle_p5.theta) == len(oracle_p5.types) == len(codes)
+    # each row is a sorted code set; consecutive rows strictly increase in
+    # lexicographic order, so the rows are distinct
+    assert np.all(np.diff(codes, axis=1) > 0)
+    differs = codes[1:] != codes[:-1]
+    assert differs.any(axis=1).all()
+    first = differs.argmax(axis=1)
+    rows = np.arange(len(first))
+    assert np.all(codes[1:][rows, first] > codes[:-1][rows, first])
 
 
 def test_trivial_theta_record_is_m1_times_identity(oracle_p5):
     p = 5
     aut = aut_table(p)
     N = aut.N
-    the_one = [r for r in oracle_p5.records if r.theta_order == 1]
-    assert len(the_one) == 1
+    (the_one,) = np.flatnonzero(oracle_p5.theta == 1)
     expected = sorted(
         m1_code(M1Elt(p, a, b, c)) * N + aut.identity
         for a in range(p)
         for b in range(p)
         for c in range(p)
     )
-    assert list(the_one[0].codes) == expected
-    assert the_one[0].group_type is GroupType.HeisenbergM1
+    assert oracle_p5.codes[the_one].tolist() == expected
+    assert oracle_p5.types[the_one] == GroupType.HeisenbergM1.value
 
 
 def test_sampled_records_materialize_correctly(oracle_p5):
     # For a spread of records, rebuild the scalar subgroup and re-derive
     # regularity, type, and theta order from scratch.
-    picks = oracle_p5.records[::500]
+    codec = hol_codec(5)
+    picks = range(0, len(oracle_p5.codes), 500)
     assert len(picks) >= 13
-    for rec in picks:
-        sg = rec.to_subgroup()
+    for i in picks:
+        sg = codec.materialize(oracle_p5.codes[i])
         assert len(sg.elements) == 125
         assert is_regular(sg)
-        assert isomorphism_type(sg) is rec.group_type
-        assert len({e.alpha for e in sg.elements}) == rec.theta_order
+        assert isomorphism_type(sg).value == oracle_p5.types[i]
+        assert len({e.alpha for e in sg.elements}) == oracle_p5.theta[i]

@@ -17,13 +17,11 @@ from sbc.holomorph import HolElt, hol_identity, hol_mul, theta_image
 from sbc.subgroups import (
     GroupType,
     SubgroupHol,
-    canonical_key,
     conjugate_subgroup,
     generate,
     is_regular,
     isomorphism_type,
     subgroup_from_cosets,
-    subgroup_to_json,
 )
 
 P = 5
@@ -65,8 +63,7 @@ def test_equality_by_elements_not_generators() -> None:
     b = generate([emb(tau(P)), emb(sigma(P)), emb(rho(P))])
     assert a == b
     assert hash(a) == hash(b)
-    assert canonical_key(a) == canonical_key(b)
-    assert a.key_digest() == b.key_digest()
+    assert a.key() == b.key()
 
 
 def test_subgroup_from_cosets_checks() -> None:
@@ -144,12 +141,3 @@ def test_conjugation_by_inner_fixes_m1() -> None:
     m1 = generate([emb(rho(P)), emb(sigma(P)), emb(tau(P))])
     assert conjugate_subgroup(alpha1(P), m1) == m1
     assert conjugate_subgroup(alpha3(P), m1) == m1
-
-
-def test_json_export() -> None:
-    sub = generate([emb(rho(P)), emb(tau(P)), HolElt(sigma(P), alpha3(P))])
-    data = subgroup_to_json(sub)
-    assert data["order"] == 125
-    assert data["type"] == "ElemAbelian_p3"
-    assert len(data["generators"]) == 3
-    assert isinstance(data["key"], str) and len(data["key"]) == 16

@@ -95,7 +95,7 @@ def small_ambient():
 @pytest.fixture(scope="module")
 def sylow_scan():
     """Sylow ambient 0 with its three layers."""
-    scan = AmbientScan(5, np.array(_sylow_ambient_indices(5)[0], dtype=np.int64))
+    scan = AmbientScan(5, _sylow_ambient_indices(5)[0])
     layer1 = scan.order_p_subgroups()
     layer2 = scan.order_p2_subgroups(layer1)
     layer3 = scan.order_p3_subgroups(layer2)

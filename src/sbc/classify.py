@@ -27,7 +27,7 @@ from .skewbrace import annihilator_indices, brace_from_codes, socle_indices
 # perfbench/selfcheck.py checks that tracing patches this imported binding
 from .skewbrace import brace_from_subgroup  # noqa: F401
 from .subgroups import GroupType
-from .tables import hol_codec
+from .tables import distinct_rows, hol_codec
 
 __all__ = [
     "ClassificationRecord",
@@ -238,10 +238,9 @@ def verify_pairwise_nonconjugate(p: int) -> int:
     return pairs
 
 
-def _orbit_rows(rep: Representative) -> np.ndarray:
-    """The Aut(M1) orbit of rep, one sorted code row per left coset of its
-    stabilizer: alpha S alpha^-1 depends only on the coset alpha Stab, and
-    distinct cosets give distinct conjugates."""
+def _coset_transversal(rep: Representative) -> np.ndarray:
+    """One automorphism per left coset of rep's stabilizer: alpha S alpha^-1
+    depends only on the coset, and distinct cosets give distinct conjugates."""
     codec = hol_codec(rep.p)
     stab = stabilizer_indices(rep)
     transversal = []
@@ -252,21 +251,32 @@ def _orbit_rows(rep: Representative) -> np.ndarray:
         uncovered[codec.aut.compose_idx(alpha, stab)] = False
     if len(transversal) * len(stab) != codec.N:
         raise AssertionError("stabilizer cosets must partition Aut(M1)")
-    return codec.conj_matrix(rep.codes, np.array(transversal, dtype=np.int64))
+    return np.array(transversal, dtype=np.int64)
+
+
+def _orbit_rows(rep: Representative) -> np.ndarray:
+    """The Aut(M1) orbit of rep, one sorted code row per stabilizer coset."""
+    return hol_codec(rep.p).conj_matrix(rep.codes, _coset_transversal(rep))
 
 
 def orbit_union_keys(p: int) -> np.ndarray:
     """Every subgroup in every representative orbit: a read-only array of
     sorted code rows, distinct and in lexicographic order.
 
-    Conjugates by one automorphism per stabilizer coset, so memory scales
-    with the orbit size times p**3; meant for desk-scale primes.  Each orbit
-    lists its members once, so the union has sum |orbit| rows exactly when
-    no two representatives are conjugate.
+    Conjugates by one automorphism per stabilizer coset, in chunks, into one
+    array of sum |orbit| rows.  Each orbit lists its members once, so these
+    rows are distinct exactly when no two representatives are conjugate.
     """
-    rows = np.vstack([_orbit_rows(rep) for rep in all_representatives(p)])
-    out = np.unique(rows, axis=0)
+    codec = hol_codec(p)
+    reps = all_representatives(p)
+    transversals = [_coset_transversal(rep) for rep in reps]
+    rows = np.empty((sum(map(len, transversals)), p**3), dtype=np.int64)
+    start, step = 0, max(1, (1 << 16) // p**3)  # 512 kB composition temporaries
+    for rep, transversal in zip(reps, transversals):
+        for alphas in np.split(transversal, range(step, len(transversal), step)):
+            rows[start : start + len(alphas)] = codec.conj_matrix(rep.codes, alphas)
+            start += len(alphas)
+    out = distinct_rows(rows)[0]
     if len(out) != len(rows):
         raise AssertionError("two representative orbits overlap")
-    out.flags.writeable = False
     return out

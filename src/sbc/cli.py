@@ -115,23 +115,9 @@ def _table_text(rows: list[dict], columns: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _record_rows(records, theta_value: int | None) -> list[dict]:
-    rows = []
-    for rec in records:
-        if theta_value is not None and rec.theta_order != theta_value:
-            continue
-        rows.append(
-            {
-                "id": rec.rep_id,
-                "theta": rec.theta_order,
-                "structure": rec.structure,
-                "autbr_order": rec.autbr_order,
-                "orbit_size": rec.orbit_size,
-                "socle_order": rec.socle_order,
-                "ann_order": rec.ann_order,
-            }
-        )
-    return rows
+def _report_counts(report) -> dict:
+    fields = ("regular_by_structure", "hgs_by_structure", "class_counts", "hgs_totals")
+    return {name: getattr(report, name) for name in fields}
 
 
 def _count_summary_lines(report) -> list[str]:
@@ -156,18 +142,18 @@ def cmd_classify(args) -> int:
     ok = report == closed_form_count_report(p) and all(
         rec.autbr_order == expected_stabilizer_order(rec.rep_id, p) for rec in records
     )
-    rows = _record_rows(records, _theta_value(p, args.theta))
+    theta = _theta_value(p, args.theta)
+    shown = [rec for rec in records if theta in (None, rec.theta_order)]
+    rows = [
+        dict(zip(CSV_COLUMNS, (r.rep_id, r.theta_order, r.structure, r.autbr_order,
+                               r.orbit_size, r.socle_order, r.ann_order)))
+        for r in shown
+    ]
     if args.format == "json":
         payload = {
             "p": p,
-            "records": [record_to_dict(r) for r in records if _theta_value(p, args.theta) in (None, r.theta_order)],
-            "counts": {
-                "regular_by_structure": report.regular_by_structure,
-                "hgs_by_structure": report.hgs_by_structure,
-                "class_counts": report.class_counts,
-                "hgs_totals": report.hgs_totals,
-                "total_regular": report.total_regular,
-            },
+            "records": [record_to_dict(r) for r in shown],
+            "counts": {**_report_counts(report), "total_regular": report.total_regular},
             "identities_hold": ok,
         }
         text = _json_text(payload)
@@ -187,18 +173,8 @@ def cmd_count(args) -> int:
     if args.format == "json":
         payload = {
             "p": p,
-            "computed": {
-                "regular_by_structure": computed.regular_by_structure,
-                "hgs_by_structure": computed.hgs_by_structure,
-                "class_counts": computed.class_counts,
-                "hgs_totals": computed.hgs_totals,
-            },
-            "closed_form": {
-                "regular_by_structure": closed.regular_by_structure,
-                "hgs_by_structure": closed.hgs_by_structure,
-                "class_counts": closed.class_counts,
-                "hgs_totals": closed.hgs_totals,
-            },
+            "computed": _report_counts(computed),
+            "closed_form": _report_counts(closed),
             "match": ok,
         }
         text = _json_text(payload)

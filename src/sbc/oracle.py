@@ -39,7 +39,7 @@ also what the element-by-element walk did, so the layers, their order and
 their generators do not depend on the shortcut.
 
 Each subgroup is a sorted row of global holomorph codes.  The ambients'
-rows are merged by one lexicographic unique, so subgroups shared between
+rows are merged by `tables.distinct_rows`, so subgroups shared between
 ambients are counted once.
 """
 
@@ -53,7 +53,7 @@ import numpy as np
 
 from .group_core import validate_prime
 from .subgroups import GroupType
-from .tables import aut_table, m1_table
+from .tables import aut_table, distinct_rows, m1_table
 
 __all__ = [
     "AmbientScan",
@@ -158,10 +158,16 @@ class AmbientScan:
         ai = self.LOC_INV[a]
         return self.LOC_APPLY[ai, self.M1INV[n]] * self.AL + ai
 
-    def to_global(self, codes: np.ndarray) -> np.ndarray:
-        n, a = np.divmod(np.asarray(codes), self.AL)
-        N = aut_table(self.p).N
-        return np.sort(n * N + self.aut_global[a])
+    def to_global(self, codes) -> np.ndarray:
+        """Global codes of a block of local codes, sorted along the last axis,
+        computed in place on one new copy of the block."""
+        out = np.array(codes, dtype=np.int64)
+        a = out % self.AL
+        out //= self.AL
+        out *= aut_table(self.p).N
+        out += np.take(self.aut_global, a, out=a, mode="wrap")  # reads each index before writing it
+        out.sort(axis=-1)
+        return out
 
     def conj_all(self, g: int, bs: np.ndarray | None = None) -> np.ndarray:
         """Codes of y g y^-1 for every y = (m, b), b in bs (default: all of A).
@@ -276,13 +282,8 @@ class AmbientScan:
         return int(len(np.unique(row % self.AL)))
 
     def is_abelian(self, gens: tuple[int, ...]) -> bool:
-        for i, g in enumerate(gens):
-            for h in gens[i + 1 :]:
-                if int(self.mul(np.int64(g), np.int64(h))) != int(
-                    self.mul(np.int64(h), np.int64(g))
-                ):
-                    return False
-        return True
+        g = np.array(gens, dtype=np.int64)
+        return bool(np.array_equal(self.mul(g[:, None], g[None, :]), self.mul(g[None, :], g[:, None])))
 
 
 def _scan_one_ambient(args: tuple[int, np.ndarray]) -> dict:
@@ -294,20 +295,21 @@ def _scan_one_ambient(args: tuple[int, np.ndarray]) -> dict:
     layer2 = scan.order_p2_subgroups(layer1)
     layer3 = scan.order_p3_subgroups(layer2)
     regular = [(row, gens) for row, gens in layer3 if scan.is_regular(row)]
+    order_p, order_p2 = len(layer1), len(layer2)
+    del layer1, layer2, layer3  # so the global block does not raise the worker's peak
     # Ambient exponent p is asserted in the constructor, so the type is
     # decided by abelianness alone.
     types = [
         (GroupType.ElemAbelian_p3 if scan.is_abelian(gens) else GroupType.HeisenbergM1).value
         for _, gens in regular
     ]
-    codes = np.array([scan.to_global(row) for row, _ in regular], dtype=np.int64)
     return {
         "regular": len(regular),
-        "order_p": len(layer1),
-        "order_p2": len(layer2),
+        "order_p": order_p,
+        "order_p2": order_p2,
         "built_p2": scan.built_p2,
         "built_p3": scan.built_p3,
-        "codes": codes.reshape(-1, p**3),
+        "codes": scan.to_global([row for row, _ in regular]).reshape(-1, p**3),
         "theta": np.array([scan.theta_order(row) for row, _ in regular], dtype=np.int64),
         "types": np.array(types, dtype=str),
     }
@@ -355,13 +357,15 @@ def enumerate_regular_subgroups(
             results = list(pool.map(_scan_one_ambient, args))
     else:
         results = [_scan_one_ambient(a) for a in args]
-    # popping the per-ambient rows frees them before the unique copies them
-    codes, first = np.unique(
-        np.vstack([r.pop("codes") for r in results]), axis=0, return_index=True
-    )
+    ends = np.cumsum([r["regular"] for r in results])
+    rows = np.empty((ends[-1], p**3), dtype=np.int64)
+    for r, end in zip(results, ends):  # popping each block frees it once copied
+        rows[end - r["regular"] : end] = r.pop("codes")
+    codes, first = distinct_rows(rows)
+    # theta and type are invariants of the subgroup: any occurrence will do
     theta = np.concatenate([r["theta"] for r in results])[first]
     types = np.concatenate([r["types"] for r in results])[first]
-    for arr in (codes, theta, types):
+    for arr in (theta, types):
         arr.flags.writeable = False
     result = OracleResult(
         p=p,

@@ -57,11 +57,6 @@ class SkewBrace:
     def order(self) -> int:
         return len(self.codes)
 
-    @property
-    def theta_order(self) -> int:
-        N = hol_codec(self.p).N
-        return int(len(np.unique(self.codes % N)))
-
     def mul_abelian(self) -> bool:
         return bool(np.array_equal(self.MUL, self.MUL.T))
 

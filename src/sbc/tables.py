@@ -24,7 +24,7 @@ from .group_core import M1Elt, half_mod, validate_prime
 from .holomorph import HolElt
 from .subgroups import SubgroupHol, subgroup_from_cosets
 
-__all__ = ["AutTable", "M1Table", "HolCodec", "aut_table", "m1_table", "hol_codec"]
+__all__ = ["AutTable", "M1Table", "HolCodec", "aut_table", "distinct_rows", "hol_codec", "m1_table"]
 
 # Automorphisms per step of the inverse build, so its int64 temporaries stay
 # at 512 kB each whatever the prime (|Aut(M1)| = 1,597,200 at p = 11).
@@ -44,6 +44,21 @@ def aut_table(p: int) -> "AutTable":
 @lru_cache(maxsize=4)
 def hol_codec(p: int) -> "HolCodec":
     return HolCodec(p)
+
+
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The set of subgroups in a filled (n, m) array of sorted code rows: its
+    distinct rows, read-only and in lexicographic order, and the index in rows
+    of each one's first occurrence.  Besides the result, only n-long arrays."""
+    order = np.lexsort(rows.T[::-1])  # the last key is primary: column 0
+    new = np.arange(len(rows)) == 0
+    for column in rows.T:
+        ordered = column[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    first = order[new]
+    out = rows[first]
+    out.flags.writeable = False
+    return out, first
 
 
 class M1Table:
@@ -366,7 +381,7 @@ class HolCodec:
 
     def orbit(self, codes: np.ndarray) -> np.ndarray:
         """All distinct conjugates of the code set, one sorted row each."""
-        return np.unique(self.conj_matrix(np.sort(np.asarray(codes))), axis=0)
+        return distinct_rows(self.conj_matrix(np.sort(np.asarray(codes))))[0]
 
     def transporter_exists(
         self, codes_a: np.ndarray, gen_codes_a: np.ndarray, codes_b: np.ndarray,

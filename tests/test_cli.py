@@ -38,6 +38,19 @@ def test_classify_theta_filter(capsys):
     rows = out.strip().split("\n")[1:]
     assert len(rows) == 4
     assert all(row.startswith("r=p3/") for row in rows)
+    code, out = run(capsys, "classify", "--prime", "5", "--theta", "p3", "--format", "json")
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert len(records) == 4
+    assert all(r["rep_id"].startswith("r=p3/") and r["theta_order"] == 125 for r in records)
+    code, out = run(capsys, "classify", "--prime", "5", "--theta", "p3", "--format", "table")
+    assert code == 0
+    # header, the four records, then the unfiltered count summary
+    table, summary = out.split("\n\n", 1)
+    rows = table.split("\n")[1:]
+    assert len(rows) == 4
+    assert all(row.startswith("r=p3/") for row in rows)
+    assert "regular subgroups total 6625" in summary
 
 
 def test_classify_json_deterministic(capsys):

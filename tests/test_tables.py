@@ -16,7 +16,7 @@ from sbc.automorphisms import (
 from sbc.group_core import m1_code, m1_elements, m1_from_code, m1_inv, m1_mul
 from sbc.holomorph import HolElt, conj_by_aut, hol_inv, hol_mul
 from sbc.subgroups import generate
-from sbc.tables import aut_table, hol_codec, m1_table
+from sbc.tables import aut_table, distinct_rows, hol_codec, m1_table
 
 P = 5
 RNG = random.Random(7)
@@ -32,6 +32,23 @@ def test_m1_table_matches_scalar() -> None:
     assert sorted(t.CENTER.tolist()) == sorted(
         m1_code(z) for z in m1_elements(P) if z.b == 0 and z.c == 0
     )
+
+
+def test_distinct_rows_matches_lexicographic_unique() -> None:
+    rng = np.random.default_rng(3)
+    # few values, so equal prefixes are common and later columns decide
+    pool = np.sort(rng.integers(0, 4, size=(60, 5)), axis=1)
+    # repeats within each block (pool[5:15]) and across blocks (pool[30:40], pool[:8])
+    rows = np.vstack([pool[:40], pool[5:15], pool[30:], pool[:8]])
+    out, first = distinct_rows(rows)
+    want, want_first = np.unique(rows, axis=0, return_index=True)
+    assert len(want) < len(rows)
+    assert np.array_equal(out, want) and out.dtype == rows.dtype
+    assert np.array_equal(rows[first], out)
+    assert np.array_equal(first, want_first)
+    assert not out.flags.writeable
+    with pytest.raises(ValueError):
+        out[0, 0] = 1
 
 
 def test_aut_table_enumeration_matches_scalar() -> None:

@@ -286,10 +286,9 @@ def _verify_checks(p: int, oracle_budget: int, jobs: int):
         expected = 1 + 2 * p + ((2 * p - 3) * p + 2 * p - 1) + 4
         if len(reps) != expected:
             raise AssertionError("representative count off")
-        N = hol_codec(p).N
+        codec = hol_codec(p)
         for rep in reps:
-            # regular: order p^3 with pairwise distinct n-parts
-            if len(rep.codes) != p**3 or len(np.unique(rep.codes // N)) != p**3:
+            if not codec.is_regular_row(rep.codes):
                 raise AssertionError(f"{rep.rep_id} not regular")
 
     def non_conjugacy():

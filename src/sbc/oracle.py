@@ -159,14 +159,14 @@ class AmbientScan:
         return self.LOC_APPLY[ai, self.M1INV[n]] * self.AL + ai
 
     def to_global(self, codes) -> np.ndarray:
-        """Global codes of a block of local codes, sorted along the last axis,
-        computed in place on one new copy of the block."""
+        """Global codes of a block of sorted regular rows of local codes,
+        computed in place on one new copy of the block.  The rows stay
+        sorted: the n-part orders both n |A| + pos and n N + index."""
         out = np.array(codes, dtype=np.int64)
         a = out % self.AL
         out //= self.AL
         out *= aut_table(self.p).N
         out += np.take(self.aut_global, a, out=a, mode="wrap")  # reads each index before writing it
-        out.sort(axis=-1)
         return out
 
     def conj_all(self, g: int, bs: np.ndarray | None = None) -> np.ndarray:

@@ -1,15 +1,17 @@
 """Skew brace structure carried by a regular subgroup of the holomorph.
 
 A regular subgroup G of Hol(M1) is in bijection with M1 through g -> g . 1
-(the n-part).  Pulling the M1 product back through that bijection puts a
-second group law on G:
+(the n-part), and its sorted code row has n-part i at position i (see
+`tables`).  So the local index 0..p**3-1 of an element is the M1 code of its
+n-part, and the identity is index 0.  On these indices G carries two group
+laws:
 
-    a (*) b = ab            (the subgroup law: "multiplicative")
-    a (+) b = psi^-1(psi(a) psi(b))   (the transported M1 law: "additive")
+    a (*) b = ab in G       (the subgroup law: "multiplicative")
+    a (+) b = ab in M1      (the M1 law: "additive")
 
 and the pair is a skew left brace: a (*) (b (+) c) equals
-(a (*) b) (+) (-a) (+) (a (*) c).  Everything here is table-driven over
-local indices 0..p**3-1 into the sorted code list, so the axiom, the braid
+(a (*) b) (+) (-a) (+) (a (*) c).  The additive tables are the shared M1
+tables themselves.  Everything here is table-driven, so the axiom, the braid
 relation, and the socle/annihilator screens are exhaustive sweeps.  The
 braid sweep runs over triple codes (a k + b) k + c, on which r12 and r23
 are single gathers through r written as a permutation of pair codes.
@@ -43,15 +45,12 @@ __all__ = [
 @dataclass
 class SkewBrace:
     p: int
-    codes: np.ndarray      # sorted holomorph codes, one per brace element
-    psi: np.ndarray        # local index -> M1 code of the n-part (a bijection)
-    inv_psi: np.ndarray    # M1 code -> local index
+    codes: np.ndarray      # the regular row: codes[i] is the element with n-part i
     MUL: np.ndarray        # subgroup law on local indices
-    ADD: np.ndarray        # transported M1 law on local indices
+    ADD: np.ndarray        # M1 law on local indices: the read-only M1Table.MUL
     INV_MUL: np.ndarray
-    INV_ADD: np.ndarray
+    INV_ADD: np.ndarray    # the read-only M1Table.INV
     LAM: np.ndarray        # LAM[a, b] = (-a) (+) (a (*) b)
-    id_idx: int
 
     @property
     def order(self) -> int:
@@ -66,43 +65,22 @@ class SkewBrace:
 
 def brace_from_codes(p: int, codes: np.ndarray) -> SkewBrace:
     codec = hol_codec(p)
-    codes = np.sort(np.asarray(codes, dtype=np.int64))
-    k = len(codes)
-    if k != p**3:
-        raise ValueError("carrier must have p**3 elements")
-    nparts = codes // codec.N
-    if len(np.unique(nparts)) != k:
-        raise ValueError("subgroup is not regular: repeated n-parts")
-    psi = nparts
-    inv_psi = np.full(k, -1, dtype=np.int64)
-    inv_psi[psi] = np.arange(k)
-
+    codes = codec.regular_row(codes)
+    # every product has some n-part i; it lies in the carrier iff it is codes[i]
     prod = codec.mul_codes(codes[:, None], codes[None, :])
-    MUL = np.searchsorted(codes, prod)
+    MUL = prod // codec.N
     if not np.array_equal(codes[MUL], prod):
         raise ValueError("carrier is not closed under the holomorph product")
-    ADD = inv_psi[codec.m1.MUL[psi[:, None], psi[None, :]]]
-
     inv_codes = codec.inv_codes(codes)
-    INV_MUL = np.searchsorted(codes, inv_codes)
-    INV_ADD = inv_psi[codec.m1.INV[psi]]
-    id_idx = int(np.searchsorted(codes, codec.identity))
-    if codes[id_idx] != codec.identity:
+    INV_MUL = inv_codes // codec.N
+    if not np.array_equal(codes[INV_MUL], inv_codes):
+        raise ValueError("carrier is not closed under inverses")
+    if codes[0] != codec.identity:
         raise ValueError("carrier misses the identity")
 
+    ADD, INV_ADD = codec.m1.MUL, codec.m1.INV
     LAM = ADD[INV_ADD[:, None], MUL]
-    return SkewBrace(
-        p=p,
-        codes=codes,
-        psi=psi,
-        inv_psi=inv_psi,
-        MUL=MUL,
-        ADD=ADD,
-        INV_MUL=INV_MUL,
-        INV_ADD=INV_ADD,
-        LAM=LAM,
-        id_idx=id_idx,
-    )
+    return SkewBrace(p=p, codes=codes, MUL=MUL, ADD=ADD, INV_MUL=INV_MUL, INV_ADD=INV_ADD, LAM=LAM)
 
 
 def brace_from_subgroup(sub: SubgroupHol) -> SkewBrace:
@@ -135,10 +113,11 @@ def verify_brace_axiom(brace: SkewBrace) -> tuple[int, int, int] | None:
 
 
 def lambda_matches_automorphism_action(brace: SkewBrace) -> bool:
-    """The brace-defined lambda must be the stored automorphism acting on psi."""
+    """The brace-defined lambda must be the stored automorphism acting on the
+    n-parts, which are the local indices."""
     codec = hol_codec(brace.p)
     aparts = brace.codes % codec.N
-    direct = brace.inv_psi[codec.aut.apply_codes(aparts[:, None], brace.psi[None, :])]
+    direct = codec.aut.apply_codes(aparts[:, None], np.arange(brace.order)[None, :])
     return bool(np.array_equal(brace.LAM, direct))
 
 
@@ -173,9 +152,9 @@ def verify_ideal(brace: SkewBrace, indices: np.ndarray) -> bool:
     """Additive subgroup, lambda-stable, and normal in the circle group."""
     member = np.zeros(brace.order, dtype=bool)
     member[indices] = True
-    idx = np.flatnonzero(member)
-    if brace.id_idx not in idx:
+    if not member[0]:  # the identity
         return False
+    idx = np.flatnonzero(member)
     if not member[brace.ADD[idx[:, None], idx[None, :]]].all():
         return False
     if not member[brace.LAM[:, idx]].all():

@@ -10,6 +10,12 @@ Codes:
   M1 element   (a, b, c)            ->  (a p + b) p + c                in [0, p^3)
   automorphism (b1, b2, A)          ->  (b1 p + b2) |GL2| + rank(A)    in [0, N)
   holomorph    (n, alpha)           ->  m1code(n) * N + index(alpha)   in [0, p^3 N)
+
+A subgroup is the sorted array of its codes.  A regular subgroup G meets
+each n-part exactly once (g -> g . 1 is a bijection onto M1), and codes with
+n-part j lie in [j N, (j + 1) N), so G's sorted row has n-part j at position
+j: codes // N == arange(p^3).  The n-part indexes the row, and membership in
+it is one gather.
 """
 
 from __future__ import annotations
@@ -75,8 +81,7 @@ class M1Table:
         xc, yc = c[:, None], c[None, :]
         self.MUL = self._join(xa + ya + xc * yb, xb + yb, xc + yc).astype(np.int32)
         self.INV = self._join(-a + b * c, -b, -c).astype(np.int32)
-        self.CENTER = codes[(b == 0) & (c == 0)].astype(np.int32)
-        for table in (self.MUL, self.INV, self.CENTER):  # shared by the cache
+        for table in (self.MUL, self.INV):  # shared by the cache
             table.flags.writeable = False
 
     def _split(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -86,12 +91,6 @@ class M1Table:
     def _join(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         p = self.p
         return ((a % p) * p + b % p) * p + c % p
-
-    def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.MUL[x, y]
-
-    def inv(self, x: np.ndarray) -> np.ndarray:
-        return self.INV[x]
 
 
 class AutTable:
@@ -222,7 +221,8 @@ class HolCodec:
     subgroup S onto the subgroup generated by the images of S's generators;
     when those images lie in a target T with |T| = |S|, the image is T.
     Stabilizers and transporters therefore sweep |Aut(M1)| x (generator
-    count) conjugates, and memory stays O(|Aut(M1)| + p^3).
+    count) conjugates, and memory stays O(|Aut(M1)| + p^3).  Their targets
+    are regular rows, so a conjugate x lies in T exactly when T[x // N] == x.
 
     The sweep over all of Aut(M1) = Inn(M1) x| GL2(F_p) composes each code
     with the |GL2| matrix parts only; the p^2 inner parts shift three mod-p
@@ -250,6 +250,19 @@ class HolCodec:
 
         ncode, aidx = divmod(int(code), self.N)
         return HolElt(m1_from_code(self.p, ncode), self.aut.aut_at(aidx))
+
+    def is_regular_row(self, codes: np.ndarray) -> bool:
+        """Is codes the sorted code row of a regular subgroup: p^3 codes with
+        n-part j at position j?  For a subgroup this is regularity itself."""
+        codes, k = np.asarray(codes), self.p**3
+        return codes.shape == (k,) and bool(np.array_equal(codes // self.N, np.arange(k)))
+
+    def regular_row(self, codes: np.ndarray) -> np.ndarray:
+        """codes sorted as an int64 row; ValueError unless is_regular_row."""
+        row = np.sort(np.asarray(codes, dtype=np.int64))
+        if not self.is_regular_row(row):
+            raise ValueError("not a regular subgroup: needs p**3 distinct n-parts")
+        return row
 
     def subgroup_codes(self, sub: SubgroupHol) -> np.ndarray:
         out = np.array(sorted(self.encode(g) for g in sub.elements), dtype=np.int64)
@@ -359,25 +372,24 @@ class HolCodec:
         automorphism order: one row of conj_images."""
         return self.conj_images(np.array([code], dtype=np.int64))[0]
 
-    @staticmethod
-    def _carriers(images: np.ndarray, target: np.ndarray) -> np.ndarray:
+    def _carriers(self, images: np.ndarray, target: np.ndarray) -> np.ndarray:
         """Column indices (automorphisms) of images that send every listed
-        code into the sorted array target; each row only probes the columns
+        code into the regular row target; each row only probes the columns
         that survived the rows before it."""
         keep = np.arange(images.shape[1])
         for row in images:
             img = row[keep]
-            pos = np.minimum(np.searchsorted(target, img), len(target) - 1)
-            keep = keep[target[pos] == img]
+            keep = keep[target[img // self.N] == img]
         return keep
 
     def stabilizer(self, codes: np.ndarray, gen_codes: np.ndarray) -> np.ndarray:
         """Automorphism indices alpha with alpha . S . alpha^{-1} = S.
 
-        codes are S's element codes and gen_codes any generating set of S;
-        alpha fixes S exactly when it conjugates every generator into S.
+        codes are the element codes of a regular S (ValueError otherwise)
+        and gen_codes any generating set of S; alpha fixes S exactly when it
+        conjugates every generator into S.
         """
-        return self._carriers(self.conj_images(gen_codes), np.sort(np.asarray(codes)))
+        return self._carriers(self.conj_images(gen_codes), self.regular_row(codes))
 
     def orbit(self, codes: np.ndarray) -> np.ndarray:
         """All distinct conjugates of the code set, one sorted row each."""
@@ -387,14 +399,16 @@ class HolCodec:
         self, codes_a: np.ndarray, gen_codes_a: np.ndarray, codes_b: np.ndarray,
         images: np.ndarray | None = None,
     ) -> bool:
-        """Is some (1, alpha) conjugation carrying subgroup A onto subgroup B?
+        """Is some (1, alpha) conjugation carrying subgroup A onto the regular
+        subgroup B (ValueError if B is not regular)?
 
         A is given by its element codes and a generating set; images may carry
         a precomputed conj_images(gen_codes_a) when the caller probes the same
         A against many targets.
         """
-        if len(codes_a) != len(codes_b):
+        target = self.regular_row(codes_b)
+        if len(codes_a) != len(target):
             return False
         if images is None:
             images = self.conj_images(gen_codes_a)
-        return len(self._carriers(images, np.sort(np.asarray(codes_b)))) > 0
+        return len(self._carriers(images, target)) > 0

@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 
 import sbc.classify as classify
+from sbc.automorphisms import alpha1, aut_identity
 from sbc.classify import _orbit_rows, classification_records, orbit_union_keys
 from sbc.families import all_representatives, trivial_subgroup
+from sbc.group_core import M1Elt
+from sbc.holomorph import HolElt
 from sbc.skewbrace import (
     annihilator_indices,
     brace_from_codes,
@@ -48,6 +51,38 @@ def test_representatives_are_cached_read_only_codes(reps) -> None:
         for arr in (rep.codes, rep.gen_codes):
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_representative_rows_are_indexed_by_n_part(p) -> None:
+    codec = hol_codec(p)
+    for rep in all_representatives(p):
+        assert np.array_equal(rep.codes // codec.N, np.arange(p**3)), rep.rep_id
+        assert rep.codes[0] == codec.identity, rep.rep_id
+        assert codec.is_regular_row(rep.codes), rep.rep_id
+
+
+def test_oracle_rows_are_indexed_by_n_part(oracle_p5) -> None:
+    codec = hol_codec(P)
+    codes = oracle_p5.codes
+    assert np.array_equal(codes // codec.N, np.broadcast_to(np.arange(P**3), codes.shape))
+    assert np.all(codes[:, 0] == codec.identity)
+
+
+def test_sweeps_reject_a_non_regular_target(reps) -> None:
+    codec = hol_codec(P)
+    # <rho, sigma, alpha1> has order 125 but only 25 distinct n-parts
+    sub = generate([
+        HolElt(M1Elt(P, 1, 0, 0), aut_identity(P)),
+        HolElt(M1Elt(P, 0, 1, 0), aut_identity(P)),
+        HolElt(M1Elt(P, 0, 0, 0), alpha1(P)),
+    ])
+    codes = codec.subgroup_codes(sub)
+    assert len(codes) == P**3 and not codec.is_regular_row(codes)
+    with pytest.raises(ValueError):
+        codec.stabilizer(codes, [codec.encode(g) for g in sub.generators])
+    with pytest.raises(ValueError):
+        codec.transporter_exists(reps[0].codes, reps[0].gen_codes, codes)
 
 
 def test_codes_match_the_scalar_subgroup(reps) -> None:

@@ -25,6 +25,11 @@ DIGESTS = {
     "count-json-p7": "de255e1cfe2a062e6f37666273d37c6397e0bd3445ea2b9246dc66691bfcdf94",
     "brace-all": "9392d0eafba88faa395e6176205a16ccdc03fdeddeae76b89201651205ad8655",
     "ybe-json-all": "076686d8417b84ce8cc730c0ede82c0e2064842da5098de4b75df681068d30f0",
+    "brace-json-all": "dbe488fbe3ebc581b43492422658203fd1d19fcefd5ec84a62cb0225de9aced6",
+    "ybe-full-r=1/trivial": "ee5d60241f6a5ff1032381c9229c777dff78a60bda36acf4e8006a6beac2fec8",
+    "ybe-full-r=p/a1": "7f028a22642e53e9d604d36333a4585de4ee6e37c33b57630f103d78616c2cd2",
+    "ybe-full-r=p2/I/u5=2": "4b02c6af96d248b0286f09832fb1b4184ea8565eb780ec0f60e441b306f3c91a",
+    "ybe-full-r=p3/t3=1/s=delta": "b57c79d48543356339839b577521a887fc3a281c320d47d29c1596129afc0951",
     "oracle-stdout": "e8f71972bcdce693202ddba470fe17526d5b13bb108e12a47ad0726b60a57198",
     "oracle-dump": "b7b3b318c4bf2dbb1d50f252e893c68d6490c1b029599012865b4cfd45fc4c0c",
     "verify": "d8832492ddc0f484b19c7e8d2dcf3bfff1894008c4818d4947e333c0450a5376",
@@ -65,6 +70,21 @@ def test_brace_and_ybe_bytes_for_every_id(capsys):
         _stdout(capsys, "ybe", "--prime", "5", "--id", i, "--format", "json") for i in ids
     )
     assert _sha(ybe) == DIGESTS["ybe-json-all"]
+
+
+def test_brace_json_bytes_for_every_id(capsys):
+    ids = [rep.rep_id for rep in all_representatives(5)]
+    out = b"".join(
+        _stdout(capsys, "brace", "--prime", "5", "--id", i, "--format", "json") for i in ids
+    )
+    assert _sha(out) == DIGESTS["brace-json-all"]
+
+
+@pytest.mark.parametrize("rep_id", ["r=1/trivial", "r=p/a1", "r=p2/I/u5=2", "r=p3/t3=1/s=delta"])
+def test_full_ybe_bytes_one_id_per_theta_order(capsys, rep_id):
+    # --full-ybe prints the lambda table r1 and the table r2
+    out = _stdout(capsys, "ybe", "--prime", "5", "--id", rep_id, "--full-ybe", "--format", "json")
+    assert _sha(out) == DIGESTS[f"ybe-full-{rep_id}"]
 
 
 def test_oracle_and_verify_bytes(capsys, tmp_path, oracle_p5):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sbc.families import all_representatives, trivial_subgroup
-from sbc.group_core import M1Elt, m1_mul
+from sbc.group_core import M1Elt, m1_code, m1_mul
 from sbc.holomorph import HolElt
 from sbc.skewbrace import (
     annihilator_indices,
@@ -40,14 +40,10 @@ def test_trivial_brace_has_equal_laws():
     br = brace_from_subgroup(trivial_subgroup(P))
     assert np.array_equal(br.MUL, br.ADD)
     assert theta_order(br) == 1
-    # the two laws coincide with the M1 law through psi
+    # local indices are the M1 codes of the n-parts, and both laws are M1's
     x = M1Elt(P, 2, 3, 1)
     y = M1Elt(P, 4, 0, 2)
-    from sbc.group_core import m1_code
-
-    i = int(br.inv_psi[m1_code(x)])
-    j = int(br.inv_psi[m1_code(y)])
-    assert br.psi[br.MUL[i, j]] == m1_code(m1_mul(x, y))
+    assert br.MUL[m1_code(x), m1_code(y)] == m1_code(m1_mul(x, y))
 
 
 def test_carrier_must_be_regular():
@@ -67,6 +63,18 @@ def test_carrier_must_have_cube_size():
     codec = hol_codec(P)
     with pytest.raises(ValueError):
         brace_from_codes(P, np.arange(10, dtype=np.int64) * codec.N)
+
+
+@pytest.mark.parametrize("row", [1, 60, 124])
+def test_regular_but_open_carrier_is_rejected(row):
+    # moving one element to the largest automorphism index keeps the n-parts
+    # distinct, so only the closure check can reject the carrier
+    codec = hol_codec(P)
+    codes = all_representatives(P)[12].codes.copy()
+    codes[row] = codes[row] // codec.N * codec.N + codec.N - 1
+    assert codec.is_regular_row(codes)
+    with pytest.raises(ValueError, match="not closed"):
+        brace_from_codes(P, codes)
 
 
 def test_axiom_holds_for_every_representative(rep_braces):
@@ -119,7 +127,7 @@ def test_socle_and_annihilator_are_ideals(rep_braces):
 def test_full_carrier_is_ideal_and_point_is_not(rep_braces):
     _, br = rep_braces[0]
     assert verify_ideal(br, np.arange(br.order))
-    nonid = (br.id_idx + 1) % br.order
+    nonid = 1  # index 0 is the identity
     assert not verify_ideal(br, np.array([nonid]))
 
 

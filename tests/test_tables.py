@@ -29,9 +29,6 @@ def test_m1_table_matches_scalar() -> None:
         x, y = RNG.choice(els), RNG.choice(els)
         assert t.MUL[m1_code(x), m1_code(y)] == m1_code(m1_mul(x, y))
         assert t.INV[m1_code(x)] == m1_code(m1_inv(x))
-    assert sorted(t.CENTER.tolist()) == sorted(
-        m1_code(z) for z in m1_elements(P) if z.b == 0 and z.c == 0
-    )
 
 
 def test_distinct_rows_matches_lexicographic_unique() -> None:
@@ -117,7 +114,7 @@ def test_cached_tables_are_read_only() -> None:
         aut.INV[0] = aut.INV[0]
     with pytest.raises(ValueError):
         m1.MUL[0, 0] = m1.MUL[0, 0]
-    for table in (*aut.GL, aut.RANK, aut.INV, aut._inv_mod, m1.MUL, m1.INV, m1.CENTER):
+    for table in (*aut.GL, aut.RANK, aut.INV, aut._inv_mod, m1.MUL, m1.INV):
         assert not table.flags.writeable
 
 

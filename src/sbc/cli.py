@@ -25,6 +25,7 @@ import csv
 import io
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,7 +57,10 @@ __all__ = ["main"]
 CSV_COLUMNS = ["id", "theta", "structure", "autbr_order", "orbit_size", "socle_order", "ann_order"]
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, so every request reuses it."""
     parser = argparse.ArgumentParser(
         prog="sbc",
         description=__doc__,

@@ -140,7 +140,9 @@ def test_criterion_5_stabilizer_shapes_p5():
 def test_criterion_6_structural_invariants_p5():
     p = 5
     reps = families.all_representatives(p)
-    assert p**9 == 1_953_125  # triples swept per brace by the axiom check
+    # triples of the reference sweep, which names the first failing triple;
+    # the axiom check itself decides on 2 p^6 = 31,250 generator identities
+    assert p**9 == 1_953_125
     socle_by_id = {rec.rep_id: rec.socle_order for rec in classification_records(p)}
     ann_by_id = {rec.rep_id: rec.ann_order for rec in classification_records(p)}
     for rep in reps:

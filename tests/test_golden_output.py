@@ -14,6 +14,7 @@ import hashlib
 
 import pytest
 
+import sbc.cli as cli
 from sbc.cli import main
 from sbc.families import all_representatives
 
@@ -70,6 +71,20 @@ def test_brace_and_ybe_bytes_for_every_id(capsys):
         _stdout(capsys, "ybe", "--prime", "5", "--id", i, "--format", "json") for i in ids
     )
     assert _sha(ybe) == DIGESTS["ybe-json-all"]
+
+
+def test_one_parser_serves_requests_after_a_usage_error(capsys):
+    # the parser is built once per process; a rejected request in between
+    # must leave it as it was
+    ids = [rep.rep_id for rep in all_representatives(5)]
+    first = b"".join(_stdout(capsys, "brace", "--prime", "5", "--id", i) for i in ids)
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--prime", "5", "--id", "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    again = b"".join(_stdout(capsys, "brace", "--prime", "5", "--id", i) for i in ids)
+    assert _sha(first) == _sha(again) == DIGESTS["brace-all"]
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_brace_json_bytes_for_every_id(capsys):

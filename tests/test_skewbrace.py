@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from sbc.families import all_representatives, trivial_subgroup
 from sbc.group_core import M1Elt, m1_code, m1_mul
 from sbc.holomorph import HolElt
 from sbc.skewbrace import (
+    _first_axiom_failure,
     annihilator_indices,
     brace_from_codes,
     brace_from_subgroup,
@@ -21,7 +24,7 @@ from sbc.skewbrace import (
 )
 from sbc.subgroups import GroupType, generate
 from sbc.automorphisms import alpha1, aut_identity
-from sbc.tables import hol_codec
+from sbc.tables import hol_codec, m1_table
 
 P = 5
 
@@ -77,9 +80,97 @@ def test_regular_but_open_carrier_is_rejected(row):
         brace_from_codes(P, codes)
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_theta_tables_match_the_composition_route(p):
+    # the reference composes all p^6 pairs of holomorph codes
+    codec = hol_codec(p)
+    for rep in all_representatives(p):
+        br = brace_from_codes(p, rep.codes)
+        prod = codec.mul_codes(br.codes[:, None], br.codes[None, :])
+        MUL = prod // codec.N
+        assert np.array_equal(br.codes[MUL], prod), rep.rep_id
+        assert np.array_equal(br.MUL, MUL), rep.rep_id
+        assert np.array_equal(br.INV_MUL, codec.inv_codes(br.codes) // codec.N), rep.rep_id
+        assert np.array_equal(br.LAM, br.ADD[br.INV_ADD[:, None], MUL]), rep.rep_id
+
+
 def test_axiom_holds_for_every_representative(rep_braces):
     for rep, br in rep_braces:
         assert verify_brace_axiom(br) is None, rep.rep_id
+
+
+def _first_axiom_failure_scalar(MUL, ADD, INV_ADD):
+    """Scalar lexicographic scan for the first triple breaking
+    a (*) (b (+) c) == (a (*) b) (+) (-a) (+) (a (*) c)."""
+    MUL, ADD, INV_ADD = MUL.tolist(), ADD.tolist(), INV_ADD.tolist()
+    k = len(MUL)
+    for a in range(k):
+        for b in range(k):
+            for c in range(k):
+                if MUL[a][ADD[b][c]] != ADD[ADD[MUL[a][b]][INV_ADD[a]]][MUL[a][c]]:
+                    return (a, b, c)
+    return None
+
+
+def test_axiom_reports_first_failing_triple(rep_braces):
+    first_of_kind = {}
+    for rep, br in rep_braces:
+        first_of_kind.setdefault((rep.group_type, rep.theta_order), (rep, br))
+    picked = list(first_of_kind.values())
+    assert {rep.theta_order for rep, _ in picked} == {1, P, P**2, P**3}
+    assert {rep.group_type for rep, _ in picked} == {GroupType.HeisenbergM1, GroupType.ElemAbelian_p3}
+    for n, (rep, br) in enumerate(picked):
+        # a swap inside row a of MUL breaks lambda_a and no other lambda
+        a, x, y = n % 3 + 1, 7 + n, 90 - 3 * n
+        MUL = br.MUL.copy()
+        MUL[a, [x, y]] = MUL[a, [y, x]]
+        broken = dataclasses.replace(br, MUL=MUL)
+        want = _first_axiom_failure_scalar(MUL, br.ADD, br.INV_ADD)
+        assert want is not None and want[0] == a, rep.rep_id
+        assert verify_brace_axiom(broken) == want, rep.rep_id
+
+
+def test_generator_check_agrees_with_full_sweep(rep_braces):
+    rng = np.random.default_rng(20261018)
+    aut = hol_codec(P).aut
+    k = P**3
+    cols = np.arange(k)
+    for trial in range(40):
+        rep, br = rep_braces[int(rng.integers(len(rep_braces)))]
+        MUL = br.MUL.copy()
+        a, b = (int(v) for v in rng.integers(k, size=2))
+        kind = trial % 4
+        if kind == 0:
+            # row a rewritten as a (+) phi(b) for a random automorphism phi:
+            # MUL need not be a group law any more, yet every lambda is additive
+            phi = rng.integers(aut.N)
+            MUL[a] = br.ADD[a, aut.apply_codes(phi, cols)]
+        elif kind == 1:
+            # one entry moved: lambda_a is no longer additive
+            MUL[a, b] = (MUL[a, b] + rng.integers(1, k)) % k
+        else:
+            # lambda_a times the central (1, 0, 0) on the columns whose b (or
+            # c) coordinate is 1: still additive along the generator (0, 0, 1)
+            # (or (0, 1, 0)), so only the other generator can catch it
+            coord = (cols // P) % P if kind == 2 else cols % P
+            MUL[a, coord == 1] = br.ADD[MUL[a, coord == 1], P * P]
+        broken = dataclasses.replace(br, MUL=MUL)
+        full = _first_axiom_failure(broken)
+        assert (full is None) == (kind == 0), (rep.rep_id, trial)
+        assert verify_brace_axiom(broken) == full, (rep.rep_id, trial)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_axiom_generators_generate_m1(p):
+    # the axiom check runs on c in {1, p}, the codes of (0, 0, 1) and (0, 1, 0)
+    MUL = m1_table(p).MUL
+    reached = np.zeros(p**3, dtype=bool)
+    frontier = np.array([0])
+    while len(frontier):
+        reached[frontier] = True
+        step = np.unique(MUL[frontier[:, None], np.array([1, p])[None, :]])
+        frontier = step[~reached[step]]
+    assert reached.all()
 
 
 def test_lambda_agrees_with_stored_automorphisms(rep_braces):

@@ -20,7 +20,6 @@ from .group_core import (
     M1Elt,
     half_mod,
     inv_mod,
-    m1_identity,
     m1_mul,
     m1_pow,
     validate_prime,
@@ -33,8 +32,6 @@ __all__ = [
     "alpha2",
     "alpha3",
     "aut_apply",
-    "aut_apply_closed",
-    "aut_apply_split",
     "aut_compose",
     "aut_compose_triangular",
     "aut_from_matrix",
@@ -42,17 +39,11 @@ __all__ = [
     "aut_inverse",
     "aut_order_total",
     "aut_pow",
-    "aut_packed_key",
-    "beta",
     "enumerate_aut",
-    "gamma",
-    "gamma_split",
     "gl2_order",
-    "is_automorphism",
     "mat_identity",
     "mat_inv",
     "mat_mul",
-    "psi_project",
     "sylow_aut_coords",
     "sylow_aut_from_coords",
     "sylow_aut_subgroup",
@@ -176,12 +167,6 @@ def alpha3(p: int) -> AutM1Elt:
     return AutM1Elt(p, 0, 1, mat_identity(p))
 
 
-# Aliases used when talking about the kernel of the GL2 projection: gamma
-# generates the s -> r s direction, beta the t -> r t direction.
-gamma = alpha1
-beta = alpha3
-
-
 def _same_prime(x: AutM1Elt, y: AutM1Elt) -> int:
     if x.p != y.p:
         raise ValueError(f"mixed primes {x.p} and {y.p}")
@@ -195,22 +180,6 @@ def aut_apply(alpha: AutM1Elt, x: M1Elt) -> M1Elt:
     out = m1_pow(alpha.rho_image, x.a)
     out = m1_mul(out, m1_pow(alpha.sigma_image, x.b))
     return m1_mul(out, m1_pow(alpha.tau_image, x.c))
-
-
-def aut_apply_closed(alpha: AutM1Elt, x: M1Elt) -> M1Elt:
-    """Same map as aut_apply, folded into one normal-form expression."""
-    p = alpha.p
-    h = half_mod(p)
-    A = alpha.A
-    a = (
-        alpha.det * x.a
-        + alpha.b1 * x.b
-        + h * A.a1 * A.a3 * x.b * (x.b - 1)
-        + alpha.b2 * x.c
-        + h * A.a2 * A.a4 * x.c * (x.c - 1)
-        + A.a2 * A.a3 * x.b * x.c
-    )
-    return M1Elt(p, a, A.a1 * x.b + A.a2 * x.c, A.a3 * x.b + A.a4 * x.c)
 
 
 def aut_compose(x: AutM1Elt, y: AutM1Elt) -> AutM1Elt:
@@ -281,52 +250,6 @@ def aut_from_matrix(A: GL2Mat) -> AutM1Elt:
     """The canonical section of the GL2 projection: A -> [det A, ac/2, bd/2; 0, A]."""
     h = half_mod(A.p)
     return AutM1Elt(A.p, h * A.a1 * A.a3, h * A.a2 * A.a4, A)
-
-
-def psi_project(x: AutM1Elt) -> GL2Mat:
-    return x.A
-
-
-def gamma_split(x: AutM1Elt) -> tuple[int, int, GL2Mat]:
-    """Write x = alpha1^r1 alpha3^r3 . section(A) and return (r1, r3, A)."""
-    A = x.A
-    k = aut_compose(x, aut_inverse(aut_from_matrix(A)))
-    if (k.A.a1, k.A.a2, k.A.a3, k.A.a4) != (1, 0, 0, 1):
-        raise AssertionError("kernel part not inner")
-    return k.b1, k.b2, A
-
-
-def aut_apply_split(p: int, r1: int, r3: int, B: GL2Mat, v: M1Elt) -> M1Elt:
-    """Apply alpha1^r1 alpha3^r3 . section(B) to v in one normal-form formula."""
-    h = half_mod(p)
-    b1, b2, b3, b4 = B.a1, B.a2, B.a3, B.a4
-    new_b = b1 * v.b + b2 * v.c
-    new_c = b3 * v.b + b4 * v.c
-    a = (
-        B.det * v.a
-        + h * (b3 * b1 * v.b * v.b + b4 * b2 * v.c * v.c)
-        + b2 * b3 * v.b * v.c
-        + r1 * new_b
-        + r3 * new_c
-    )
-    return M1Elt(p, a, new_b, new_c)
-
-
-def is_automorphism(x: AutM1Elt, sample: list[tuple[M1Elt, M1Elt]]) -> bool:
-    """Check the homomorphism law on the given pairs."""
-    for u, v in sample:
-        if aut_apply(x, m1_mul(u, v)) != m1_mul(aut_apply(x, u), aut_apply(x, v)):
-            return False
-    return True
-
-
-def aut_packed_key(x: AutM1Elt) -> int:
-    """Dense mixed-radix key on (b1, b2, a1, a2, a3, a4); enumeration order."""
-    p = x.p
-    key = x.b1
-    for v in (x.b2, x.A.a1, x.A.a2, x.A.a3, x.A.a4):
-        key = key * p + v
-    return key
 
 
 def gl2_order(p: int) -> int:

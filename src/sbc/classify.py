@@ -254,11 +254,6 @@ def _coset_transversal(rep: Representative) -> np.ndarray:
     return np.array(transversal, dtype=np.int64)
 
 
-def _orbit_rows(rep: Representative) -> np.ndarray:
-    """The Aut(M1) orbit of rep, one sorted code row per stabilizer coset."""
-    return hol_codec(rep.p).conj_matrix(rep.codes, _coset_transversal(rep))
-
-
 def orbit_union_keys(p: int) -> np.ndarray:
     """Every subgroup in every representative orbit: a read-only array of
     sorted code rows, distinct and in lexicographic order.

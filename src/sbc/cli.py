@@ -322,7 +322,9 @@ def _verify_checks(p: int, oracle_budget: int, jobs: int):
         from .families import all_representatives
 
         reps = all_representatives(p)
-        for rep in reps[::5] + tuple(r for r in reps if r.theta_order == p**3):
+        # every fifth representative, then the other ones with |theta| = p^3
+        rest = (r for i, r in enumerate(reps) if i % 5 and r.theta_order == p**3)
+        for rep in reps[::5] + tuple(rest):
             brace = brace_from_codes(p, rep.codes)
             if verify_braid(brace) is not None:
                 raise AssertionError(f"{rep.rep_id} braid fails")

@@ -16,15 +16,12 @@ __all__ = [
     "half_mod",
     "inv_mod",
     "is_prime",
-    "m1_center",
     "m1_code",
-    "m1_commutator",
     "m1_elements",
     "m1_from_code",
     "m1_identity",
     "m1_inv",
     "m1_mul",
-    "m1_order",
     "m1_pow",
     "m1_subgroup_inventory",
     "rho",
@@ -130,15 +127,6 @@ def m1_pow(x: M1Elt, n: int) -> M1Elt:
     return M1Elt(x.p, n * x.a + x.b * x.c * (n * (n - 1) // 2), n * x.b, n * x.c)
 
 
-def m1_commutator(x: M1Elt, y: M1Elt) -> M1Elt:
-    return m1_mul(m1_mul(x, y), m1_inv(m1_mul(y, x)))
-
-
-def m1_order(x: M1Elt) -> int:
-    """Element order, which is 1 or p since the group has exponent p."""
-    return 1 if x.is_identity() else x.p
-
-
 def m1_code(x: M1Elt) -> int:
     """Dense integer code (a*p + b)*p + c, used by the table layer."""
     return (x.a * x.p + x.b) * x.p + x.c
@@ -153,10 +141,6 @@ def m1_from_code(p: int, code: int) -> M1Elt:
 def m1_elements(p: int) -> list[M1Elt]:
     """All p**3 elements in code order."""
     return [m1_from_code(p, i) for i in range(p**3)]
-
-
-def m1_center(p: int) -> frozenset[M1Elt]:
-    return frozenset(M1Elt(p, a, 0, 0) for a in range(p))
 
 
 def _cyclic_span(g: M1Elt) -> frozenset[M1Elt]:

@@ -1,10 +1,9 @@
-"""The holomorph Hol(M1) = M1 x| Aut(M1) and its closed-form shortcuts.
+"""The holomorph Hol(M1) = M1 x| Aut(M1) and its closed power formula.
 
 Elements are pairs (n, alpha) with product (n, alpha)(m, beta) =
 (n alpha(m), alpha . beta), acting on M1 by (n, alpha) . x = n alpha(x).
-The shortcuts below (powers of Sylow-normal-form elements, conjugation by a
-general automorphism) are exact residue formulas; each one is validated
-against the generic route in the test suite before anything relies on it.
+The power of a Sylow-normal-form element is an exact residue formula; the
+test suite checks it against iterated multiplication.
 """
 
 from __future__ import annotations
@@ -15,18 +14,15 @@ from typing import Iterable
 from .automorphisms import (
     AutM1Elt,
     aut_apply,
-    aut_apply_split,
     aut_compose,
     aut_identity,
     aut_inverse,
-    gamma_split,
     sylow_aut_coords,
     sylow_aut_from_coords,
 )
 from .group_core import (
     M1Elt,
     half_mod,
-    inv_mod,
     m1_identity,
     m1_inv,
     m1_mul,
@@ -36,7 +32,6 @@ from .group_core import (
 __all__ = [
     "HolElt",
     "conj_by_aut",
-    "conj_by_aut_closed",
     "hol_act",
     "hol_identity",
     "hol_inv",
@@ -157,31 +152,3 @@ def conj_by_aut(alpha: AutM1Elt, g: HolElt) -> HolElt:
         aut_apply(alpha, g.n),
         aut_compose(aut_compose(alpha, g.alpha), aut_inverse(alpha)),
     )
-
-
-def conj_by_aut_closed(alpha: AutM1Elt, g: HolElt) -> HolElt:
-    """conj_by_aut for Sylow-normal-form g, via the closed residue formulas.
-
-    Writing alpha = alpha1^r1 alpha3^r3 . section(B), the conjugate of
-    g = (v, alpha1^n1 alpha2^n2 alpha3^n3) is (alpha(v), alpha') where alpha'
-    has an exact expression in two regimes: n2 = 0 (any B) and n2 != 0
-    (requires B lower triangular, since conjugation must stay in the Sylow).
-    """
-    coords = sylow_aut_coords(g.alpha)
-    if coords is None:
-        raise ValueError("automorphism part is not in Sylow normal form")
-    n1, n2, n3 = coords
-    p = g.p
-    h = half_mod(p)
-    r1, r3, B = gamma_split(alpha)
-    b1, b2, b3, b4 = B.a1, B.a2, B.a3, B.a4
-    new_n = aut_apply_split(p, r1, r3, B, g.n)
-    if n2 % p == 0:
-        return HolElt(new_n, sylow_aut_from_coords(p, n1 * b4 - n3 * b3, 0, n3 * b1 - n1 * b2))
-    if b2 % p != 0:
-        raise ValueError("n2 != 0 needs a lower-triangular matrix part")
-    b1_inv = inv_mod(b1, p)
-    e1 = n1 * b4 - n3 * b3 + r3 * n2 * b1_inv * b4 + h * n2 * b4 * (b1_inv - 1)
-    e2 = n2 * b1_inv * b4
-    e3 = n3 * b1
-    return HolElt(new_n, sylow_aut_from_coords(p, e1, e2, e3))

@@ -20,13 +20,12 @@ it is one gather.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .automorphisms import AutM1Elt, GL2Mat, aut_order_total
-from .group_core import M1Elt, half_mod, validate_prime
+from .group_core import half_mod, validate_prime
 from .holomorph import HolElt
 from .subgroups import SubgroupHol, subgroup_from_cosets
 

@@ -7,6 +7,7 @@ import pytest
 
 import sbc.cli as cli
 from sbc.cli import CSV_COLUMNS, main
+from sbc.skewbrace import verify_braid
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -136,6 +137,20 @@ def test_verify_compares_oracle_subgroups_not_only_counts(capsys, monkeypatch, o
     assert code == 1
     assert "FAIL  oracle-equivalence" in out
     assert "oracle subgroups differ from the representative orbits" in out
+
+
+def test_braid_sample_checks_each_representative_once(capsys, monkeypatch):
+    seen = []
+
+    def recording(brace, **kwargs):
+        seen.append(brace.codes.tobytes())
+        return verify_braid(brace, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_braid", recording)
+    code, _ = run(capsys, "verify", "--prime", "5", "--oracle-budget", "3")
+    assert code == 0
+    # every fifth representative (12), then the 3 others with |theta| = p^3
+    assert len(seen) == len(set(seen)) == 15
 
 
 def test_verify_reports_injected_failure(capsys, monkeypatch):

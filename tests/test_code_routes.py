@@ -14,7 +14,7 @@ import pytest
 
 import sbc.classify as classify
 from sbc.automorphisms import alpha1, aut_identity
-from sbc.classify import _orbit_rows, classification_records, orbit_union_keys
+from sbc.classify import classification_records, orbit_union_keys
 from sbc.families import all_representatives, trivial_subgroup
 from sbc.group_core import M1Elt
 from sbc.holomorph import HolElt
@@ -95,14 +95,6 @@ def test_codes_match_the_scalar_subgroup(reps) -> None:
         assert generate(gens) == sub, rep.rep_id
 
 
-def test_generator_stabilizer_matches_full_conjugation(reps) -> None:
-    codec = hol_codec(P)
-    every = np.arange(codec.N)  # explicit rows: the composition route
-    for rep in reps:
-        full = np.flatnonzero((codec.conj_matrix(rep.codes, every) == rep.codes).all(axis=1))
-        assert np.array_equal(codec.stabilizer(rep.codes, rep.gen_codes), full), rep.rep_id
-
-
 def _composed_rows(codec, codes):
     """conj_images(codes, every automorphism) by the composition route, a
     few codes at a time: each composition holds some 20 (codes, N) arrays."""
@@ -111,6 +103,34 @@ def _composed_rows(codec, codes):
     return np.concatenate(
         [codec.conj_images(codes[i : i + step], every) for i in range(0, len(codes), step)]
     )
+
+
+def _reference_parts(codec, codes):
+    """(n_rows, n_at, a_rows, a_at) with n_rows[n_at] + a_rows[a_at] equal to
+    _composed_rows(codec, codes).  The composition route conjugates the M1
+    part and the automorphism part independently, (n, a) -> (alpha(n),
+    alpha a alpha^-1): one reference row per distinct part, M1 part 0 being
+    fixed by every automorphism."""
+    identity = codec.aut.identity
+    nparts, aparts = np.divmod(codes, codec.N)
+    ns, n_at = np.unique(nparts, return_inverse=True)
+    auts, a_at = np.unique(aparts, return_inverse=True)
+    n_rows = _composed_rows(codec, ns * codec.N + identity) - identity
+    return n_rows, n_at, _composed_rows(codec, auts), a_at
+
+
+def test_generator_stabilizer_matches_full_conjugation(reps) -> None:
+    """The generator sweep against every element conjugated by every
+    automorphism: alpha is in the stabilizer when the sorted conjugate
+    of the subgroup is the subgroup."""
+    codec = hol_codec(P)
+    k = P**3
+    n_rows, n_at, a_rows, a_at = _reference_parts(codec, np.concatenate([r.codes for r in reps]))
+    for i, rep in enumerate(reps):
+        at = slice(i * k, (i + 1) * k)
+        images = n_rows[n_at[at]] + a_rows[a_at[at]]  # (element, automorphism)
+        full = np.flatnonzero((np.sort(images, axis=0) == rep.codes[:, None]).all(axis=0))
+        assert np.array_equal(codec.stabilizer(rep.codes, rep.gen_codes), full), rep.rep_id
 
 
 @pytest.mark.parametrize("p, elements", [(5, True), (7, False)])
@@ -123,15 +143,9 @@ def test_decomposed_sweep_matches_composition_route(p, elements) -> None:
     codes = np.unique(
         np.concatenate([r.codes if elements else r.gen_codes for r in all_representatives(p)])
     )
-    nparts, aparts = np.divmod(codes, codec.N)
+    aparts = codes % codec.N
     assert (aparts == identity).any() and (aparts != identity).any()
-    # the composition route conjugates the M1 part and the automorphism part
-    # independently: one reference row per distinct part, M1 part 0 being
-    # fixed by every automorphism
-    ns, n_at = np.unique(nparts, return_inverse=True)
-    auts, a_at = np.unique(aparts, return_inverse=True)
-    n_rows = _composed_rows(codec, ns * codec.N + identity) - identity
-    a_rows = _composed_rows(codec, auts)
+    n_rows, n_at, a_rows, a_at = _reference_parts(codec, codes)
     step = (1 << 20) // codec.N
     for lo in range(0, len(codes), step):
         at = slice(lo, lo + step)
@@ -191,7 +205,7 @@ def test_precomputed_tables_give_the_same_answers(reps) -> None:
 def test_coset_orbit_matches_full_orbit(reps) -> None:
     codec = hol_codec(P)
     for rep in (reps[0], reps[12], reps[30], reps[-1]):
-        rows = _orbit_rows(rep)
+        rows = codec.conj_matrix(rep.codes, classify._coset_transversal(rep))
         full = codec.orbit(rep.codes)
         # one conjugate per stabilizer coset, no two alike
         assert len(np.unique(rows, axis=0)) == len(rows) == len(full), rep.rep_id

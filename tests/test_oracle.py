@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sbc.automorphisms import sylow_aut_subgroup, sylow_p_subgroups_gl2
-from sbc.group_core import M1Elt, m1_code
+from sbc.group_core import M1Elt, m1_code, m1_subgroup_inventory
 from sbc.oracle import AmbientScan, _sylow_ambient_indices, enumerate_regular_subgroups
 from sbc.subgroups import GroupType, is_regular, isomorphism_type
 from sbc.tables import aut_table, hol_codec
@@ -185,6 +185,14 @@ def test_m1_ambient_recovers_known_subgroup_lattice():
     assert len(layer1) == 31
     assert len(layer2) == 6
     assert len(layer3) == 1
+    # member for member: with one automorphism a local code is an M1 code
+    order_p, order_p2 = m1_subgroup_inventory(p)
+
+    def code_rows(subgroups):
+        return sorted(sorted(m1_code(x) for x in sub) for sub in subgroups)
+
+    assert sorted(layer1.tolist()) == code_rows(order_p)
+    assert sorted(row.tolist() for row, _ in layer2) == code_rows(order_p2)
     full_row, _ = layer3[0]
     assert len(full_row) == 125
     # M1 x {1} acts on itself by left translation: regular, trivial theta.

@@ -17,8 +17,24 @@ normalize it.  For a parent <s> of order p that is the centralizer of s:
 N(<s>)/C(s) embeds in Aut(C_p), of order p - 1, and is a p-group (both the
 ambient and its A are), so it is trivial.
 
-Normalizers come from conjugating one element by the whole ambient at once.
-For g = (n, a) and y = (m, b),
+One normalizer sweep per conjugacy class.  Each layer is the complete set
+of subgroups of its order: every order-p subgroup is found, and a subgroup
+of order p**2 or p**3 is <R, y> for any maximal subgroup R of it (maximal
+subgroups of a p-group are normal) and any y outside R.  Conjugation keeps
+the order, so a layer is closed under conjugation by the ambient G.  The
+parents of a layer are split into classes by a breadth-first walk: a small
+generating set of G is chosen greedily, and for a parent R and a generator
+z the sorted row of z R z^-1 is looked up in the layer.  That records for
+every parent a representative R0 (the first parent of its class) and a g
+with R = g R0 g^-1; a failed lookup is an AssertionError.  Since
+N(g R0 g^-1) = g N(R0) g^-1, the direct sweep below runs on R0 alone and the
+other parents get its normalizer conjugated by their g.  By orbit-stabilizer
+a class holds |G| / |N(R)| parents, so a layer's parents take
+sum |N(R)| / |G| sweeps: 66 + 195 on Sylow ambient 0 at p=5 instead of
+3906 + 8431.
+
+The direct sweep conjugates one element by the whole ambient at once.  For
+g = (n, a) and y = (m, b),
 
   y g y^-1 = (m b(n) c(m^-1), c)   with c = b a b^-1,
 
@@ -27,16 +43,28 @@ automorphism part c depends on b alone, which gives a prefilter: only the b
 that send the automorphism part of every generator of R into R's projection
 to A can normalize R.  The M1 part is computed for the surviving b only.
 
-Within one parent (an order-p row or an order-p**2 row T) every extension is
-built once: the walk takes the least candidate not yet covered, builds the p
-cosets of the parent it generates, marks them covered and drops the covered
-candidates.  Each subgroup is then built once from each of its maximal
-subgroups, which gives two exact identities per ambient (asserted in the
-tests): built_p2 = (p + 1) * |layer 2|, since every order-p**2 group here is
+Within one parent R every extension is built once: the walk takes the least
+normalizer element not yet covered, builds the p cosets of R it generates,
+marks them covered and moves on.  The extensions of R meet pairwise in R
+(each has index p over it), so they split N(R) minus R, and the leaders are
+exactly the least elements of the extensions minus R, in ascending order.
+Each subgroup is then built once from each of its maximal subgroups, which
+gives two exact identities per ambient (asserted in the tests):
+built_p2 = (p + 1) * |layer 2|, since every order-p**2 group here is
 C_p x C_p; and built_p3 = sum over layer 3 of p**2 + p + 1 for an abelian T
-and p + 1 for a Heisenberg one.  Picking the least uncovered candidate is
-also what the element-by-element walk did, so the layers, their order and
-their generators do not depend on the shortcut.
+and p + 1 for a Heisenberg one.
+
+The walk runs on blocks of parents in batched rounds: each round takes every
+parent's least uncovered element, builds all those extensions in one
+product and marks them in the parent's own row of the covered mask.
+Parents do not share a mask row, so each gets the same leader sequence as
+when walked alone, and a block only shares the array calls.  The parents are
+blocked by normalizer order, which fixes the number of extensions,
+(|N(R)| - |R|) / ((p - 1) |R|), so no round waits on a finished parent.  A
+child is ranked by (parent index, leader) of its first occurrence, and the
+layer is sorted by that rank at the end: the order of the parent-by-parent,
+element-by-element walk.  So the layers, their order and their generators
+do not depend on the shortcuts.
 
 Each subgroup is a sorted row of global holomorph codes.  The ambients'
 rows are merged by `tables.distinct_rows`, so subgroups shared between
@@ -45,9 +73,9 @@ ambients are counted once.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +90,19 @@ __all__ = [
 ]
 
 DEFAULT_ORACLE_BUDGET = 5
+
+# Bytes of one block of parents in the extension rounds of
+# `AmbientScan._next_layer`: its covered mask, one byte per ambient element
+# and parent, and its candidates at _CANDIDATE_BYTES each.
+_BLOCK_BYTES = 1 << 21
+# an int64 code plus the int64 temporaries of conjugating it
+_CANDIDATE_BYTES = 128
+
+
+def _row_view(rows: np.ndarray) -> np.ndarray:
+    """A C-contiguous 2-D array as one opaque scalar per row, which sorts,
+    searches and compares as bytes; tolist() gives the bytes."""
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +175,7 @@ class AmbientScan:
         self.MUL_BY = np.ascontiguousarray(self.M1MUL.T) * p**3
         self.INV_IMAGE = np.ascontiguousarray(self.LOC_APPLY[:, self.M1INV])
         self.MUL_FLAT = (self.M1MUL * self.AL).ravel()
-        self._m_col = np.arange(p**3, dtype=np.int64)[:, None]
+        self._n_parts = np.arange(p**3, dtype=np.int64)
         # POW[k, g] = g^k for k = 0..p-1; the ambient must have exponent p.
         everyone = np.arange(self.size, dtype=np.int64)
         pows = [np.full(self.size, self.id_code, dtype=np.int64), everyone]
@@ -143,20 +184,28 @@ class AmbientScan:
         if not np.all(self.mul(pows[-1], everyone) == self.id_code):
             raise AssertionError("ambient exponent is not p")
         self.POW = np.stack(pows)
-        self.built_p2 = 0
-        self.built_p3 = 0
+        self.built_p2 = self.built_p3 = 0
+        self.swept_p2 = self.swept_p3 = 0
 
     # -- local group law ----------------------------------------------------
 
     def mul(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+        # (n1, a1)(n2, a2) = (n1 a1(n2), a1 a2), each table read by a flat
+        # take, which is faster than a 2-D fancy gather
         n1, a1 = np.divmod(np.asarray(c1), self.AL)
         n2, a2 = np.divmod(np.asarray(c2), self.AL)
-        return self.M1MUL[n1, self.LOC_APPLY[a1, n2]] * self.AL + self.LOC_COMP[a1, a2]
+        image = np.take(self.LOC_APPLY, a1 * self.p**3 + n2)
+        out = np.take(self.M1MUL, n1 * self.p**3 + image)
+        return out * self.AL + np.take(self.LOC_COMP, a1 * self.AL + a2)
 
     def inv(self, c: np.ndarray) -> np.ndarray:
         n, a = np.divmod(np.asarray(c), self.AL)
         ai = self.LOC_INV[a]
         return self.LOC_APPLY[ai, self.M1INV[n]] * self.AL + ai
+
+    def conj(self, g: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Codes of g c g^-1, elementwise."""
+        return self.mul(self.mul(g, c), self.inv(g))
 
     def to_global(self, codes) -> np.ndarray:
         """Global codes of a block of sorted regular rows of local codes,
@@ -209,74 +258,201 @@ class AmbientScan:
     ) -> list[tuple[np.ndarray, tuple[int, int]]]:
         """List of (sorted member row, generating pair (s, x)); s is the least
         non-identity member of the order-p parent."""
-        parents = (
+        parents = [
             (row, (int(row[0]) if row[0] != self.id_code else int(row[1]),))
             for row in layer1
-        )
-        layer2, self.built_p2 = self._next_layer(parents)
+        ]
+        layer2, self.built_p2, self.swept_p2 = self._next_layer(parents)
         return layer2
 
     def order_p3_subgroups(
         self, layer2: list[tuple[np.ndarray, tuple[int, int]]]
     ) -> list[tuple[np.ndarray, tuple[int, int, int]]]:
         """List of (sorted member row, generating triple)."""
-        layer3, self.built_p3 = self._next_layer(layer2)
+        layer3, self.built_p3, self.swept_p3 = self._next_layer(layer2)
         return layer3
 
-    def _next_layer(
-        self, parents: Iterable[tuple[np.ndarray, tuple[int, ...]]]
-    ) -> tuple[list[tuple[np.ndarray, tuple[int, ...]]], int]:
-        """(distinct <row, y> with generators gens + (y,), number built) for
-        the parents (sorted row, gens), y running over the row's normalizer."""
-        seen: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {}
-        built = 0
-        in_row = np.zeros(self.size, dtype=bool)
-        in_proj = np.zeros(self.AL, dtype=bool)
-        for row, gens in parents:
-            # y normalizes the row iff it conjugates every generator into it,
-            # so the automorphism parts b a b^-1 of the conjugates must lie
-            # in the row's projection to A; that settles b before any M1 work.
-            proj = row % self.AL
-            in_proj[proj] = True
-            keep = in_proj[self.AUT_CONJ[:, gens[0] % self.AL]]
-            for g in gens[1:]:
-                keep &= in_proj[self.AUT_CONJ[:, g % self.AL]]
-            in_proj[proj] = False
-            bs = np.flatnonzero(keep)
-            in_row[row] = True
-            normal = in_row[self.conj_all(gens[0], bs)]
-            for g in gens[1:]:
-                normal &= in_row[self.conj_all(g, bs)]
-            in_row[row] = False
-            normalizer = (self._m_col * self.AL + bs)[normal]
-            for members, y in self._extensions(row, normalizer):
-                built += 1
-                seen.setdefault(members.tobytes(), (members, gens + (y,)))
-        return list(seen.values()), built
+    @cached_property
+    def generators(self) -> np.ndarray:
+        """A small generating set of the ambient, chosen greedily: the least
+        element outside the subgroup generated so far, until that subgroup
+        is the whole ambient (at most log_p(size) steps)."""
+        gens: list[int] = []
+        inside = self._generated(gens)
+        while not inside.all():
+            gens.append(int(np.argmin(inside)))
+            inside = self._generated(gens)
+        return np.array(gens, dtype=np.int64)
 
-    def _extensions(self, row: np.ndarray, candidates: np.ndarray):
-        """Yield (sorted members of <row, y>, y) once per distinct extension.
+    def _generated(self, gens: list[int]) -> np.ndarray:
+        """Mask of the subgroup generated by gens: closure of the identity
+        under right multiplication by the generators."""
+        inside = np.zeros(self.size, dtype=bool)
+        inside[self.id_code] = True
+        frontier = np.array([self.id_code], dtype=np.int64)
+        g = np.array(gens, dtype=np.int64)
+        while frontier.size:
+            new = self.mul(frontier[:, None], g[None, :]).ravel()
+            frontier = np.unique(new[~inside[new]])
+            inside[frontier] = True
+        return inside
 
-        row is a subgroup normalized by every candidate (ascending codes), and
-        the ambient has exponent p, so <row, y> is the union of the cosets
-        row y^k.  Each round takes the least candidate not yet covered by an
-        earlier extension, so no extension is built twice.
+    def _classes(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rep, g) with rows[i] = g[i] rows[rep[i]] g[i]^-1 for a layer of
+        sorted rows; rep[i] is the first row of the conjugacy class of i.
+
+        Each class is walked breadth-first along the generators.  A failed
+        lookup is an AssertionError: the layer holds every subgroup of its
+        order, so it is closed under conjugation.
         """
-        covered = np.zeros(self.size, dtype=bool)
-        covered[row] = True
-        left = candidates[~covered[candidates]]
+        n = len(rows)
+        keys = _row_view(rows)
+        order = np.argsort(keys)
+        everyone = np.arange(self.size, dtype=np.int64)
+        steps = []  # steps[k][i]: the index of z_k rows[i] z_k^-1
+        for z in self.generators:
+            conj = self.conj(z, everyone)[rows]
+            conj.sort(axis=1)
+            found = _row_view(conj)
+            at = order[np.minimum(np.searchsorted(keys, found, sorter=order), n - 1)]
+            if not np.array_equal(keys[at], found):
+                raise AssertionError("layer is not closed under conjugation")
+            steps.append(at.tolist())
+        del order, conj, found
+        rep, pred, via, depth = [-1] * n, [0] * n, [0] * n, [0] * n
+        queue: list[int] = []
+        head = 0
+        for i in range(n):
+            if rep[i] >= 0:
+                continue
+            rep[i] = i
+            queue.append(i)
+            while head < len(queue):
+                u = queue[head]
+                head += 1
+                for k, step in enumerate(steps):
+                    v = step[u]
+                    if rep[v] < 0:
+                        rep[v], pred[v], via[v], depth[v] = i, u, k, depth[u] + 1
+                        queue.append(v)
+        # rows[v] = z_k rows[u] z_k^-1 for its predecessor u, so g[v] = z_k g[u]
+        g = np.full(n, self.id_code, dtype=np.int64)
+        pred, via, depth = (np.array(c, dtype=np.int64) for c in (pred, via, depth))
+        for d in range(1, int(depth.max()) + 1):
+            at = np.flatnonzero(depth == d)
+            g[at] = self.mul(self.generators[via[at]], g[pred[at]])
+        return np.array(rep, dtype=np.int64), g
+
+    def _normalizer(self, row: np.ndarray, gens: tuple[int, ...]) -> np.ndarray:
+        """Ascending codes of the normalizer of the subgroup row = <gens>."""
+        # y normalizes the row iff it conjugates every generator into it,
+        # so the automorphism parts b a b^-1 of the conjugates must lie
+        # in the row's projection to A; that settles b before any M1 work.
+        in_proj = np.zeros(self.AL, dtype=bool)
+        in_proj[row % self.AL] = True
+        keep = in_proj[self.AUT_CONJ[:, gens[0] % self.AL]]
+        for g in gens[1:]:
+            keep &= in_proj[self.AUT_CONJ[:, g % self.AL]]
+        bs = np.flatnonzero(keep)
+        in_row = np.zeros(self.size, dtype=bool)
+        in_row[row] = True
+        normal = in_row[self.conj_all(gens[0], bs)]
+        for g in gens[1:]:
+            normal &= in_row[self.conj_all(g, bs)]
+        return (self._n_parts[:, None] * self.AL + bs)[normal]
+
+    def _next_layer(
+        self, parents: list[tuple[np.ndarray, tuple[int, ...]]]
+    ) -> tuple[list[tuple[np.ndarray, tuple[int, ...]]], int, int]:
+        """(distinct <row, y> with generators gens + (y,), number built,
+        number of direct normalizer sweeps) for the parents (sorted row,
+        gens), y running over the row's normalizer.
+
+        The sweep runs on the first parent of each conjugacy class, and the
+        other parents get its normalizer conjugated by their g.  Parents are
+        blocked by normalizer order, so a block's parents have equally many
+        extensions; a child is ranked by (parent, y) of its first occurrence
+        and the layer is put in that order at the end.
+        """
+        rep, g = self._classes(np.array([row for row, _ in parents]))
+        normalizers = {r: self._normalizer(*parents[r]) for r in np.unique(rep).tolist()}
+        swept = len(normalizers)
+        orders = np.array([len(normalizers[r]) for r in rep.tolist()])
+        # by normalizer order, then by class, so a representative's normalizer
+        # can go once its class is done
+        by_order = np.lexsort((rep, orders))
+        uses = dict(zip(*np.unique(rep, return_counts=True)))
+        rep = rep.tolist()
+        ends = np.cumsum(self.size + _CANDIDATE_BYTES * orders[by_order])
+        seen: dict[bytes, tuple[int, tuple[int, ...]]] = {}
+        built = lo = 0
+        while lo < len(parents):
+            spent = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, spent + _BLOCK_BYTES, "right")))
+            block = by_order[lo:hi]
+            rounds = self._block_extensions(
+                np.array([parents[i][0] for i in block]),
+                self._transported([normalizers[rep[i]] for i in block], g[block]),
+            )
+            for o, y, members in rounds:
+                built += len(o)
+                for i, yi, key in zip(block[o].tolist(), y.tolist(), _row_view(members).tolist()):
+                    rank, first = i * self.size + yi, seen.get(key)
+                    if first is None or rank < first[0]:
+                        seen[key] = (rank, parents[i][1] + (yi,))
+            for i in block.tolist():
+                uses[rep[i]] -= 1
+                if not uses[rep[i]]:
+                    del normalizers[rep[i]]
+            lo = hi
+        ranked = sorted(seen.items(), key=lambda item: item[1][0])
+        del seen
+        # each row is read-only over its own key bytes, so no block stays alive
+        layer = [(np.frombuffer(key, dtype=np.int64), gens) for key, (_, gens) in ranked]
+        return layer, built, swept
+
+    def _transported(self, normalizers: list[np.ndarray], g: np.ndarray) -> np.ndarray:
+        """The normalizers g[i] N g[i]^-1, N = normalizers[i], of a block of
+        parents as one ascending array of i * size + code."""
+        owner = np.repeat(np.arange(len(g)), [len(n) for n in normalizers])
+        out = self.conj(g[owner], np.concatenate(normalizers))
+        out += owner * self.size
+        out.sort()
+        return out
+
+    def _block_extensions(self, rows: np.ndarray, left: np.ndarray):
+        """Yield per round (owner, y, sorted members of <rows[owner], y>) for
+        a block of parent rows and their normalizers as from _transported.
+
+        Each round takes every parent's least normalizer element not yet
+        covered by the parent or an earlier extension of it, builds the p
+        cosets of the parent it generates (the ambient has exponent p) and
+        marks them covered.  That is the one-parent-at-a-time walk, run on
+        the whole block at once.
+        """
+        size = self.size
+        offset = np.arange(len(rows))[:, None] * size
+        covered = np.zeros(len(rows) * size, dtype=bool)
+        covered[rows + offset] = True
+        left = left[~covered[left]]
         while left.size:
-            y = int(left[0])
-            members = self.mul(row[None, :], self.POW[:, y][:, None]).ravel()
-            members.sort()
-            covered[members] = True
-            yield members, y
+            lead = np.empty(left.size, dtype=bool)
+            lead[0] = True
+            owners = left // size
+            np.not_equal(owners[1:], owners[:-1], out=lead[1:])
+            o, y = np.divmod(left[lead], size)
+            members = self.mul(rows[o][:, None, :], self.POW[:, y].T[:, :, None])
+            members = members.reshape(len(o), -1)
+            members.sort(axis=1)
+            covered[members + offset[o]] = True
+            yield o, y, members
             left = left[~covered[left]]
 
     # -- classification -------------------------------------------------------
 
     def is_regular(self, row: np.ndarray) -> bool:
-        return len(np.unique(row // self.AL)) == self.p**3
+        """A sorted regular row has n-part j at position j."""
+        return bool(np.array_equal(row // self.AL, self._n_parts))
 
     def theta_order(self, row: np.ndarray) -> int:
         return int(len(np.unique(row % self.AL)))

@@ -88,12 +88,18 @@ def brace_from_codes(p: int, codes: np.ndarray) -> SkewBrace:
     codec = hol_codec(p)
     codes = codec.regular_row(codes)
     # (i, alpha)(j, beta) = (i alpha(j), alpha beta), with alpha and beta
-    # among the |theta(G)| distinct automorphism parts of the row
+    # among the |theta(G)| distinct automorphism parts of the row.  Every
+    # table is read by np.take on flat row * width + column codes, which is
+    # faster than a 2-D fancy gather; one k x k buffer holds those codes.
     aparts, pos, APPLY = _theta_parts(codec, codes)
+    t = len(aparts)
     COMP = codec.aut.compose_idx(aparts[:, None], aparts[None, :])
     k = len(codes)
-    MUL = codec.m1.MUL[np.arange(k)[:, None], APPLY[pos]]
-    prod = MUL * np.int64(codec.N) + COMP[pos[:, None], pos[None, :]]
+    at = APPLY[pos]
+    at += np.arange(k)[:, None] * k
+    MUL = np.take(codec.m1.MUL, at)
+    np.add(pos[:, None] * t, pos, out=at)
+    prod = MUL * np.int64(codec.N) + np.take(COMP, at)
     # every product has some n-part i; it lies in the carrier iff it is codes[i]
     if not np.array_equal(codes[MUL], prod):
         raise ValueError("carrier is not closed under the holomorph product")
@@ -105,7 +111,8 @@ def brace_from_codes(p: int, codes: np.ndarray) -> SkewBrace:
         raise ValueError("carrier misses the identity")
 
     ADD, INV_ADD = codec.m1.MUL, codec.m1.INV
-    LAM = ADD[INV_ADD[:, None], MUL]
+    np.add(INV_ADD[:, None] * k, MUL, out=at)
+    LAM = np.take(ADD, at)
     return SkewBrace(p=p, codes=codes, MUL=MUL, ADD=ADD, INV_MUL=INV_MUL, INV_ADD=INV_ADD, LAM=LAM)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -102,6 +103,79 @@ def sylow_scan():
     return scan, layer1, layer2, layer3
 
 
+@pytest.fixture(scope="module")
+def m1_scan():
+    """M1 x {1}: with one automorphism a local code is an M1 code."""
+    return AmbientScan(5, np.array([aut_table(5).identity], dtype=np.int64))
+
+
+def _order_p_parents(scan, layer1):
+    """Layer 1 as the parents of layer 2: (row, (least non-identity member,))."""
+    return [(row, (int(row[0]) if row[0] != scan.id_code else int(row[1]),)) for row in layer1]
+
+
+def _check_transport(scan, parents):
+    """Every parent's normalizer, conjugated over from its class
+    representative, equals its own direct sweep.  Returns the class count."""
+    rows = np.array([row for row, _ in parents])
+    rep, g = scan._classes(rows)
+    direct = [scan._normalizer(row, gens) for row, gens in parents]
+    for i, r in enumerate(rep):
+        assert np.array_equal(np.sort(scan.conj(g[i], rows[r])), rows[i])
+        assert np.array_equal(scan._transported([direct[r]], g[i : i + 1]), direct[i])
+    # orbit-stabilizer: the class of R has |G| / |N(R)| members
+    classes = len(np.unique(rep))
+    assert sum(len(n) for n in direct) == classes * scan.size
+    return classes
+
+
+def _generated_order(scan, gens):
+    inside = np.zeros(scan.size, dtype=bool)
+    inside[scan.id_code] = True
+    frontier = np.array([scan.id_code])
+    while frontier.size:
+        products = scan.mul(frontier[:, None], gens[None, :]).ravel()
+        frontier = np.unique(products[~inside[products]])
+        inside[frontier] = True
+    return int(inside.sum())
+
+
+def test_generators_generate_the_ambient(sylow_scan, small_ambient, m1_scan):
+    for scan, exponent in ((sylow_scan[0], 6), (small_ambient, 4), (m1_scan, 3)):
+        assert scan.size == scan.p**exponent
+        gens = scan.generators
+        assert 1 <= len(gens) <= exponent  # greedy: each one multiplies the order by p or more
+        assert _generated_order(scan, gens) == scan.size
+
+
+def test_transported_normalizers_match_direct_sweeps_sylow(sylow_scan):
+    scan, layer1, layer2, _ = sylow_scan
+    assert _check_transport(scan, _order_p_parents(scan, layer1)) == scan.swept_p2 == 66
+    assert _check_transport(scan, layer2) == scan.swept_p3 == 195
+    # 66 + 195 direct sweeps where one per parent took 3906 + 8431
+    assert (len(layer1), len(layer2)) == (3906, 8431)
+
+
+@pytest.mark.parametrize("which", ["small_ambient", "m1_scan"])
+def test_transported_normalizers_match_direct_sweeps(which, request):
+    scan = request.getfixturevalue(which)
+    layer1 = scan.order_p_subgroups()
+    layer2 = scan.order_p2_subgroups(layer1)
+    scan.order_p3_subgroups(layer2)
+    assert _check_transport(scan, _order_p_parents(scan, layer1)) == scan.swept_p2
+    assert _check_transport(scan, layer2) == scan.swept_p3
+
+
+def test_class_walk_refuses_a_layer_not_closed_under_conjugation(sylow_scan):
+    scan, layer1 = sylow_scan[:2]
+    rep, _ = scan._classes(layer1)
+    # drop one member of a class with more than one: its conjugates miss it
+    counts = np.bincount(rep)
+    victim = np.flatnonzero((rep != np.arange(len(rep))) & (counts[rep] > 1))[0]
+    with pytest.raises(AssertionError, match="not closed under conjugation"):
+        scan._classes(np.delete(layer1, victim, axis=0))
+
+
 def test_conj_all_matches_full_products(sylow_scan):
     scan = sylow_scan[0]
     everyone = np.arange(scan.size, dtype=np.int64)
@@ -166,6 +240,24 @@ def test_sylow_ambient_builds_each_subgroup_once_per_maximal(sylow_scan):
     assert scan.built_p3 == _built_p3_identity(scan, layer3) == 28361
 
 
+def test_sylow_ambient_p7_counts_within_budget():
+    # One of the eight p=7 ambients, start to finish.  About 25 s on a
+    # 2-vCPU VM whose speed drifts up to 2x; the budget allows for that.
+    p = 7
+    t0 = time.perf_counter()
+    scan = AmbientScan(p, _sylow_ambient_indices(p)[0])
+    layer1 = scan.order_p_subgroups()
+    layer2 = scan.order_p2_subgroups(layer1)
+    layer3 = scan.order_p3_subgroups(layer2)
+    regular = sum(1 for row, _ in layer3 if scan.is_regular(row))
+    elapsed = time.perf_counter() - t0
+    assert (len(layer1), len(layer2), len(layer3), regular) == (19608, 41609, 10739, 6517)
+    assert (scan.built_p2, scan.built_p3) == (332872, 141527)
+    assert scan.built_p2 == (p + 1) * len(layer2)
+    assert (scan.swept_p2, scan.swept_p3) == (120, 371)
+    assert elapsed < 120.0, f"p=7 ambient scan took {elapsed:.1f}s"
+
+
 def test_budget_gate_refuses_large_prime():
     with pytest.raises(ValueError):
         enumerate_regular_subgroups(7)
@@ -173,12 +265,10 @@ def test_budget_gate_refuses_large_prime():
         enumerate_regular_subgroups(11, budget=7)
 
 
-def test_m1_ambient_recovers_known_subgroup_lattice():
+def test_m1_ambient_recovers_known_subgroup_lattice(m1_scan):
     # Scanning with the trivial automorphism group is a scan of M1 itself,
     # whose lattice is known: 31 of order 5, 6 of order 25, 1 of order 125.
-    p = 5
-    aut = aut_table(p)
-    scan = AmbientScan(p, np.array([aut.identity], dtype=np.int64))
+    p, scan = 5, m1_scan
     layer1 = scan.order_p_subgroups()
     layer2 = scan.order_p2_subgroups(layer1)
     layer3 = scan.order_p3_subgroups(layer2)

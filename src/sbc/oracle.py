@@ -17,21 +17,21 @@ normalize it.  For a parent <s> of order p that is the centralizer of s:
 N(<s>)/C(s) embeds in Aut(C_p), of order p - 1, and is a p-group (both the
 ambient and its A are), so it is trivial.
 
-One normalizer sweep per conjugacy class.  Each layer is the complete set
-of subgroups of its order: every order-p subgroup is found, and a subgroup
-of order p**2 or p**3 is <R, y> for any maximal subgroup R of it (maximal
-subgroups of a p-group are normal) and any y outside R.  Conjugation keeps
-the order, so a layer is closed under conjugation by the ambient G.  The
-parents of a layer are split into classes by a breadth-first walk: a small
-generating set of G is chosen greedily, and for a parent R and a generator
-z the sorted row of z R z^-1 is looked up in the layer.  That records for
-every parent a representative R0 (the first parent of its class) and a g
-with R = g R0 g^-1; a failed lookup is an AssertionError.  Since
-N(g R0 g^-1) = g N(R0) g^-1, the direct sweep below runs on R0 alone and the
-other parents get its normalizer conjugated by their g.  By orbit-stabilizer
-a class holds |G| / |N(R)| parents, so a layer's parents take
-sum |N(R)| / |G| sweeps: 66 + 195 on Sylow ambient 0 at p=5 instead of
-3906 + 8431.
+One walk per conjugacy class.  Each layer is the complete set of subgroups
+of its order: every order-p subgroup is found, and a subgroup of order p**2
+or p**3 is <R, y> for any maximal subgroup R of it (maximal subgroups of a
+p-group are normal) and any y outside R.  Conjugation keeps the order, so a
+layer is closed under conjugation by the ambient G.  The parents of a layer
+are split into classes by a breadth-first walk: a small generating set of G
+is chosen greedily, and for a parent R and a generator z the sorted row of
+z R z^-1 is looked up in the layer.  That records for every parent a
+representative R0 (the first parent of its class) and a g with
+R = g R0 g^-1; a failed lookup is an AssertionError.  Only R0 gets the
+direct normalizer sweep and the walk below.  Since N(g R0 g^-1) =
+g N(R0) g^-1, the extensions of R are the g E g^-1 for the extensions
+E = R0<y> of R0, and g E g^-1 = R<g y g^-1>.  By orbit-stabilizer a class
+holds |G| / |N(R)| parents, so a layer's parents take sum |N(R)| / |G|
+sweeps: 66 + 195 on Sylow ambient 0 at p=5 instead of 3906 + 8431.
 
 The direct sweep conjugates one element by the whole ambient at once.  For
 g = (n, a) and y = (m, b),
@@ -43,28 +43,27 @@ automorphism part c depends on b alone, which gives a prefilter: only the b
 that send the automorphism part of every generator of R into R's projection
 to A can normalize R.  The M1 part is computed for the surviving b only.
 
-Within one parent R every extension is built once: the walk takes the least
-normalizer element not yet covered, builds the p cosets of R it generates,
-marks them covered and moves on.  The extensions of R meet pairwise in R
-(each has index p over it), so they split N(R) minus R, and the leaders are
-exactly the least elements of the extensions minus R, in ascending order.
-Each subgroup is then built once from each of its maximal subgroups, which
-gives two exact identities per ambient (asserted in the tests):
+The walk builds every extension of R0 once: it takes the least normalizer
+element not yet covered, builds the p cosets of R0 it generates, marks them
+covered and moves on.  The extensions of R meet pairwise in R (each has
+index p over it), so they split N(R) minus R, and the leaders are exactly
+the least elements of the extensions minus R, in ascending order.  Each
+subgroup is then built once from each of its maximal subgroups, which gives
+two exact identities per ambient (asserted in the tests):
 built_p2 = (p + 1) * |layer 2|, since every order-p**2 group here is
 C_p x C_p; and built_p3 = sum over layer 3 of p**2 + p + 1 for an abelian T
 and p + 1 for a Heisenberg one.
 
-The walk runs on blocks of parents in batched rounds: each round takes every
-parent's least uncovered element, builds all those extensions in one
-product and marks them in the parent's own row of the covered mask.
-Parents do not share a mask row, so each gets the same leader sequence as
-when walked alone, and a block only shares the array calls.  The parents are
-blocked by normalizer order, which fixes the number of extensions,
-(|N(R)| - |R|) / ((p - 1) |R|), so no round waits on a finished parent.  A
-child is ranked by (parent index, leader) of its first occurrence, and the
-layer is sorted by that rank at the end: the order of the parent-by-parent,
-element-by-element walk.  So the layers, their order and their generators
-do not depend on the shortcuts.
+Every parent of a class reads its leaders off its sorted extension rows, with
+no covered mask.  An extension E of R contains R, so R's members below
+min(E - R) open the sorted row of E: the leader sits at the first position
+where E[:|R|] differs from R, or at E[|R|] if there is none.  A class is
+built in one batch: |G| / |N| parents with (|N| - |R|) / ((p - 1) |R|)
+extensions of p |R| members each, fewer than |G| p / (p - 1) codes (about
+137k at p=7).  A child is ranked by (parent index, leader) of its first
+occurrence, and the layer is sorted by that rank at the end: the order of
+the parent-by-parent, element-by-element walk.  So the layers, their order
+and their generators do not depend on the shortcuts.
 
 Each subgroup is a sorted row of global holomorph codes.  The ambients'
 rows are merged by `tables.distinct_rows`, so subgroups shared between
@@ -90,13 +89,6 @@ __all__ = [
 ]
 
 DEFAULT_ORACLE_BUDGET = 5
-
-# Bytes of one block of parents in the extension rounds of
-# `AmbientScan._next_layer`: its covered mask, one byte per ambient element
-# and parent, and its candidates at _CANDIDATE_BYTES each.
-_BLOCK_BYTES = 1 << 21
-# an int64 code plus the int64 temporaries of conjugating it
-_CANDIDATE_BYTES = 128
 
 
 def _row_view(rows: np.ndarray) -> np.ndarray:
@@ -186,6 +178,7 @@ class AmbientScan:
         self.POW = np.stack(pows)
         self.built_p2 = self.built_p3 = 0
         self.swept_p2 = self.swept_p3 = 0
+        self.walked_p2 = self.walked_p3 = 0
 
     # -- local group law ----------------------------------------------------
 
@@ -262,14 +255,14 @@ class AmbientScan:
             (row, (int(row[0]) if row[0] != self.id_code else int(row[1]),))
             for row in layer1
         ]
-        layer2, self.built_p2, self.swept_p2 = self._next_layer(parents)
+        layer2, self.built_p2, self.swept_p2, self.walked_p2 = self._next_layer(parents)
         return layer2
 
     def order_p3_subgroups(
         self, layer2: list[tuple[np.ndarray, tuple[int, int]]]
     ) -> list[tuple[np.ndarray, tuple[int, int, int]]]:
         """List of (sorted member row, generating triple)."""
-        layer3, self.built_p3, self.swept_p3 = self._next_layer(layer2)
+        layer3, self.built_p3, self.swept_p3, self.walked_p3 = self._next_layer(layer2)
         return layer3
 
     @cached_property
@@ -361,92 +354,86 @@ class AmbientScan:
             normal &= in_row[self.conj_all(g, bs)]
         return (self._n_parts[:, None] * self.AL + bs)[normal]
 
+    def _walk(self, row: np.ndarray, normalizer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(leaders, sorted member rows) of the extensions <row, y>, y in the
+        row's ascending normalizer, in ascending leader order.
+
+        Each step takes the least normalizer element not yet covered by the
+        row or an earlier extension, builds the p cosets of the row it
+        generates (the ambient has exponent p) and marks them covered.  The
+        marks are kept on the ascending normalizer, so the next leader is
+        the first unmarked one after this one.
+        """
+        left = np.ones(len(normalizer), dtype=bool)
+        left[np.searchsorted(normalizer, row)] = False
+        leaders, members = [], []
+        at = int(left.argmax())
+        while left[at]:
+            ext = self.mul(row, self.POW[:, normalizer[at], None]).ravel()
+            ext.sort()
+            left[np.searchsorted(normalizer, ext)] = False
+            leaders.append(normalizer[at])
+            members.append(ext)
+            at += int(left[at:].argmax())
+        shape = (len(leaders), self.p * len(row))
+        return np.array(leaders, dtype=np.int64), np.array(members, dtype=np.int64).reshape(shape)
+
+    def _class_extensions(self, parents: list[tuple[np.ndarray, tuple[int, ...]]]):
+        """Yield per conjugacy class of the parents (index, leaders, members):
+        with k = leaders.shape[1], row j * k + e of members is the e-th
+        extension of parent index[j], sorted, and leaders[j, e] is its least
+        element outside that parent.
+
+        Only the class's first parent R0 is walked; a parent R = g R0 g^-1
+        gets g E g^-1 = R<g y g^-1> for each extension E = R0<y> of R0,
+        built as p cosets of R.  Those rows meet R in R, so R's least
+        members open a sorted row up to its leader, which sits at the first
+        position where the row differs from R, or right after R if there is
+        none.
+        """
+        rows = np.array([row for row, _ in parents])
+        rep, g = self._classes(rows)
+        order = np.argsort(rep, kind="stable")  # a class's first parent leads it
+        for index in np.split(order, np.flatnonzero(np.diff(rep[order])) + 1):
+            row, gens = parents[index[0]]
+            leads, _ = self._walk(row, self._normalizer(row, gens))
+            y = self.conj(g[index, None], leads)
+            powers = np.moveaxis(self.POW[:, y], 0, -1)[..., None]
+            members = self.mul(rows[index, None, None, :], powers)
+            members = members.reshape(len(index), len(leads), -1)
+            members.sort(axis=2)
+            differs = members[:, :, : rows.shape[1]] != rows[index, None, :]
+            at = np.where(differs.any(axis=2), differs.argmax(axis=2), rows.shape[1])
+            leaders = np.take_along_axis(members, at[:, :, None], axis=2)[:, :, 0]
+            yield index, leaders, members.reshape(-1, members.shape[2])
+
     def _next_layer(
         self, parents: list[tuple[np.ndarray, tuple[int, ...]]]
-    ) -> tuple[list[tuple[np.ndarray, tuple[int, ...]]], int, int]:
+    ) -> tuple[list[tuple[np.ndarray, tuple[int, ...]]], int, int, int]:
         """(distinct <row, y> with generators gens + (y,), number built,
-        number of direct normalizer sweeps) for the parents (sorted row,
-        gens), y running over the row's normalizer.
+        number of direct normalizer sweeps, number of extensions walked)
+        for the parents (sorted row, gens), y running over the row's
+        normalizer.
 
-        The sweep runs on the first parent of each conjugacy class, and the
-        other parents get its normalizer conjugated by their g.  Parents are
-        blocked by normalizer order, so a block's parents have equally many
-        extensions; a child is ranked by (parent, y) of its first occurrence
-        and the layer is put in that order at the end.
+        A child is ranked by (parent, leader) of its first occurrence and
+        the layer is put in that order at the end.
         """
-        rep, g = self._classes(np.array([row for row, _ in parents]))
-        normalizers = {r: self._normalizer(*parents[r]) for r in np.unique(rep).tolist()}
-        swept = len(normalizers)
-        orders = np.array([len(normalizers[r]) for r in rep.tolist()])
-        # by normalizer order, then by class, so a representative's normalizer
-        # can go once its class is done
-        by_order = np.lexsort((rep, orders))
-        uses = dict(zip(*np.unique(rep, return_counts=True)))
-        rep = rep.tolist()
-        ends = np.cumsum(self.size + _CANDIDATE_BYTES * orders[by_order])
         seen: dict[bytes, tuple[int, tuple[int, ...]]] = {}
-        built = lo = 0
-        while lo < len(parents):
-            spent = ends[lo - 1] if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(ends, spent + _BLOCK_BYTES, "right")))
-            block = by_order[lo:hi]
-            rounds = self._block_extensions(
-                np.array([parents[i][0] for i in block]),
-                self._transported([normalizers[rep[i]] for i in block], g[block]),
-            )
-            for o, y, members in rounds:
-                built += len(o)
-                for i, yi, key in zip(block[o].tolist(), y.tolist(), _row_view(members).tolist()):
-                    rank, first = i * self.size + yi, seen.get(key)
-                    if first is None or rank < first[0]:
-                        seen[key] = (rank, parents[i][1] + (yi,))
-            for i in block.tolist():
-                uses[rep[i]] -= 1
-                if not uses[rep[i]]:
-                    del normalizers[rep[i]]
-            lo = hi
+        built = swept = walked = 0
+        for index, leaders, members in self._class_extensions(parents):
+            built += leaders.size
+            swept += 1
+            walked += leaders.shape[1]
+            owners = np.repeat(index, leaders.shape[1]).tolist()
+            for i, y, key in zip(owners, leaders.ravel().tolist(), _row_view(members).tolist()):
+                rank, first = i * self.size + y, seen.get(key)
+                if first is None or rank < first[0]:
+                    seen[key] = (rank, parents[i][1] + (y,))
         ranked = sorted(seen.items(), key=lambda item: item[1][0])
         del seen
         # each row is read-only over its own key bytes, so no block stays alive
         layer = [(np.frombuffer(key, dtype=np.int64), gens) for key, (_, gens) in ranked]
-        return layer, built, swept
-
-    def _transported(self, normalizers: list[np.ndarray], g: np.ndarray) -> np.ndarray:
-        """The normalizers g[i] N g[i]^-1, N = normalizers[i], of a block of
-        parents as one ascending array of i * size + code."""
-        owner = np.repeat(np.arange(len(g)), [len(n) for n in normalizers])
-        out = self.conj(g[owner], np.concatenate(normalizers))
-        out += owner * self.size
-        out.sort()
-        return out
-
-    def _block_extensions(self, rows: np.ndarray, left: np.ndarray):
-        """Yield per round (owner, y, sorted members of <rows[owner], y>) for
-        a block of parent rows and their normalizers as from _transported.
-
-        Each round takes every parent's least normalizer element not yet
-        covered by the parent or an earlier extension of it, builds the p
-        cosets of the parent it generates (the ambient has exponent p) and
-        marks them covered.  That is the one-parent-at-a-time walk, run on
-        the whole block at once.
-        """
-        size = self.size
-        offset = np.arange(len(rows))[:, None] * size
-        covered = np.zeros(len(rows) * size, dtype=bool)
-        covered[rows + offset] = True
-        left = left[~covered[left]]
-        while left.size:
-            lead = np.empty(left.size, dtype=bool)
-            lead[0] = True
-            owners = left // size
-            np.not_equal(owners[1:], owners[:-1], out=lead[1:])
-            o, y = np.divmod(left[lead], size)
-            members = self.mul(rows[o][:, None, :], self.POW[:, y].T[:, :, None])
-            members = members.reshape(len(o), -1)
-            members.sort(axis=1)
-            covered[members + offset[o]] = True
-            yield o, y, members
-            left = left[~covered[left]]
+        return layer, built, swept, walked
 
     # -- classification -------------------------------------------------------
 

@@ -114,19 +114,37 @@ def _order_p_parents(scan, layer1):
     return [(row, (int(row[0]) if row[0] != scan.id_code else int(row[1]),)) for row in layer1]
 
 
-def _check_transport(scan, parents):
-    """Every parent's normalizer, conjugated over from its class
-    representative, equals its own direct sweep.  Returns the class count."""
+def _check_class_extensions(scan, parents):
+    """The extensions and leaders the layer step gives every parent equal
+    that parent's own walk, and the walk splits the parent's own direct
+    normalizer.  Returns (class count, extensions walked)."""
     rows = np.array([row for row, _ in parents])
     rep, g = scan._classes(rows)
-    direct = [scan._normalizer(row, gens) for row, gens in parents]
     for i, r in enumerate(rep):
         assert np.array_equal(np.sort(scan.conj(g[i], rows[r])), rows[i])
-        assert np.array_equal(scan._transported([direct[r]], g[i : i + 1]), direct[i])
+    assigned, walked = {}, 0
+    for index, leaders, members in scan._class_extensions(parents):
+        k = leaders.shape[1]
+        walked += k
+        for j, i in enumerate(index.tolist()):
+            assigned[i] = (leaders[j], members[j * k : (j + 1) * k])
+    assert sorted(assigned) == list(range(len(parents)))
+    orders = 0
+    for i, (row, gens) in enumerate(parents):
+        normalizer = scan._normalizer(row, gens)
+        want_leaders, want_members = scan._walk(row, normalizer)
+        leaders, members = assigned[i]
+        by_leader = np.argsort(leaders)
+        assert np.array_equal(leaders[by_leader], want_leaders)
+        assert np.array_equal(members[by_leader], want_members)
+        # the extensions meet pairwise in the row and cover the normalizer
+        assert len(normalizer) == len(row) * (1 + (scan.p - 1) * len(want_leaders))
+        assert np.array_equal(np.union1d(row, want_members), normalizer)
+        orders += len(normalizer)
     # orbit-stabilizer: the class of R has |G| / |N(R)| members
     classes = len(np.unique(rep))
-    assert sum(len(n) for n in direct) == classes * scan.size
-    return classes
+    assert orders == classes * scan.size
+    return classes, walked
 
 
 def _generated_order(scan, gens):
@@ -148,22 +166,26 @@ def test_generators_generate_the_ambient(sylow_scan, small_ambient, m1_scan):
         assert _generated_order(scan, gens) == scan.size
 
 
-def test_transported_normalizers_match_direct_sweeps_sylow(sylow_scan):
+def test_class_extensions_match_own_walks_sylow(sylow_scan):
     scan, layer1, layer2, _ = sylow_scan
-    assert _check_transport(scan, _order_p_parents(scan, layer1)) == scan.swept_p2 == 66
-    assert _check_transport(scan, layer2) == scan.swept_p3 == 195
-    # 66 + 195 direct sweeps where one per parent took 3906 + 8431
+    got = _check_class_extensions(scan, _order_p_parents(scan, layer1))
+    assert got == (scan.swept_p2, scan.walked_p2) == (66, 2946)
+    got = _check_class_extensions(scan, layer2)
+    assert got == (scan.swept_p3, scan.walked_p3) == (195, 2845)
+    # 66 + 195 direct sweeps and 2946 + 2845 walked extensions, where one
+    # walk per parent took 3906 + 8431 sweeps and 50586 + 28361 extensions
     assert (len(layer1), len(layer2)) == (3906, 8431)
 
 
 @pytest.mark.parametrize("which", ["small_ambient", "m1_scan"])
-def test_transported_normalizers_match_direct_sweeps(which, request):
+def test_class_extensions_match_own_walks(which, request):
     scan = request.getfixturevalue(which)
     layer1 = scan.order_p_subgroups()
     layer2 = scan.order_p2_subgroups(layer1)
     scan.order_p3_subgroups(layer2)
-    assert _check_transport(scan, _order_p_parents(scan, layer1)) == scan.swept_p2
-    assert _check_transport(scan, layer2) == scan.swept_p3
+    got = _check_class_extensions(scan, _order_p_parents(scan, layer1))
+    assert got == (scan.swept_p2, scan.walked_p2)
+    assert _check_class_extensions(scan, layer2) == (scan.swept_p3, scan.walked_p3)
 
 
 def test_class_walk_refuses_a_layer_not_closed_under_conjugation(sylow_scan):
@@ -241,7 +263,7 @@ def test_sylow_ambient_builds_each_subgroup_once_per_maximal(sylow_scan):
 
 
 def test_sylow_ambient_p7_counts_within_budget():
-    # One of the eight p=7 ambients, start to finish.  About 25 s on a
+    # One of the eight p=7 ambients, start to finish.  About 4-6 s on a
     # 2-vCPU VM whose speed drifts up to 2x; the budget allows for that.
     p = 7
     t0 = time.perf_counter()
@@ -255,7 +277,8 @@ def test_sylow_ambient_p7_counts_within_budget():
     assert (scan.built_p2, scan.built_p3) == (332872, 141527)
     assert scan.built_p2 == (p + 1) * len(layer2)
     assert (scan.swept_p2, scan.swept_p3) == (120, 371)
-    assert elapsed < 120.0, f"p=7 ambient scan took {elapsed:.1f}s"
+    assert (scan.walked_p2, scan.walked_p3) == (9976, 8897)
+    assert elapsed < 40.0, f"p=7 ambient scan took {elapsed:.1f}s"
 
 
 def test_budget_gate_refuses_large_prime():

@@ -27,7 +27,7 @@ from .skewbrace import annihilator_indices, brace_from_codes, socle_indices
 # perfbench/selfcheck.py checks that tracing patches this imported binding
 from .skewbrace import brace_from_subgroup  # noqa: F401
 from .subgroups import GroupType
-from .tables import distinct_rows, hol_codec
+from .tables import distinct_rows, hol_codec, row_view
 
 __all__ = [
     "ClassificationRecord",
@@ -39,6 +39,7 @@ __all__ = [
     "expected_stabilizer_order",
     "gl3_order",
     "orbit_union_keys",
+    "orbits_match",
     "record_to_dict",
     "stabilizer_indices",
     "verify_pairwise_nonconjugate",
@@ -254,6 +255,16 @@ def _coset_transversal(rep: Representative) -> np.ndarray:
     return np.array(transversal, dtype=np.int64)
 
 
+def _orbit_rows(p: int, reps: list[Representative], transversals: list[np.ndarray]):
+    """Yield every representative's orbit as sorted code rows, one conjugate
+    per stabilizer coset, in chunks with 512 kB composition temporaries."""
+    codec = hol_codec(p)
+    step = max(1, (1 << 16) // p**3)
+    for rep, transversal in zip(reps, transversals):
+        for alphas in np.split(transversal, range(step, len(transversal), step)):
+            yield codec.conj_matrix(rep.codes, alphas)
+
+
 def orbit_union_keys(p: int) -> np.ndarray:
     """Every subgroup in every representative orbit: a read-only array of
     sorted code rows, distinct and in lexicographic order.
@@ -262,16 +273,37 @@ def orbit_union_keys(p: int) -> np.ndarray:
     array of sum |orbit| rows.  Each orbit lists its members once, so these
     rows are distinct exactly when no two representatives are conjugate.
     """
-    codec = hol_codec(p)
     reps = all_representatives(p)
     transversals = [_coset_transversal(rep) for rep in reps]
     rows = np.empty((sum(map(len, transversals)), p**3), dtype=np.int64)
-    start, step = 0, max(1, (1 << 16) // p**3)  # 512 kB composition temporaries
-    for rep, transversal in zip(reps, transversals):
-        for alphas in np.split(transversal, range(step, len(transversal), step)):
-            rows[start : start + len(alphas)] = codec.conj_matrix(rep.codes, alphas)
-            start += len(alphas)
+    start = 0
+    for chunk in _orbit_rows(p, reps, transversals):
+        rows[start : start + len(chunk)] = chunk
+        start += len(chunk)
     out = distinct_rows(rows)[0]
     if len(out) != len(rows):
         raise AssertionError("two representative orbits overlap")
     return out
+
+
+def orbits_match(p: int, codes: np.ndarray) -> bool:
+    """Are the subgroups in the representative orbits exactly the rows of
+    codes, an array of distinct sorted code rows?
+
+    Each chunk of orbit rows is looked up in codes, so no union is built.
+    True when every orbit row is found, every row of codes is found, and
+    sum |orbit| = len(codes): the orbits then map onto the rows one to
+    one, so no subgroup lies in two orbits.
+    """
+    reps = all_representatives(p)
+    transversals = [_coset_transversal(rep) for rep in reps]
+    keys = row_view(np.ascontiguousarray(codes))
+    order = np.argsort(keys)
+    found = np.zeros(len(codes), dtype=bool)
+    for chunk in _orbit_rows(p, reps, transversals):
+        probe = row_view(np.ascontiguousarray(chunk))
+        at = order[np.minimum(np.searchsorted(keys, probe, sorter=order), len(keys) - 1)]
+        if not np.array_equal(keys[at], probe):
+            return False
+        found[at] = True
+    return sum(map(len, transversals)) == len(codes) and bool(found.all())

@@ -34,7 +34,7 @@ from .classify import (
     closed_form_count_report,
     count_report,
     expected_stabilizer_order,
-    orbit_union_keys,
+    orbits_match,
     record_to_dict,
     verify_pairwise_nonconjugate,
 )
@@ -353,7 +353,7 @@ def _verify_checks(p: int, oracle_budget: int, jobs: int):
                 raise AssertionError("oracle counts disagree with closed forms")
             if len(result.codes) != report.total_regular:
                 raise AssertionError("oracle total off")
-            if not np.array_equal(result.codes, orbit_union_keys(p)):
+            if not orbits_match(p, result.codes):
                 raise AssertionError("oracle subgroups differ from the representative orbits")
 
         checks.append(("oracle-equivalence", oracle_equivalence))

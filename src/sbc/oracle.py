@@ -27,7 +27,7 @@ is chosen greedily, and for a parent R and a generator z the sorted row of
 z R z^-1 is looked up in the layer.  That records for every parent a
 representative R0 (the first parent of its class) and a g with
 R = g R0 g^-1; a failed lookup is an AssertionError.  Only R0 gets the
-direct normalizer sweep and the walk below.  Since N(g R0 g^-1) =
+direct normalizer sweep and the leader pass below.  Since N(g R0 g^-1) =
 g N(R0) g^-1, the extensions of R are the g E g^-1 for the extensions
 E = R0<y> of R0, and g E g^-1 = R<g y g^-1>.  By orbit-stabilizer a class
 holds |G| / |N(R)| parents, so a layer's parents take sum |N(R)| / |G|
@@ -43,27 +43,59 @@ automorphism part c depends on b alone, which gives a prefilter: only the b
 that send the automorphism part of every generator of R into R's projection
 to A can normalize R.  The M1 part is computed for the surviving b only.
 
-The walk builds every extension of R0 once: it takes the least normalizer
-element not yet covered, builds the p cosets of R0 it generates, marks them
-covered and moves on.  The extensions of R meet pairwise in R (each has
-index p over it), so they split N(R) minus R, and the leaders are exactly
-the least elements of the extensions minus R, in ascending order.  Each
-subgroup is then built once from each of its maximal subgroups, which gives
-two exact identities per ambient (asserted in the tests):
-built_p2 = (p + 1) * |layer 2|, since every order-p**2 group here is
-C_p x C_p; and built_p3 = sum over layer 3 of p**2 + p + 1 for an abelian T
-and p + 1 for a Heisenberg one.
+Leaders.  Each layer step adds the p cosets of one element, so a parent
+R = <g1, g2, ...> is the set product <g1><g2>... of its generators.  The
+extensions R<y>, y in N(R) - R, meet pairwise in R (each has index p over
+it), so they split N(R) - R, and each is named by its leader min(E - R).
+R0's leaders come from one vectorized pass over N(R0): the coset label
+label(y) = min(R0 y) is folded over the generators, the leader of <R0, y> is
+the least label(y^k), k = 1..p-1, and the leaders are the y outside R0 that
+are their own leader.  Every parent of the class builds each extension as
+its p - 1 cosets outside R, unsorted, and reads the leader as their minimum.
+A class is built in one batch: |G| / |N| parents with
+(|N| - |R|) / ((p - 1) |R|) extensions of (p - 1) |R| codes each, fewer than
+|G| codes in all (117,649 at p=7).
 
-Every parent of a class reads its leaders off its sorted extension rows, with
-no covered mask.  An extension E of R contains R, so R's members below
-min(E - R) open the sorted row of E: the leader sits at the first position
-where E[:|R|] differs from R, or at E[|R|] if there is none.  A class is
-built in one batch: |G| / |N| parents with (|N| - |R|) / ((p - 1) |R|)
-extensions of p |R| members each, fewer than |G| p / (p - 1) codes (about
-137k at p=7).  A child is ranked by (parent index, leader) of its first
-occurrence, and the layer is sorted by that rank at the end: the order of
-the parent-by-parent, element-by-element walk.  So the layers, their order
-and their generators do not depend on the shortcuts.
+Canonical parents.  A subgroup of order p**2 or p**3 is built once from
+each of its maximal subgroups, which gives two exact identities per ambient
+(asserted in the tests): built_p2 = (p + 1) * |layer 2|, since every
+order-p**2 group here is C_p x C_p; and built_p3 = sum over layer 3 of
+p**2 + p + 1 for an abelian T and p + 1 for a Heisenberg one.  A built child
+E is kept only from its canonical parent, the maximal subgroup of E that
+comes first in the parent layer (McKay's canonical augmentation), with rank
+(parent index, leader); the layer is put in rank order.  That is the order
+of first occurrence in a parent-by-parent, leader-by-leader walk, so the
+layers, their order and their generators do not depend on the shortcuts,
+and only the kept children are sorted.  The test reads no child's sorted
+row:
+
+  Lines.  Layer 1 lists the order-p subgroups, the lines, by least
+  non-identity member, and line(z) is the index of <z>.  The least line
+  of a subgroup H is the line of min(H - 1); call its index a(H).  A child
+  Q of order p**2 is kept from its least line L, with leader
+  b(Q) = min(Q - L), so layer 2 is in order of (a(Q), b(Q)).
+
+  Order p**2.  The maximal subgroups of E are its lines, and the first is
+  the line of min(E - 1).  So R is canonical iff min(E - 1) lies in R, that
+  is iff min(R - 1) < min(E - R).
+
+  Order p**3.  Let L* be the least line of E, a* its index, and
+  m = min(E - L*).  Every maximal Q of E has a(Q) >= a*, with equality iff
+  Q contains L*, and some maximal subgroup does, so the canonical parent
+  contains L*: a(R) = a*, that is min(R - 1) < min(E - R) as above.  Two
+  maximal subgroups containing L* meet in L*, since their intersection
+  contains L* and is proper in each, of order p**2; so their sets Q - L*
+  are disjoint.  Each such Q has order p**2, is abelian and normalizes
+  L*, and for z in N_E(L*) - L* the group L*<z> is such a Q; so the sets
+  Q - L* split N_E(L*) - L*.  If N_E(L*) = E, the Q containing m has b(Q) = m, the
+  least, and R is canonical iff m lies in R.  Otherwise N_E(L*) is proper,
+  so of order p**2 (normalizers grow in a p-group), and it is the only
+  maximal subgroup containing L*; R contains L* and is abelian, so
+  R = N_E(L*) is canonical, and m normalizes L* only if m lies in R.  In
+  both cases R is canonical iff a(R) = a* and (m lies in R or m does not
+  normalize L*).  With L* = <s>, s = min(R - 1), m lies in R iff
+  min(R - L*) < min(E - R); otherwise m = min(E - R), and m normalizes L*
+  iff line(m s m^-1) = a*.
 
 Each subgroup is a sorted row of global holomorph codes.  The ambients'
 rows are merged by `tables.distinct_rows`, so subgroups shared between
@@ -80,7 +112,7 @@ import numpy as np
 
 from .group_core import validate_prime
 from .subgroups import GroupType
-from .tables import aut_table, distinct_rows, m1_table
+from .tables import aut_table, distinct_rows, m1_table, row_view
 
 __all__ = [
     "AmbientScan",
@@ -89,12 +121,6 @@ __all__ = [
 ]
 
 DEFAULT_ORACLE_BUDGET = 5
-
-
-def _row_view(rows: np.ndarray) -> np.ndarray:
-    """A C-contiguous 2-D array as one opaque scalar per row, which sorts,
-    searches and compares as bytes; tolist() gives the bytes."""
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,19 +257,30 @@ class AmbientScan:
 
     # -- layers ---------------------------------------------------------------
 
-    def order_p_subgroups(self) -> np.ndarray:
-        """(count, p) sorted member rows, one per subgroup of order p."""
-        everyone = np.arange(self.size, dtype=np.int64)
-        nonid = everyone[everyone != self.id_code]
-        reps = nonid.copy()
+    @cached_property
+    def line(self) -> np.ndarray:
+        """line[z] is the layer-1 index of <z> as int32, -1 at the identity.
+        Layer 1 lists the order-p subgroups by their least non-identity
+        member, so the least line of a subgroup is the line of its least
+        non-identity member."""
+        least = self.POW[1].copy()
         for k in range(2, self.p):
-            np.minimum(reps, self.POW[k][nonid], out=reps)
-        reps = np.unique(reps)
-        rows = self.POW[:, reps].T.copy()
-        rows.sort(axis=1)
-        expected = (self.size - 1) // (self.p - 1)
-        if len(rows) != expected:
+            np.minimum(least, self.POW[k], out=least)
+        least[self.id_code] = -1
+        return (np.unique(least, return_inverse=True)[1] - 1).astype(np.int32)
+
+    def order_p_subgroups(self) -> np.ndarray:
+        """(count, p) sorted member rows, one per subgroup of order p, in
+        ascending order of least non-identity member."""
+        p = self.p
+        if int(self.line.max()) + 1 != (self.size - 1) // (p - 1):
             raise AssertionError("order-p subgroup count off")
+        # a stable sort lists each line's p - 1 non-identity members together,
+        # after the identity's -1
+        rows = np.empty(((self.size - 1) // (p - 1), p), dtype=np.int64)
+        rows[:, 0] = self.id_code
+        rows[:, 1:] = np.argsort(self.line, kind="stable")[1:].reshape(-1, p - 1)
+        rows.sort(axis=1)
         return rows
 
     def order_p2_subgroups(
@@ -299,14 +336,14 @@ class AmbientScan:
         order, so it is closed under conjugation.
         """
         n = len(rows)
-        keys = _row_view(rows)
+        keys = row_view(rows)
         order = np.argsort(keys)
         everyone = np.arange(self.size, dtype=np.int64)
         steps = []  # steps[k][i]: the index of z_k rows[i] z_k^-1
         for z in self.generators:
             conj = self.conj(z, everyone)[rows]
             conj.sort(axis=1)
-            found = _row_view(conj)
+            found = row_view(conj)
             at = order[np.minimum(np.searchsorted(keys, found, sorter=order), n - 1)]
             if not np.array_equal(keys[at], found):
                 raise AssertionError("layer is not closed under conjugation")
@@ -354,58 +391,73 @@ class AmbientScan:
             normal &= in_row[self.conj_all(g, bs)]
         return (self._n_parts[:, None] * self.AL + bs)[normal]
 
-    def _walk(self, row: np.ndarray, normalizer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(leaders, sorted member rows) of the extensions <row, y>, y in the
-        row's ascending normalizer, in ascending leader order.
+    def _leaders(
+        self, row: np.ndarray, gens: tuple[int, ...], normalizer: np.ndarray, pos: np.ndarray
+    ) -> np.ndarray:
+        """Ascending leaders min(E - R) of the extensions E = <R, y> of the
+        subgroup R = row = <gens>, y in R's ascending normalizer.
 
-        Each step takes the least normalizer element not yet covered by the
-        row or an earlier extension, builds the p cosets of the row it
-        generates (the ambient has exponent p) and marks them covered.  The
-        marks are kept on the ascending normalizer, so the next leader is
-        the first unmarked one after this one.
+        Each layer step adds the p cosets of one element, so R is the set
+        product <g1><g2>...  of its generators in order.  The coset label
+        label(y) = min(R y) is folded over them: after g1..gj it is
+        min(<g1>...<gj> y), and folding in g replaces label(y) by the least
+        label(g^i y), i = 0..p-1.  E - R is the union of the cosets R y^k,
+        k = 1..p-1, so the leader of <R, y> is the least label(y^k).  Every
+        y outside R is in exactly one extension, the leader of an extension
+        is its own, and R y = R only for y in R (label min(R) = row[0]): the
+        leaders are the y outside R that are their own leader.  pos is a
+        |G| buffer; only the normalizer's entries are written and read.
         """
-        left = np.ones(len(normalizer), dtype=bool)
-        left[np.searchsorted(normalizer, row)] = False
-        leaders, members = [], []
-        at = int(left.argmax())
-        while left[at]:
-            ext = self.mul(row, self.POW[:, normalizer[at], None]).ravel()
-            ext.sort()
-            left[np.searchsorted(normalizer, ext)] = False
-            leaders.append(normalizer[at])
-            members.append(ext)
-            at += int(left[at:].argmax())
-        shape = (len(leaders), self.p * len(row))
-        return np.array(leaders, dtype=np.int64), np.array(members, dtype=np.int64).reshape(shape)
+        pos[normalizer] = np.arange(len(normalizer))
+        label = normalizer
+        for g in gens:
+            prev, label = label, label.copy()
+            for i in range(1, self.p):
+                np.minimum(label, prev[pos[self.mul(self.POW[i, g], normalizer)]], out=label)
+        lead = label[pos[self.POW[1, normalizer]]]
+        for k in range(2, self.p):
+            np.minimum(lead, label[pos[self.POW[k, normalizer]]], out=lead)
+        return normalizer[(label != row[0]) & (lead == normalizer)]
 
-    def _class_extensions(self, parents: list[tuple[np.ndarray, tuple[int, ...]]]):
-        """Yield per conjugacy class of the parents (index, leaders, members):
-        with k = leaders.shape[1], row j * k + e of members is the e-th
-        extension of parent index[j], sorted, and leaders[j, e] is its least
-        element outside that parent.
+    def _class_extensions(
+        self, rows: np.ndarray, parents: list[tuple[np.ndarray, tuple[int, ...]]]
+    ):
+        """Yield per conjugacy class of the parents (index, leaders, blocks):
+        blocks[j, e] holds the p - 1 cosets of parent R = rows[index[j]]
+        outside R, unsorted, that make its e-th extension, and leaders[j, e]
+        is their least element.
 
-        Only the class's first parent R0 is walked; a parent R = g R0 g^-1
-        gets g E g^-1 = R<g y g^-1> for each extension E = R0<y> of R0,
-        built as p cosets of R.  Those rows meet R in R, so R's least
-        members open a sorted row up to its leader, which sits at the first
-        position where the row differs from R, or right after R if there is
-        none.
+        Only the class's first parent R0 gets a normalizer sweep; a parent
+        R = g R0 g^-1 gets g E g^-1 = R<g y g^-1> for each extension
+        E = R0<y> of R0, built as the cosets R (g y g^-1)^k, k = 1..p-1.
         """
-        rows = np.array([row for row, _ in parents])
         rep, g = self._classes(rows)
         order = np.argsort(rep, kind="stable")  # a class's first parent leads it
+        pos = np.empty(self.size, dtype=np.int64)
         for index in np.split(order, np.flatnonzero(np.diff(rep[order])) + 1):
             row, gens = parents[index[0]]
-            leads, _ = self._walk(row, self._normalizer(row, gens))
+            leads = self._leaders(row, gens, self._normalizer(row, gens), pos)
             y = self.conj(g[index, None], leads)
-            powers = np.moveaxis(self.POW[:, y], 0, -1)[..., None]
-            members = self.mul(rows[index, None, None, :], powers)
-            members = members.reshape(len(index), len(leads), -1)
-            members.sort(axis=2)
-            differs = members[:, :, : rows.shape[1]] != rows[index, None, :]
-            at = np.where(differs.any(axis=2), differs.argmax(axis=2), rows.shape[1])
-            leaders = np.take_along_axis(members, at[:, :, None], axis=2)[:, :, 0]
-            yield index, leaders, members.reshape(-1, members.shape[2])
+            powers = np.moveaxis(self.POW[1:, y], 0, -1)[..., None]
+            blocks = self.mul(rows[index, None, None, :], powers)
+            blocks = blocks.reshape(len(index), len(leads), -1)
+            yield index, blocks.min(axis=2), blocks
+
+    def _canonical(self, rows: np.ndarray, leaders: np.ndarray) -> np.ndarray:
+        """Mask shaped like leaders: True where parent R = rows[j] is the
+        canonical parent of its child E with leader leaders[j, e] =
+        min(E - R), that is the maximal subgroup of E that comes first in
+        the parents' layer.  The parents are all of order p or all of order
+        p**2; the module docstring proves the test.
+        """
+        s = np.where(rows[:, 0] == self.id_code, rows[:, 1], rows[:, 0])[:, None]
+        keep = s < leaders  # min(E - 1) lies in R
+        if rows.shape[1] > self.p:
+            line = self.line
+            outside = (line[rows] != line[s]) & (rows != self.id_code)
+            b = np.where(outside, rows, self.size).min(axis=1, keepdims=True)
+            keep &= (b < leaders) | (line[self.conj(leaders, s)] != line[s])
+        return keep
 
     def _next_layer(
         self, parents: list[tuple[np.ndarray, tuple[int, ...]]]
@@ -415,24 +467,28 @@ class AmbientScan:
         for the parents (sorted row, gens), y running over the row's
         normalizer.
 
-        A child is ranked by (parent, leader) of its first occurrence and
-        the layer is put in that order at the end.
+        A child is kept from its canonical parent R only, with y its leader
+        min(E - R); the kept children are sorted, and the layer is put in
+        order of (parent index, leader).
         """
-        seen: dict[bytes, tuple[int, tuple[int, ...]]] = {}
+        rows = np.array([row for row, _ in parents])
+        children: list[np.ndarray] = []
+        ranks, layer_gens = [], []
         built = swept = walked = 0
-        for index, leaders, members in self._class_extensions(parents):
+        for index, leaders, blocks in self._class_extensions(rows, parents):
             built += leaders.size
             swept += 1
             walked += leaders.shape[1]
-            owners = np.repeat(index, leaders.shape[1]).tolist()
-            for i, y, key in zip(owners, leaders.ravel().tolist(), _row_view(members).tolist()):
-                rank, first = i * self.size + y, seen.get(key)
-                if first is None or rank < first[0]:
-                    seen[key] = (rank, parents[i][1] + (y,))
-        ranked = sorted(seen.items(), key=lambda item: item[1][0])
-        del seen
-        # each row is read-only over its own key bytes, so no block stays alive
-        layer = [(np.frombuffer(key, dtype=np.int64), gens) for key, (_, gens) in ranked]
+            j, e = np.nonzero(self._canonical(rows[index], leaders))
+            kept = np.concatenate([rows[index[j]], blocks[j, e]], axis=1)
+            kept.sort(axis=1)
+            kept.flags.writeable = False
+            children.extend(kept)  # row views: the kept blocks are the layer
+            owners, y = index[j], leaders[j, e]
+            ranks.append(owners * self.size + y)
+            layer_gens.extend(parents[i][1] + (v,) for i, v in zip(owners.tolist(), y.tolist()))
+        order = np.argsort(np.concatenate(ranks)).tolist()
+        layer = [(children[k], layer_gens[k]) for k in order]
         return layer, built, swept, walked
 
     # -- classification -------------------------------------------------------

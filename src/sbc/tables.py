@@ -29,7 +29,9 @@ from .group_core import half_mod, validate_prime
 from .holomorph import HolElt
 from .subgroups import SubgroupHol, subgroup_from_cosets
 
-__all__ = ["AutTable", "M1Table", "HolCodec", "aut_table", "distinct_rows", "hol_codec", "m1_table"]
+__all__ = [
+    "AutTable", "M1Table", "HolCodec", "aut_table", "distinct_rows", "hol_codec", "m1_table", "row_view",
+]
 
 # Automorphisms per step of the inverse build, so its int64 temporaries stay
 # at 512 kB each whatever the prime (|Aut(M1)| = 1,597,200 at p = 11).
@@ -64,6 +66,12 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     out = rows[first]
     out.flags.writeable = False
     return out, first
+
+
+def row_view(rows: np.ndarray) -> np.ndarray:
+    """A C-contiguous 2-D array as one opaque scalar per row, which sorts,
+    searches and compares as bytes; tolist() gives the bytes."""
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
 class M1Table:

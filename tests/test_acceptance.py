@@ -29,6 +29,7 @@ from sbc.classify import (
     count_report,
     expected_stabilizer_order,
     orbit_union_keys,
+    orbits_match,
     verify_pairwise_nonconjugate,
 )
 from sbc.cli import main
@@ -113,6 +114,7 @@ def test_criterion_4_oracle_equivalence_p5(oracle_p5_scan):
     assert counts == {MUL_TAG: 5900, AB_TAG: 725}
     assert len(oracle_p5.codes) == 5900 + 725  # nothing of any other type
     assert np.array_equal(orbit_union_keys(5), oracle_p5.codes)
+    assert orbits_match(5, oracle_p5.codes)
     assert scan_seconds < 1800.0, f"scan took {scan_seconds:.0f}s"
 
 

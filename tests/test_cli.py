@@ -130,9 +130,10 @@ def test_verify_with_oracle(capsys, oracle_p5):
 def test_verify_compares_oracle_subgroups_not_only_counts(capsys, monkeypatch, oracle_p5):
     assert len(oracle_p5.codes) == 6625
     # the same number of subgroups, one of them swapped for a non-subgroup
-    tampered = cli.orbit_union_keys(5).copy()
+    tampered = oracle_p5.codes.copy()
     tampered[0] = np.arange(125)
-    monkeypatch.setattr(cli, "orbit_union_keys", lambda p: tampered)
+    real = cli.orbits_match
+    monkeypatch.setattr(cli, "orbits_match", lambda p, codes: real(p, tampered))
     code, out = run(capsys, "verify", "--prime", "5")
     assert code == 1
     assert "FAIL  oracle-equivalence" in out

@@ -14,7 +14,7 @@ import pytest
 
 import sbc.classify as classify
 from sbc.automorphisms import alpha1, aut_identity
-from sbc.classify import classification_records, orbit_union_keys
+from sbc.classify import classification_records, orbit_union_keys, orbits_match
 from sbc.families import all_representatives, trivial_subgroup
 from sbc.group_core import M1Elt
 from sbc.holomorph import HolElt
@@ -221,3 +221,17 @@ def test_orbit_union_rejects_overlapping_orbits(reps, monkeypatch) -> None:
     monkeypatch.setattr(classify, "all_representatives", lambda p: reps + reps[7:8])
     with pytest.raises(AssertionError, match="orbits overlap"):
         orbit_union_keys(P)
+
+
+def test_orbit_lookup_matches_orbit_union(reps, monkeypatch) -> None:
+    union = orbit_union_keys(P)
+    assert orbits_match(P, union)
+    swapped = union.copy()
+    swapped[0] = np.arange(P**3)  # a row that is no orbit member
+    assert not orbits_match(P, swapped)  # one orbit row is not found
+    assert not orbits_match(P, union[1:])  # one orbit row is missing
+    assert not orbits_match(P, np.concatenate([swapped[:1], union]))  # one row is in no orbit
+    # a representative listed twice makes two orbits coincide: every row is
+    # found, but the orbit sizes add up to more than the rows
+    monkeypatch.setattr(classify, "all_representatives", lambda p: reps + reps[7:8])
+    assert not orbits_match(P, union)

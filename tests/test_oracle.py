@@ -114,25 +114,55 @@ def _order_p_parents(scan, layer1):
     return [(row, (int(row[0]) if row[0] != scan.id_code else int(row[1]),)) for row in layer1]
 
 
+def _walk(scan, row, normalizer):
+    """(leaders, sorted member rows) of the extensions <row, y>, y in the
+    row's ascending normalizer, in ascending leader order: the slow walk
+    that `AmbientScan._leaders` replaces.
+
+    Each step takes the least normalizer element not yet covered by the row
+    or an earlier extension, builds the p cosets of the row it generates
+    and marks them covered.
+    """
+    left = np.ones(len(normalizer), dtype=bool)
+    left[np.searchsorted(normalizer, row)] = False
+    leaders, members = [], []
+    at = int(left.argmax())
+    while left[at]:
+        ext = scan.mul(row, scan.POW[:, normalizer[at], None]).ravel()
+        ext.sort()
+        left[np.searchsorted(normalizer, ext)] = False
+        leaders.append(normalizer[at])
+        members.append(ext)
+        at += int(left[at:].argmax())
+    shape = (len(leaders), scan.p * len(row))
+    return np.array(leaders, dtype=np.int64), np.array(members, dtype=np.int64).reshape(shape)
+
+
 def _check_class_extensions(scan, parents):
     """The extensions and leaders the layer step gives every parent equal
-    that parent's own walk, and the walk splits the parent's own direct
-    normalizer.  Returns (class count, extensions walked)."""
+    that parent's own walk, the walk splits the parent's own direct
+    normalizer, and each class representative's leaders equal its walk's.
+    Returns (class count, extensions walked)."""
     rows = np.array([row for row, _ in parents])
     rep, g = scan._classes(rows)
     for i, r in enumerate(rep):
         assert np.array_equal(np.sort(scan.conj(g[i], rows[r])), rows[i])
     assigned, walked = {}, 0
-    for index, leaders, members in scan._class_extensions(parents):
+    for index, leaders, blocks in scan._class_extensions(rows, parents):
         k = leaders.shape[1]
         walked += k
         for j, i in enumerate(index.tolist()):
-            assigned[i] = (leaders[j], members[j * k : (j + 1) * k])
+            members = np.concatenate([np.broadcast_to(rows[i], (k, rows.shape[1])), blocks[j]], axis=1)
+            members.sort(axis=1)
+            assigned[i] = (leaders[j], members)
     assert sorted(assigned) == list(range(len(parents)))
     orders = 0
+    pos = np.empty(scan.size, dtype=np.int64)
     for i, (row, gens) in enumerate(parents):
         normalizer = scan._normalizer(row, gens)
-        want_leaders, want_members = scan._walk(row, normalizer)
+        want_leaders, want_members = _walk(scan, row, normalizer)
+        if rep[i] == i:
+            assert np.array_equal(scan._leaders(row, gens, normalizer, pos), want_leaders)
         leaders, members = assigned[i]
         by_leader = np.argsort(leaders)
         assert np.array_equal(leaders[by_leader], want_leaders)
@@ -145,6 +175,25 @@ def _check_class_extensions(scan, parents):
     classes = len(np.unique(rep))
     assert orders == classes * scan.size
     return classes, walked
+
+
+def _check_canonical_parents(scan, parents):
+    """The children the layer step keeps are exactly the first occurrences,
+    by (parent index, leader), among all the children it builds, each kept
+    once.  Returns the number of distinct children."""
+    rows = np.array([row for row, _ in parents])
+    first, kept = {}, []
+    for index, leaders, blocks in scan._class_extensions(rows, parents):
+        keep = scan._canonical(rows[index], leaders)
+        for j, i in enumerate(index.tolist()):
+            for e, y in enumerate(leaders[j].tolist()):
+                key = np.sort(np.concatenate([rows[i], blocks[j, e]])).tobytes()
+                if key not in first or (i, y) < first[key]:
+                    first[key] = (i, y)
+                if keep[j, e]:
+                    kept.append((i, y))
+    assert sorted(kept) == sorted(first.values())
+    return len(first)
 
 
 def _generated_order(scan, gens):
@@ -186,6 +235,19 @@ def test_class_extensions_match_own_walks(which, request):
     got = _check_class_extensions(scan, _order_p_parents(scan, layer1))
     assert got == (scan.swept_p2, scan.walked_p2)
     assert _check_class_extensions(scan, layer2) == (scan.swept_p3, scan.walked_p3)
+
+
+@pytest.mark.parametrize("which", ["sylow_scan", "small_ambient", "m1_scan"])
+def test_each_child_is_kept_from_its_first_parent_only(which, request):
+    scan = request.getfixturevalue(which)
+    if which == "sylow_scan":
+        scan, layer1, layer2, layer3 = scan
+    else:
+        layer1 = scan.order_p_subgroups()
+        layer2 = scan.order_p2_subgroups(layer1)
+        layer3 = scan.order_p3_subgroups(layer2)
+    assert _check_canonical_parents(scan, _order_p_parents(scan, layer1)) == len(layer2)
+    assert _check_canonical_parents(scan, layer2) == len(layer3)
 
 
 def test_class_walk_refuses_a_layer_not_closed_under_conjugation(sylow_scan):
@@ -263,7 +325,7 @@ def test_sylow_ambient_builds_each_subgroup_once_per_maximal(sylow_scan):
 
 
 def test_sylow_ambient_p7_counts_within_budget():
-    # One of the eight p=7 ambients, start to finish.  About 4-6 s on a
+    # One of the eight p=7 ambients, start to finish.  About 3-4 s on a
     # 2-vCPU VM whose speed drifts up to 2x; the budget allows for that.
     p = 7
     t0 = time.perf_counter()

@@ -27,7 +27,7 @@ from .skewbrace import annihilator_indices, brace_from_codes, socle_indices
 # perfbench/selfcheck.py checks that tracing patches this imported binding
 from .skewbrace import brace_from_subgroup  # noqa: F401
 from .subgroups import GroupType
-from .tables import distinct_rows, hol_codec, row_view
+from .tables import distinct_rows, hol_codec, row_lookup
 
 __all__ = [
     "ClassificationRecord",
@@ -297,13 +297,11 @@ def orbits_match(p: int, codes: np.ndarray) -> bool:
     """
     reps = all_representatives(p)
     transversals = [_coset_transversal(rep) for rep in reps]
-    keys = row_view(np.ascontiguousarray(codes))
-    order = np.argsort(keys)
+    find = row_lookup(codes)
     found = np.zeros(len(codes), dtype=bool)
     for chunk in _orbit_rows(p, reps, transversals):
-        probe = row_view(np.ascontiguousarray(chunk))
-        at = order[np.minimum(np.searchsorted(keys, probe, sorter=order), len(keys) - 1)]
-        if not np.array_equal(keys[at], probe):
+        at, hit = find(chunk)
+        if not hit.all():
             return False
         found[at] = True
     return sum(map(len, transversals)) == len(codes) and bool(found.all())

@@ -382,16 +382,11 @@ def cmd_verify(args) -> int:
         except Exception as exc:  # noqa: BLE001 - report any failure in the matrix
             results.append((name, False, str(exc)))
     all_pass = all(ok for _, ok, _ in results)
+    rows = [{"name": n, "status": "pass" if ok else "fail", "detail": msg} for n, ok, msg in results]
     if args.format == "json":
-        payload = {
-            "p": p,
-            "checks": [
-                {"name": n, "status": "pass" if ok else "fail", "detail": msg}
-                for n, ok, msg in results
-            ],
-            "all_pass": all_pass,
-        }
-        text = _json_text(payload)
+        text = _json_text({"p": p, "checks": rows, "all_pass": all_pass})
+    elif args.format == "csv":
+        text = _csv_text(rows, ["name", "status", "detail"])
     else:
         width = max(len(n) for n, _, _ in results)
         lines = [

@@ -4,27 +4,28 @@ Independent of the family formulas: every order-p**3 subgroup of Hol(M1) has
 its automorphism image inside a Sylow p-subgroup of Aut(M1) (those are the
 preimages of the GL2 Sylows, since the inner C_p x C_p is a normal
 p-subgroup), so it lies in one of the p + 1 ambients M1 x| A of order p**6.
-Each ambient is scanned by a layered lattice walk:
+Each ambient is scanned by a layered lattice walk, all three layers by one
+step from the trivial group: extend each parent R of the layer below by the
+y that normalize it.
 
-  order p    every non-identity element generates one (the ambient has
-             exponent p, which is asserted, not assumed);
+  order p    <y> for every y but the identity, whose normalizer is the
+             whole ambient (which has exponent p, asserted, not assumed);
   order p**2 spans <s, x> with x in the normalizer of <s>;
   order p**3 spans T<x> with x in the normalizer of T (T is maximal, hence
              normal, in any overgroup of order p**3).
 
-The two upper layers are one step: extend a parent R by the y that
-normalize it.  For a parent <s> of order p that is the centralizer of s:
+For a parent <s> of order p the normalizer is the centralizer of s:
 N(<s>)/C(s) embeds in Aut(C_p), of order p - 1, and is a p-group (both the
 ambient and its A are), so it is trivial.
 
 One walk per conjugacy class.  Each layer is the complete set of subgroups
-of its order: every order-p subgroup is found, and a subgroup of order p**2
-or p**3 is <R, y> for any maximal subgroup R of it (maximal subgroups of a
-p-group are normal) and any y outside R.  Conjugation keeps the order, so a
-layer is closed under conjugation by the ambient G.  The parents of a layer
-are split into classes by a breadth-first walk: a small generating set of G
-is chosen greedily, and for a parent R and a generator z the sorted row of
-z R z^-1 is looked up in the layer.  That records for every parent a
+of its order: a subgroup of order p, p**2 or p**3 is <R, y> for any maximal
+subgroup R of it (maximal subgroups of a p-group are normal) and any y
+outside R.  Conjugation keeps the order, so a layer is closed under
+conjugation by the ambient G.  The parents of a layer are split into
+classes by a breadth-first walk: a small generating set of G is chosen
+greedily, and for a parent R and a generator z the sorted row of z R z^-1
+is looked up in the layer.  That records for every parent a
 representative R0 (the first parent of its class) and a g with
 R = g R0 g^-1; a failed lookup is an AssertionError.  Only R0 gets the
 direct normalizer sweep and the leader pass below.  Since N(g R0 g^-1) =
@@ -56,11 +57,11 @@ A class is built in one batch: |G| / |N| parents with
 (|N| - |R|) / ((p - 1) |R|) extensions of (p - 1) |R| codes each, fewer than
 |G| codes in all (117,649 at p=7).
 
-Canonical parents.  A subgroup of order p**2 or p**3 is built once from
-each of its maximal subgroups, which gives two exact identities per ambient
-(asserted in the tests): built_p2 = (p + 1) * |layer 2|, since every
-order-p**2 group here is C_p x C_p; and built_p3 = sum over layer 3 of
-p**2 + p + 1 for an abelian T and p + 1 for a Heisenberg one.  A built child
+Canonical parents.  A subgroup is built once from each of its maximal
+subgroups, which gives two exact identities per ambient (asserted in the
+tests): built_p2 = (p + 1) * |layer 2|, since every order-p**2 group here
+is C_p x C_p; and built_p3 = sum over layer 3 of p**2 + p + 1 for an
+abelian T and p + 1 for a Heisenberg one.  A built child
 E is kept only from its canonical parent, the maximal subgroup of E that
 comes first in the parent layer (McKay's canonical augmentation), with rank
 (parent index, leader); the layer is put in rank order.  That is the order
@@ -69,11 +70,13 @@ layers, their order and their generators do not depend on the shortcuts,
 and only the kept children are sorted.  The test reads no child's sorted
 row:
 
-  Lines.  Layer 1 lists the order-p subgroups, the lines, by least
-  non-identity member, and line(z) is the index of <z>.  The least line
-  of a subgroup H is the line of min(H - 1); call its index a(H).  A child
-  Q of order p**2 is kept from its least line L, with leader
-  b(Q) = min(Q - L), so layer 2 is in order of (a(Q), b(Q)).
+  Lines.  An order-p subgroup, a line, has one maximal subgroup, the
+  trivial group, so each line <z> is kept, with leader min(<z> - 1).
+  Layer 1 lists the lines in that order, and for z, z' other than the
+  identity <z> = <z'> iff min(<z> - 1) = min(<z'> - 1).  The least line of
+  a subgroup H is <min(H - 1)>; call its index a(H).  A child Q of order
+  p**2 is kept from its least line L, with leader b(Q) = min(Q - L), so
+  layer 2 is in order of (a(Q), b(Q)).
 
   Order p**2.  The maximal subgroups of E are its lines, and the first is
   the line of min(E - 1).  So R is canonical iff min(E - 1) lies in R, that
@@ -95,7 +98,7 @@ row:
   both cases R is canonical iff a(R) = a* and (m lies in R or m does not
   normalize L*).  With L* = <s>, s = min(R - 1), m lies in R iff
   min(R - L*) < min(E - R); otherwise m = min(E - R), and m normalizes L*
-  iff line(m s m^-1) = a*.
+  iff min(<m s m^-1> - 1) = min(<s> - 1).
 
 Each subgroup is a sorted row of global holomorph codes.  The ambients'
 rows are merged by `tables.distinct_rows`, so subgroups shared between
@@ -112,7 +115,7 @@ import numpy as np
 
 from .group_core import validate_prime
 from .subgroups import GroupType
-from .tables import aut_table, distinct_rows, m1_table, row_view
+from .tables import aut_table, distinct_rows, m1_table, row_lookup
 
 __all__ = [
     "AmbientScan",
@@ -181,18 +184,16 @@ class AmbientScan:
         self.LOC_COMP = pos[comp]
         if np.any(self.LOC_COMP < 0):
             raise AssertionError("automorphism subset is not closed")
-        self.LOC_INV = pos[aut.INV[self.aut_global]]
-        self.M1MUL = m1.MUL.astype(np.int64)
-        self.M1INV = m1.INV.astype(np.int64)
+        m1_mul = m1.MUL.astype(np.int64)
         self.size = p**3 * self.AL
         self.id_code = 0 * self.AL + int(pos[aut.identity])
         # Conjugation tables (see conj_all), each |A| x p**3 or smaller:
         # AUT_CONJ[b, a] = b a b^-1, MUL_BY[v, m] = (m v) * p**3,
         # INV_IMAGE[c, m] = c(m^-1), and MUL_FLAT[u * p**3 + v] = (u v) * |A|.
-        self.AUT_CONJ = self.LOC_COMP[self.LOC_COMP, self.LOC_INV[:, None]]
-        self.MUL_BY = np.ascontiguousarray(self.M1MUL.T) * p**3
-        self.INV_IMAGE = np.ascontiguousarray(self.LOC_APPLY[:, self.M1INV])
-        self.MUL_FLAT = (self.M1MUL * self.AL).ravel()
+        self.AUT_CONJ = self.LOC_COMP[self.LOC_COMP, pos[aut.INV[self.aut_global]][:, None]]
+        self.MUL_BY = np.ascontiguousarray(m1_mul.T) * p**3
+        self.INV_IMAGE = np.ascontiguousarray(self.LOC_APPLY[:, m1.INV])
+        self.MUL_FLAT = (m1_mul * self.AL).ravel()
         self._n_parts = np.arange(p**3, dtype=np.int64)
         # POW[k, g] = g^k for k = 0..p-1; the ambient must have exponent p.
         everyone = np.arange(self.size, dtype=np.int64)
@@ -202,6 +203,9 @@ class AmbientScan:
         if not np.all(self.mul(pows[-1], everyone) == self.id_code):
             raise AssertionError("ambient exponent is not p")
         self.POW = np.stack(pows)
+        # LEAST[z] = min(<z> - 1) names the line <z>, for z not the identity
+        self.LEAST = self.POW[1:].min(axis=0)
+        self.LEAST.flags.writeable = False
         self.built_p2 = self.built_p3 = 0
         self.swept_p2 = self.swept_p3 = 0
         self.walked_p2 = self.walked_p3 = 0
@@ -214,17 +218,14 @@ class AmbientScan:
         n1, a1 = np.divmod(np.asarray(c1), self.AL)
         n2, a2 = np.divmod(np.asarray(c2), self.AL)
         image = np.take(self.LOC_APPLY, a1 * self.p**3 + n2)
-        out = np.take(self.M1MUL, n1 * self.p**3 + image)
-        return out * self.AL + np.take(self.LOC_COMP, a1 * self.AL + a2)
-
-    def inv(self, c: np.ndarray) -> np.ndarray:
-        n, a = np.divmod(np.asarray(c), self.AL)
-        ai = self.LOC_INV[a]
-        return self.LOC_APPLY[ai, self.M1INV[n]] * self.AL + ai
+        out = np.take(self.MUL_FLAT, n1 * self.p**3 + image)
+        out += np.take(self.LOC_COMP, a1 * self.AL + a2)
+        return out
 
     def conj(self, g: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Codes of g c g^-1, elementwise."""
-        return self.mul(self.mul(g, c), self.inv(g))
+        """Codes of g c g^-1, elementwise; g^-1 = g^(p-1) since the ambient
+        has exponent p."""
+        return self.mul(self.mul(g, c), self.POW[self.p - 1, g])
 
     def to_global(self, codes) -> np.ndarray:
         """Global codes of a block of sorted regular rows of local codes,
@@ -257,42 +258,20 @@ class AmbientScan:
 
     # -- layers ---------------------------------------------------------------
 
-    @cached_property
-    def line(self) -> np.ndarray:
-        """line[z] is the layer-1 index of <z> as int32, -1 at the identity.
-        Layer 1 lists the order-p subgroups by their least non-identity
-        member, so the least line of a subgroup is the line of its least
-        non-identity member."""
-        least = self.POW[1].copy()
-        for k in range(2, self.p):
-            np.minimum(least, self.POW[k], out=least)
-        least[self.id_code] = -1
-        return (np.unique(least, return_inverse=True)[1] - 1).astype(np.int32)
-
-    def order_p_subgroups(self) -> np.ndarray:
-        """(count, p) sorted member rows, one per subgroup of order p, in
-        ascending order of least non-identity member."""
-        p = self.p
-        if int(self.line.max()) + 1 != (self.size - 1) // (p - 1):
+    def order_p_subgroups(self) -> list[tuple[np.ndarray, tuple[int]]]:
+        """List of (sorted member row, generator (s,)), one per subgroup of
+        order p, in ascending order of s, its least non-identity member."""
+        trivial = [(np.array([self.id_code], dtype=np.int64), ())]
+        layer1 = self._next_layer(trivial)[0]
+        if len(layer1) != (self.size - 1) // (self.p - 1):
             raise AssertionError("order-p subgroup count off")
-        # a stable sort lists each line's p - 1 non-identity members together,
-        # after the identity's -1
-        rows = np.empty(((self.size - 1) // (p - 1), p), dtype=np.int64)
-        rows[:, 0] = self.id_code
-        rows[:, 1:] = np.argsort(self.line, kind="stable")[1:].reshape(-1, p - 1)
-        rows.sort(axis=1)
-        return rows
+        return layer1
 
     def order_p2_subgroups(
-        self, layer1: np.ndarray
+        self, layer1: list[tuple[np.ndarray, tuple[int]]]
     ) -> list[tuple[np.ndarray, tuple[int, int]]]:
-        """List of (sorted member row, generating pair (s, x)); s is the least
-        non-identity member of the order-p parent."""
-        parents = [
-            (row, (int(row[0]) if row[0] != self.id_code else int(row[1]),))
-            for row in layer1
-        ]
-        layer2, self.built_p2, self.swept_p2, self.walked_p2 = self._next_layer(parents)
+        """List of (sorted member row, generating pair (s, x))."""
+        layer2, self.built_p2, self.swept_p2, self.walked_p2 = self._next_layer(layer1)
         return layer2
 
     def order_p3_subgroups(
@@ -336,19 +315,17 @@ class AmbientScan:
         order, so it is closed under conjugation.
         """
         n = len(rows)
-        keys = row_view(rows)
-        order = np.argsort(keys)
+        find = row_lookup(rows)
         everyone = np.arange(self.size, dtype=np.int64)
         steps = []  # steps[k][i]: the index of z_k rows[i] z_k^-1
         for z in self.generators:
             conj = self.conj(z, everyone)[rows]
             conj.sort(axis=1)
-            found = row_view(conj)
-            at = order[np.minimum(np.searchsorted(keys, found, sorter=order), n - 1)]
-            if not np.array_equal(keys[at], found):
+            at, found = find(conj)
+            if not found.all():
                 raise AssertionError("layer is not closed under conjugation")
             steps.append(at.tolist())
-        del order, conj, found
+        del find, conj
         rep, pred, via, depth = [-1] * n, [0] * n, [0] * n, [0] * n
         queue: list[int] = []
         head = 0
@@ -375,19 +352,20 @@ class AmbientScan:
 
     def _normalizer(self, row: np.ndarray, gens: tuple[int, ...]) -> np.ndarray:
         """Ascending codes of the normalizer of the subgroup row = <gens>."""
-        # y normalizes the row iff it conjugates every generator into it,
-        # so the automorphism parts b a b^-1 of the conjugates must lie
-        # in the row's projection to A; that settles b before any M1 work.
+        # y normalizes the row iff it conjugates every generator into it
+        # (every y does when there is none), so the automorphism parts
+        # b a b^-1 of the conjugates must lie in the row's projection to A;
+        # that settles b before any M1 work.
         in_proj = np.zeros(self.AL, dtype=bool)
         in_proj[row % self.AL] = True
-        keep = in_proj[self.AUT_CONJ[:, gens[0] % self.AL]]
-        for g in gens[1:]:
+        keep = np.ones(self.AL, dtype=bool)
+        for g in gens:
             keep &= in_proj[self.AUT_CONJ[:, g % self.AL]]
         bs = np.flatnonzero(keep)
         in_row = np.zeros(self.size, dtype=bool)
         in_row[row] = True
-        normal = in_row[self.conj_all(gens[0], bs)]
-        for g in gens[1:]:
+        normal = np.ones((self.p**3, len(bs)), dtype=bool)
+        for g in gens:
             normal &= in_row[self.conj_all(g, bs)]
         return (self._n_parts[:, None] * self.AL + bs)[normal]
 
@@ -447,16 +425,18 @@ class AmbientScan:
         """Mask shaped like leaders: True where parent R = rows[j] is the
         canonical parent of its child E with leader leaders[j, e] =
         min(E - R), that is the maximal subgroup of E that comes first in
-        the parents' layer.  The parents are all of order p or all of order
-        p**2; the module docstring proves the test.
+        the parents' layer.  The parents are all of order 1, all of order p
+        or all of order p**2; the module docstring proves the test.
         """
+        if rows.shape[1] == 1:  # an order-p group has one maximal subgroup
+            return np.ones(leaders.shape, dtype=bool)
         s = np.where(rows[:, 0] == self.id_code, rows[:, 1], rows[:, 0])[:, None]
         keep = s < leaders  # min(E - 1) lies in R
         if rows.shape[1] > self.p:
-            line = self.line
-            outside = (line[rows] != line[s]) & (rows != self.id_code)
+            least = self.LEAST
+            outside = (least[rows] != least[s]) & (rows != self.id_code)
             b = np.where(outside, rows, self.size).min(axis=1, keepdims=True)
-            keep &= (b < leaders) | (line[self.conj(leaders, s)] != line[s])
+            keep &= (b < leaders) | (least[self.conj(leaders, s)] != least[s])
         return keep
 
     def _next_layer(

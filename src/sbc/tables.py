@@ -30,7 +30,7 @@ from .holomorph import HolElt
 from .subgroups import SubgroupHol, subgroup_from_cosets
 
 __all__ = [
-    "AutTable", "M1Table", "HolCodec", "aut_table", "distinct_rows", "hol_codec", "m1_table", "row_view",
+    "AutTable", "M1Table", "HolCodec", "aut_table", "distinct_rows", "hol_codec", "m1_table", "row_lookup",
 ]
 
 # Automorphisms per step of the inverse build, so its int64 temporaries stay
@@ -68,10 +68,26 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, first
 
 
-def row_view(rows: np.ndarray) -> np.ndarray:
-    """A C-contiguous 2-D array as one opaque scalar per row, which sorts,
-    searches and compares as bytes; tolist() gives the bytes."""
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+def row_lookup(rows: np.ndarray):
+    """Lookup in a set of distinct rows, sorted once for many probes.
+
+    The returned function maps a block of probe rows, of the set's width and
+    dtype, to (at, found): found[i] says whether probe i is a row of the set,
+    and then rows[at[i]] is that row.
+    """
+    # each row as one opaque scalar, which sorts, searches and compares as bytes
+    key = np.dtype((np.void, rows.shape[1] * rows.itemsize))
+    keys = np.ascontiguousarray(rows).view(key).ravel()
+    order = np.argsort(keys)
+
+    def find(probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        probe = np.ascontiguousarray(probes).view(key).ravel()
+        if not len(keys):
+            return np.zeros(len(probe), dtype=np.int64), np.zeros(len(probe), dtype=bool)
+        at = order[np.minimum(np.searchsorted(keys, probe, sorter=order), len(keys) - 1)]
+        return at, keys[at] == probe
+
+    return find
 
 
 class M1Table:

@@ -162,6 +162,18 @@ def test_verify_reports_injected_failure(capsys, monkeypatch):
     assert out.strip().split("\n")[-1] == "all checks passed: False"
 
 
+def test_verify_csv_lists_each_check(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "expected_stabilizer_order", lambda rep_id, p: 999)
+    code, out = run(capsys, "verify", "--prime", "5", "--oracle-budget", "3", "--format", "csv")
+    assert code == 1
+    header, *lines = out.strip().split("\n")
+    assert header == "name,status,detail"
+    rows = {line.split(",")[0]: line.split(",", 2)[1:] for line in lines}
+    assert len(rows) == len(lines) == 7
+    assert rows.pop("stabilizer-shapes")[0] == "fail"
+    assert all(row == ["pass", ""] for row in rows.values())
+
+
 def test_verify_catches_perturbed_composition(capsys, monkeypatch):
     import sbc.automorphisms as am
 

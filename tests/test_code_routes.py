@@ -231,6 +231,7 @@ def test_orbit_lookup_matches_orbit_union(reps, monkeypatch) -> None:
     assert not orbits_match(P, swapped)  # one orbit row is not found
     assert not orbits_match(P, union[1:])  # one orbit row is missing
     assert not orbits_match(P, np.concatenate([swapped[:1], union]))  # one row is in no orbit
+    assert not orbits_match(P, union[:0])  # no rows at all
     # a representative listed twice makes two orbits coincide: every row is
     # found, but the orbit sizes add up to more than the rows
     monkeypatch.setattr(classify, "all_representatives", lambda p: reps + reps[7:8])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import time
 
 import numpy as np
@@ -30,7 +31,7 @@ def reference_order_p2(scan, layer1):
     pows = scan.POW
     everyone = np.arange(scan.size, dtype=np.int64)
     seen = {}
-    for row in layer1:
+    for row, _ in layer1:
         s = int(row[0]) if row[0] != scan.id_code else int(row[1])
         commute = scan.mul(everyone, np.int64(s)) == scan.mul(np.int64(s), everyone)
         covered = np.zeros(scan.size, dtype=bool)
@@ -48,7 +49,7 @@ def reference_order_p2(scan, layer1):
 def reference_order_p3(scan, layer2):
     pows = scan.POW
     everyone = np.arange(scan.size, dtype=np.int64)
-    inv_all = scan.inv(everyone)
+    inv_all = scan.POW[-1]  # the ambient has exponent p
     seen = {}
     for row, (s, x) in layer2:
         conj_s = scan.mul(scan.mul(everyone, np.int64(s)), inv_all)
@@ -107,11 +108,6 @@ def sylow_scan():
 def m1_scan():
     """M1 x {1}: with one automorphism a local code is an M1 code."""
     return AmbientScan(5, np.array([aut_table(5).identity], dtype=np.int64))
-
-
-def _order_p_parents(scan, layer1):
-    """Layer 1 as the parents of layer 2: (row, (least non-identity member,))."""
-    return [(row, (int(row[0]) if row[0] != scan.id_code else int(row[1]),)) for row in layer1]
 
 
 def _walk(scan, row, normalizer):
@@ -215,9 +211,15 @@ def test_generators_generate_the_ambient(sylow_scan, small_ambient, m1_scan):
         assert _generated_order(scan, gens) == scan.size
 
 
+def _trivial(scan):
+    """The trivial group as the parent of layer 1."""
+    return [(np.array([scan.id_code], dtype=np.int64), ())]
+
+
 def test_class_extensions_match_own_walks_sylow(sylow_scan):
     scan, layer1, layer2, _ = sylow_scan
-    got = _check_class_extensions(scan, _order_p_parents(scan, layer1))
+    assert _check_class_extensions(scan, _trivial(scan)) == (1, len(layer1))
+    got = _check_class_extensions(scan, layer1)
     assert got == (scan.swept_p2, scan.walked_p2) == (66, 2946)
     got = _check_class_extensions(scan, layer2)
     assert got == (scan.swept_p3, scan.walked_p3) == (195, 2845)
@@ -232,7 +234,8 @@ def test_class_extensions_match_own_walks(which, request):
     layer1 = scan.order_p_subgroups()
     layer2 = scan.order_p2_subgroups(layer1)
     scan.order_p3_subgroups(layer2)
-    got = _check_class_extensions(scan, _order_p_parents(scan, layer1))
+    assert _check_class_extensions(scan, _trivial(scan)) == (1, len(layer1))
+    got = _check_class_extensions(scan, layer1)
     assert got == (scan.swept_p2, scan.walked_p2)
     assert _check_class_extensions(scan, layer2) == (scan.swept_p3, scan.walked_p3)
 
@@ -246,24 +249,57 @@ def test_each_child_is_kept_from_its_first_parent_only(which, request):
         layer1 = scan.order_p_subgroups()
         layer2 = scan.order_p2_subgroups(layer1)
         layer3 = scan.order_p3_subgroups(layer2)
-    assert _check_canonical_parents(scan, _order_p_parents(scan, layer1)) == len(layer2)
+    assert _check_canonical_parents(scan, _trivial(scan)) == len(layer1)
+    assert _check_canonical_parents(scan, layer1) == len(layer2)
     assert _check_canonical_parents(scan, layer2) == len(layer3)
+
+
+@pytest.mark.parametrize("which", ["sylow_scan", "small_ambient", "m1_scan"])
+def test_layer1_lists_lines_by_least_member(which, request):
+    # LEAST[z] is the least non-identity member of the line holding z, which
+    # is also the line's generator and its place in layer 1
+    scan = request.getfixturevalue(which)
+    if which == "sylow_scan":
+        scan = scan[0]
+    layer1 = scan.order_p_subgroups()
+    rows = np.array([row for row, _ in layer1])
+    members = rows[rows != scan.id_code].reshape(len(rows), scan.p - 1)
+    assert np.array_equal(np.sort(members, axis=None), np.delete(np.arange(scan.size), scan.id_code))
+    least = members.min(axis=1)
+    assert np.all(np.diff(least) > 0)
+    assert [gens for _, gens in layer1] == [(s,) for s in least.tolist()]
+    assert np.array_equal(scan.LEAST[members], np.broadcast_to(least[:, None], members.shape))
+
+
+def test_sylow_layers_digest(sylow_scan):
+    # SHA-256 of the layer-1 rows, then of each layer-2 and layer-3 row with
+    # its generator tuple, all as int64 bytes: pins the layers, their order
+    # and their generators on Sylow ambient 0 at p=5
+    _, layer1, layer2, layer3 = sylow_scan
+    h = hashlib.sha256()
+    for row, _ in layer1:
+        h.update(row.astype(np.int64).tobytes())
+    for row, gens in layer2 + layer3:
+        h.update(row.astype(np.int64).tobytes())
+        h.update(np.array(gens, dtype=np.int64).tobytes())
+    assert h.hexdigest() == "feab381e73000ec5fc3f47b9b24f2b5d42de1567b18d49cf37147013ffa0832b"
 
 
 def test_class_walk_refuses_a_layer_not_closed_under_conjugation(sylow_scan):
     scan, layer1 = sylow_scan[:2]
-    rep, _ = scan._classes(layer1)
+    rows = np.array([row for row, _ in layer1])
+    rep, _ = scan._classes(rows)
     # drop one member of a class with more than one: its conjugates miss it
     counts = np.bincount(rep)
     victim = np.flatnonzero((rep != np.arange(len(rep))) & (counts[rep] > 1))[0]
     with pytest.raises(AssertionError, match="not closed under conjugation"):
-        scan._classes(np.delete(layer1, victim, axis=0))
+        scan._classes(np.delete(rows, victim, axis=0))
 
 
 def test_conj_all_matches_full_products(sylow_scan):
     scan = sylow_scan[0]
     everyone = np.arange(scan.size, dtype=np.int64)
-    inv_all = scan.inv(everyone)
+    inv_all = scan.POW[-1]  # the ambient has exponent p
     rng = np.random.default_rng(5)
     for g in rng.choice(scan.size, 40, replace=False):
         want = scan.mul(scan.mul(everyone, np.int64(g)), inv_all)
@@ -278,8 +314,7 @@ def test_normalizer_of_order_p_group_is_centralizer(sylow_scan):
     # the normalizer test that builds layer 2 keeps exactly the centralizer,
     # both in the automorphism prefilter and in the ambient.
     scan, layer1 = sylow_scan[:2]
-    for row in layer1:
-        s = int(row[0]) if row[0] != scan.id_code else int(row[1])
+    for row, (s,) in layer1:
         a = s % scan.AL
         bs = np.flatnonzero(np.isin(scan.AUT_CONJ[:, a], row % scan.AL))
         assert np.array_equal(bs, np.flatnonzero(scan.AUT_CONJ[:, a] == a))
@@ -366,7 +401,7 @@ def test_m1_ambient_recovers_known_subgroup_lattice(m1_scan):
     def code_rows(subgroups):
         return sorted(sorted(m1_code(x) for x in sub) for sub in subgroups)
 
-    assert sorted(layer1.tolist()) == code_rows(order_p)
+    assert sorted(row.tolist() for row, _ in layer1) == code_rows(order_p)
     assert sorted(row.tolist() for row, _ in layer2) == code_rows(order_p2)
     full_row, _ = layer3[0]
     assert len(full_row) == 125

@@ -16,7 +16,7 @@ from sbc.automorphisms import (
 from sbc.group_core import m1_code, m1_elements, m1_from_code, m1_inv, m1_mul
 from sbc.holomorph import HolElt, conj_by_aut, hol_inv, hol_mul
 from sbc.subgroups import generate
-from sbc.tables import aut_table, distinct_rows, hol_codec, m1_table
+from sbc.tables import aut_table, distinct_rows, hol_codec, m1_table, row_lookup
 
 P = 5
 RNG = random.Random(7)
@@ -46,6 +46,21 @@ def test_distinct_rows_matches_lexicographic_unique() -> None:
     assert not out.flags.writeable
     with pytest.raises(ValueError):
         out[0, 0] = 1
+
+
+def test_row_lookup_finds_rows_and_misses() -> None:
+    rng = np.random.default_rng(4)
+    rows = distinct_rows(rng.integers(0, 3, size=(40, 4)))[0][::-1]  # not in lexicographic order
+    find = row_lookup(rows)
+    missing = np.array([[3, 0, 0, 0], [-1, 2, 2, 2]])
+    probes = np.concatenate([rows[[7, 0, 7]], missing, rows[-1:]])
+    at, found = find(probes)
+    assert found.tolist() == [True, True, True, False, False, True]
+    assert at[found].tolist() == [7, 0, 7, len(rows) - 1]
+    # an empty set finds nothing, and an empty block of probes finds nothing
+    at, found = row_lookup(rows[:0])(probes)
+    assert at.shape == found.shape == (len(probes),) and not found.any()
+    assert find(probes[:0])[1].shape == (0,)
 
 
 def test_aut_table_enumeration_matches_scalar() -> None:

@@ -15,8 +15,10 @@ G elementary abelian of rank 3 that ratio is |GL3(F_p)| / |Aut(M1)| = p^3 - 1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -69,13 +71,47 @@ def stabilizer_indices(rep: Representative) -> np.ndarray:
     return hol_codec(rep.p).stabilizer(rep.codes, rep.gen_codes)
 
 
+def _generator_rows(
+    p: int, reps: Iterable[Representative]
+) -> Iterator[tuple[Representative, list[np.ndarray]]]:
+    """Yield (rep, rows) in the order of reps, rows[i] the conj_images row
+    of rep.gen_codes[i] under every automorphism.
+
+    A row the previous representative also had is reused, so only new codes
+    are swept: representatives in a row share generators (the central
+    (r, 1) generates most of them).  A representative's new codes are swept
+    in one call and each row is copied out, so a kept row never holds the
+    sweep block alive; rows the representative does not share are dropped
+    before the sweep.
+    """
+    codec = hol_codec(p)
+    rows: dict[int, np.ndarray] = {}
+    for rep in reps:
+        codes = rep.gen_codes.tolist()
+        rows = {c: rows[c] for c in codes if c in rows}
+        new = [c for c in codes if c not in rows]
+        if new:
+            block = codec.conj_images(np.array(new, dtype=np.int64))
+            rows.update((c, row.copy()) for c, row in zip(new, block))
+            del block
+        yield rep, [rows[c] for c in codes]
+
+
 @lru_cache(maxsize=4)
 def classification_records(p: int) -> tuple[ClassificationRecord, ...]:
+    """One record per representative.  Every stabilizer comes first, through
+    one walk that shares generator rows; the braces are built after it, when
+    no row is held."""
     validate_prime(p)
     total = aut_order_total(p)
+    codec = hol_codec(p)
+    reps = all_representatives(p)
+    stabs = [
+        len(codec.stabilizer(rep.codes, rep.gen_codes, images=rows))
+        for rep, rows in _generator_rows(p, reps)
+    ]
     out = []
-    for rep in all_representatives(p):
-        stab = len(stabilizer_indices(rep))
+    for rep, stab in zip(reps, stabs):
         if total % stab:
             raise AssertionError("stabilizer order must divide the group order")
         brace = brace_from_codes(p, rep.codes)
@@ -220,22 +256,29 @@ def verify_pairwise_nonconjugate(p: int) -> int:
     """No two representatives are conjugate; returns the pair count checked.
 
     Conjugate subgroups share theta order, structure, and stabilizer order,
-    so only pairs agreeing on that invariant triple need a transporter search.
+    so only pairs agreeing on that invariant triple, a bucket, need a
+    transporter search.  The representatives of buckets with two or more
+    members are walked in order, sharing generator rows, and each is tested
+    against the earlier members of its bucket: a transporter B -> A exists
+    exactly when one A -> B does.
     """
     codec = hol_codec(p)
-    reps = {rep.rep_id: rep for rep in all_representatives(p)}
-    buckets: dict[tuple, list[Representative]] = {}
-    for rec in classification_records(p):
-        key = (rec.theta_order, rec.structure, rec.autbr_order)
-        buckets.setdefault(key, []).append(reps[rec.rep_id])
+    reps = all_representatives(p)
+    key = {
+        rec.rep_id: (rec.theta_order, rec.structure, rec.autbr_order)
+        for rec in classification_records(p)
+    }
+    sizes = Counter(key[rep.rep_id] for rep in reps)
+    shared = [rep for rep in reps if sizes[key[rep.rep_id]] > 1]
+    earlier: dict[tuple, list[Representative]] = {}
     pairs = 0
-    for members in buckets.values():
-        for i, a in enumerate(members[:-1]):
-            images = codec.conj_images(a.gen_codes)
-            for b in members[i + 1 :]:
-                pairs += 1
-                if codec.transporter_exists(a.codes, a.gen_codes, b.codes, images=images):
-                    raise AssertionError("representatives are conjugate")
+    for b, rows in _generator_rows(p, shared):
+        members = earlier.setdefault(key[b.rep_id], [])
+        for a in members:
+            pairs += 1
+            if codec.transporter_exists(b.codes, b.gen_codes, a.codes, images=rows):
+                raise AssertionError("representatives are conjugate")
+        members.append(b)
     return pairs
 
 

@@ -84,29 +84,35 @@ def _syl(p: int, v: M1Elt, n1: int, n2: int, n3: int) -> HolElt:
     return HolElt(v, sylow_aut_from_coords(p, n1, n2, n3))
 
 
-def _pow_codes(p: int, g: HolElt) -> np.ndarray:
-    """Codes of g^0 .. g^(p-1)."""
-    codec = hol_codec(p)
-    out = [np.int64(codec.identity)]
-    gc = np.int64(codec.encode(g))
-    for _ in range(1, p):
-        out.append(codec.mul_codes(out[-1], gc))
-    return np.array(out, dtype=np.int64)
+def _spans(p: int, gen_codes: np.ndarray) -> np.ndarray:
+    """Row r: the sorted codes of {g1^i g2^j g3^k} for (g1, g2, g3) row r of
+    the (n, 3) generator codes, each of which must be p^3 distinct elements.
 
-
-def _span(p: int, g1: HolElt, g2: HolElt, g3: HolElt) -> np.ndarray:
-    """Sorted codes of {g1^k g2^i g3^j}, which must be p^3 distinct elements."""
+    All spans at once: the powers take p - 1 products on the (n, 3) block,
+    the (n, p, p) block of g2^j g3^k one more, and the spans one per power
+    of g1, so each product's temporaries are (n, p, p) blocks.
+    """
     codec = hol_codec(p)
-    q = codec.mul_codes(_pow_codes(p, g2)[:, None], _pow_codes(p, g3)[None, :])
-    codes = codec.mul_codes(_pow_codes(p, g1)[:, None, None], q[None, :, :])
-    codes = np.unique(codes.ravel())
-    if len(codes) != p**3:
+    pows = np.empty((p, *gen_codes.shape), dtype=np.int64)  # pows[k] = g^k
+    pows[0] = codec.identity
+    for k in range(1, p):
+        pows[k] = codec.mul_codes(pows[k - 1], gen_codes)
+    g1, g2, g3 = pows.transpose(2, 1, 0)  # (3, n, p): generator, row, power
+    q = codec.mul_codes(g2[:, :, None], g3[:, None, :])
+    spans = np.empty((len(gen_codes), p, p, p), dtype=np.int64)
+    for i in range(p):
+        spans[:, i] = codec.mul_codes(g1[:, i, None, None], q)
+    spans = spans.reshape(len(gen_codes), p**3)
+    spans.sort(axis=1)
+    if np.any(spans[:, 1:] == spans[:, :-1]):
         raise AssertionError("span is not a transversal")
-    return codes
+    return spans
 
 
 def _subgroup(p: int, gens: list[HolElt]) -> SubgroupHol:
-    return hol_codec(p).materialize(_span(p, *gens), gens)
+    codec = hol_codec(p)
+    codes = np.array([[codec.encode(g) for g in gens]], dtype=np.int64)
+    return codec.materialize(_spans(p, codes)[0], gens)
 
 
 def trivial_subgroup(p: int) -> SubgroupHol:
@@ -246,19 +252,21 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def all_representatives(p: int) -> tuple[Representative, ...]:
-    """The full representative list, theta ascending, ids sorted within theta."""
+    """The full representative list, theta ascending, ids sorted within theta.
+
+    Every span is built in one batch from the encoded generators; each
+    representative's arrays are read-only rows of the two blocks.
+    """
     validate_prime(p)
     codec = hol_codec(p)
+    recipes = list(_recipes(p))
+    gen_codes = _frozen(
+        np.array([[codec.encode(g) for g in gens] for *_, gens in recipes], dtype=np.int64)
+    )
+    spans = _frozen(_spans(p, gen_codes))
     reps = [
-        Representative(
-            rep_id,
-            p,
-            theta,
-            gtype,
-            _frozen(_span(p, *gens)),
-            _frozen(np.array([codec.encode(g) for g in gens], dtype=np.int64)),
-        )
-        for rep_id, theta, gtype, gens in _recipes(p)
+        Representative(rep_id, p, theta, gtype, spans[i], gen_codes[i])
+        for i, (rep_id, theta, gtype, _) in enumerate(recipes)
     ]
     reps.sort(key=lambda rec: (rec.theta_order, rec.rep_id))
     return tuple(reps)

@@ -287,24 +287,25 @@ class AmbientScan:
         element outside the subgroup generated so far, until that subgroup
         is the whole ambient (at most log_p(size) steps)."""
         gens: list[int] = []
-        inside = self._generated(gens)
-        while not inside.all():
-            gens.append(int(np.argmin(inside)))
-            inside = self._generated(gens)
-        return np.array(gens, dtype=np.int64)
-
-    def _generated(self, gens: list[int]) -> np.ndarray:
-        """Mask of the subgroup generated by gens: closure of the identity
-        under right multiplication by the generators."""
         inside = np.zeros(self.size, dtype=bool)
         inside[self.id_code] = True
-        frontier = np.array([self.id_code], dtype=np.int64)
+        while not inside.all():
+            gens.append(int(np.argmin(inside)))
+            self._extend(inside, gens)
+        return np.array(gens, dtype=np.int64)
+
+    def _extend(self, inside: np.ndarray, gens: list[int]) -> None:
+        """Grow the mask of a subgroup H, in place, to the mask of <H, gens>:
+        the closure of H under right multiplication by the generators.  Each
+        round's frontier is the elements it reached first, read off a mask."""
         g = np.array(gens, dtype=np.int64)
+        frontier = np.flatnonzero(inside)
         while frontier.size:
-            new = self.mul(frontier[:, None], g[None, :]).ravel()
-            frontier = np.unique(new[~inside[new]])
-            inside[frontier] = True
-        return inside
+            reached = np.zeros(self.size, dtype=bool)
+            reached[self.mul(frontier[:, None], g[None, :])] = True
+            reached &= ~inside
+            inside |= reached
+            frontier = np.flatnonzero(reached)
 
     def _classes(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(rep, g) with rows[i] = g[i] rows[rep[i]] g[i]^-1 for a layer of
@@ -478,7 +479,8 @@ class AmbientScan:
         return bool(np.array_equal(row // self.AL, self._n_parts))
 
     def theta_order(self, row: np.ndarray) -> int:
-        return int(len(np.unique(row % self.AL)))
+        """The number of distinct automorphism parts in the row."""
+        return int(np.count_nonzero(np.bincount(row % self.AL)))
 
     def is_abelian(self, gens: tuple[int, ...]) -> bool:
         g = np.array(gens, dtype=np.int64)

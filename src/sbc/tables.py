@@ -395,24 +395,31 @@ class HolCodec:
         automorphism order: one row of conj_images."""
         return self.conj_images(np.array([code], dtype=np.int64))[0]
 
-    def _carriers(self, images: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """Column indices (automorphisms) of images that send every listed
-        code into the regular row target; each row only probes the columns
-        that survived the rows before it."""
-        keep = np.arange(images.shape[1])
+    def _carriers(self, images, target: np.ndarray) -> np.ndarray:
+        """Automorphism indices that send every listed code into the regular
+        row target, images being one conj_images row per code (any sequence
+        of them); each row only probes the columns that survived the rows
+        before it."""
+        keep = np.arange(self.N)
         for row in images:
             img = row[keep]
             keep = keep[target[img // self.N] == img]
         return keep
 
-    def stabilizer(self, codes: np.ndarray, gen_codes: np.ndarray) -> np.ndarray:
+    def stabilizer(
+        self, codes: np.ndarray, gen_codes: np.ndarray, images=None
+    ) -> np.ndarray:
         """Automorphism indices alpha with alpha . S . alpha^{-1} = S.
 
         codes are the element codes of a regular S (ValueError otherwise)
         and gen_codes any generating set of S; alpha fixes S exactly when it
-        conjugates every generator into S.
+        conjugates every generator into S.  images may carry the rows of
+        conj_images(gen_codes), swept earlier, as any sequence of rows.
         """
-        return self._carriers(self.conj_images(gen_codes), self.regular_row(codes))
+        target = self.regular_row(codes)
+        if images is None:
+            images = self.conj_images(gen_codes)
+        return self._carriers(images, target)
 
     def orbit(self, codes: np.ndarray) -> np.ndarray:
         """All distinct conjugates of the code set, one sorted row each."""
@@ -426,8 +433,8 @@ class HolCodec:
         subgroup B (ValueError if B is not regular)?
 
         A is given by its element codes and a generating set; images may carry
-        a precomputed conj_images(gen_codes_a) when the caller probes the same
-        A against many targets.
+        the rows of conj_images(gen_codes_a), swept earlier, when the caller
+        probes the same A against many targets.
         """
         target = self.regular_row(codes_b)
         if len(codes_a) != len(target):

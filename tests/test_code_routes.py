@@ -14,8 +14,14 @@ import pytest
 
 import sbc.classify as classify
 from sbc.automorphisms import alpha1, aut_identity
-from sbc.classify import classification_records, orbit_union_keys, orbits_match
-from sbc.families import all_representatives, trivial_subgroup
+from sbc.classify import (
+    classification_records,
+    orbit_union_keys,
+    orbits_match,
+    stabilizer_indices,
+    verify_pairwise_nonconjugate,
+)
+from sbc.families import Representative, all_representatives, trivial_subgroup
 from sbc.group_core import M1Elt
 from sbc.holomorph import HolElt
 from sbc.skewbrace import (
@@ -29,7 +35,7 @@ from sbc.skewbrace import (
     ybe_tables,
 )
 from sbc.subgroups import generate
-from sbc.tables import hol_codec
+from sbc.tables import HolCodec, hol_codec
 
 P = 5
 RNG = random.Random(2026)
@@ -179,6 +185,70 @@ def test_transporter_matches_orbit_membership(reps) -> None:
         assert not codec.transporter_exists(a.codes, a.gen_codes, b.codes)
     # a smaller set is never a conjugate
     assert not codec.transporter_exists(a.codes[:-1], a.gen_codes, b.codes)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_generator_row_walk_matches_fresh_sweeps(p) -> None:
+    """Shared rows are the rows a fresh sweep gives, and the stabilizers
+    from them are the stabilizers."""
+    codec = hol_codec(p)
+    reps = all_representatives(p)
+    walked = []
+    for rep, rows in classify._generator_rows(p, reps):
+        walked.append(rep)
+        assert np.array_equal(np.stack(rows), codec.conj_images(rep.gen_codes)), rep.rep_id
+        stab = codec.stabilizer(rep.codes, rep.gen_codes, images=rows)
+        assert np.array_equal(stab, stabilizer_indices(rep)), rep.rep_id
+    assert walked == list(reps)
+
+
+@pytest.fixture
+def fresh_records():
+    """classification_records with an empty cache, emptied again after."""
+    classification_records.cache_clear()
+    yield classification_records
+    classification_records.cache_clear()
+
+
+def test_walks_sweep_each_shared_generator_once(fresh_records, monkeypatch) -> None:
+    # 42 distinct generator codes among the 59 representatives; a walk
+    # sweeps a code again only when the representative before did not share it
+    swept, stabilizers = [], []
+    sweep, stabilizer = HolCodec._conj_sweep, HolCodec.stabilizer
+
+    def counting_sweep(self, codes):
+        swept.append(len(codes))
+        return sweep(self, codes)
+
+    def counting_stabilizer(self, codes, *args, **kwargs):
+        stabilizers.append(codes)
+        return stabilizer(self, codes, *args, **kwargs)
+
+    monkeypatch.setattr(HolCodec, "_conj_sweep", counting_sweep)
+    monkeypatch.setattr(HolCodec, "stabilizer", counting_stabilizer)
+    assert len(fresh_records(P)) == 59
+    assert sum(swept) == 72 and len(stabilizers) == 59
+    swept.clear()
+    assert verify_pairwise_nonconjugate(P) == 182
+    assert sum(swept) == 64 and len(stabilizers) == 59
+
+
+def test_nonconjugacy_check_finds_a_conjugate_in_its_bucket(
+    reps, fresh_records, monkeypatch
+) -> None:
+    codec = hol_codec(P)
+    a = reps[12]
+    alpha = np.setdiff1d(np.arange(codec.N), stabilizer_indices(a))[:1]
+    moved = Representative(
+        "conjugate", P, a.theta_order, a.group_type,
+        codec.conj_matrix(a.codes, alpha)[0], codec.conj_images(a.gen_codes, alpha)[:, 0],
+    )
+    assert not np.array_equal(moved.codes, a.codes)
+    monkeypatch.setattr(classify, "all_representatives", lambda p: reps + (moved,))
+    records = fresh_records(P)
+    assert records[-1].autbr_order == records[12].autbr_order
+    with pytest.raises(AssertionError, match="representatives are conjugate"):
+        verify_pairwise_nonconjugate(P)
 
 
 def test_code_brace_matches_scalar_brace(reps) -> None:

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
+import numpy as np
 import pytest
 
+from sbc.automorphisms import aut_identity
 from sbc.families import (
+    _spans,
     all_representatives,
     families_theta_p,
     families_theta_p2,
@@ -14,8 +18,10 @@ from sbc.families import (
     smallest_nonresidue,
     trivial_subgroup,
 )
-from sbc.holomorph import hol_identity, hol_mul, theta_image
+from sbc.group_core import rho, sigma
+from sbc.holomorph import HolElt, hol_identity, hol_mul, theta_image
 from sbc.subgroups import GroupType, generate, is_regular, isomorphism_type
+from sbc.tables import hol_codec
 
 P = 5
 RNG = random.Random(1234)
@@ -209,3 +215,28 @@ def test_representatives_appear_in_their_families(fam_p, fam_p2, fam_p3) -> None
     # u3 = 0, and the u5 line and Case II sweep are family members verbatim.
     reps_p2 = _reps(P * P)
     assert {r.subgroup for r in reps_p2}.issubset(set(fam_p2))
+
+
+# SHA-256 over every representative's codes then gen_codes (int64 bytes), in
+# representative order, recorded from the one-span-at-a-time build.
+REPRESENTATIVE_DIGESTS = {
+    5: "be1fab7b4bd81d3b41219a4558f9d83432f84e3e5821c30819e22cbe8da14924",
+    7: "ce7ea62ad7d4ee7a59087271ece86730e360ae7be44be8e1bcb6393e9098b0a3",
+}
+
+
+@pytest.mark.parametrize("p", sorted(REPRESENTATIVE_DIGESTS))
+def test_batched_spans_digest(p) -> None:
+    h = hashlib.sha256()
+    for rep in all_representatives(p):
+        h.update(rep.codes.astype(np.int64).tobytes())
+        h.update(rep.gen_codes.astype(np.int64).tobytes())
+    assert h.hexdigest() == REPRESENTATIVE_DIGESTS[p]
+
+
+def test_spans_reject_a_repeated_element() -> None:
+    codec = hol_codec(P)
+    r, s = (codec.encode(HolElt(n, aut_identity(P))) for n in (rho(P), sigma(P)))
+    good = all_representatives(P)[0].gen_codes
+    with pytest.raises(AssertionError, match="transversal"):
+        _spans(P, np.array([good, [r, r, s]], dtype=np.int64))

@@ -115,7 +115,7 @@ import numpy as np
 
 from .group_core import validate_prime
 from .subgroups import GroupType
-from .tables import aut_table, distinct_rows, m1_table, row_lookup
+from .tables import aut_subgroup, aut_table, distinct_rows, m1_table, row_lookup
 
 __all__ = [
     "AmbientScan",
@@ -164,33 +164,25 @@ class OracleResult:
 class AmbientScan:
     """Layered subgroup walk inside M1 x| A for one automorphism subgroup A.
 
-    A is given by the global indices of its members; local element codes are
-    ncode * |A| + position-in-A.  Passing the one-element identity subgroup
-    scans M1 itself, which is the completeness cross-check target.
+    A is given by the global indices of its members, closed under
+    composition (else `tables.aut_subgroup` raises ValueError); local element
+    codes are ncode * |A| + position-in-A.  Passing the one-element identity
+    subgroup scans M1 itself, which is the completeness cross-check target.
     """
 
     def __init__(self, p: int, aut_member_idx: np.ndarray) -> None:
         self.p = p
         self.aut_global = np.sort(np.asarray(aut_member_idx, dtype=np.int64))
         self.AL = len(self.aut_global)
-        aut = aut_table(p)
         m1 = m1_table(p)
-        pos = np.full(aut.N, -1, dtype=np.int64)
-        pos[self.aut_global] = np.arange(self.AL)
-        self.LOC_APPLY = aut.apply_codes(
-            self.aut_global[:, None], np.arange(p**3, dtype=np.int64)[None, :]
-        )
-        comp = aut.compose_idx(self.aut_global[:, None], self.aut_global[None, :])
-        self.LOC_COMP = pos[comp]
-        if np.any(self.LOC_COMP < 0):
-            raise AssertionError("automorphism subset is not closed")
+        self.LOC_APPLY, self.LOC_COMP, inv = aut_subgroup(p, self.aut_global)
         m1_mul = m1.MUL.astype(np.int64)
         self.size = p**3 * self.AL
-        self.id_code = 0 * self.AL + int(pos[aut.identity])
+        self.id_code = 0 * self.AL + int(self.LOC_COMP[0, inv[0]])
         # Conjugation tables (see conj_all), each |A| x p**3 or smaller:
         # AUT_CONJ[b, a] = b a b^-1, MUL_BY[v, m] = (m v) * p**3,
         # INV_IMAGE[c, m] = c(m^-1), and MUL_FLAT[u * p**3 + v] = (u v) * |A|.
-        self.AUT_CONJ = self.LOC_COMP[self.LOC_COMP, pos[aut.INV[self.aut_global]][:, None]]
+        self.AUT_CONJ = self.LOC_COMP[self.LOC_COMP, inv[:, None]]
         self.MUL_BY = np.ascontiguousarray(m1_mul.T) * p**3
         self.INV_IMAGE = np.ascontiguousarray(self.LOC_APPLY[:, m1.INV])
         self.MUL_FLAT = (m1_mul * self.AL).ravel()

@@ -28,6 +28,11 @@ Two exact arguments keep a brace at O(p^6) work instead of O(p^9):
     every s in a generating set: the s for which this holds are closed
     under +, so they form a subgroup.  M1 is generated by the codes 1 and p,
     that is (0, 0, 1) and (0, 1, 0), so 2 p^6 identities decide it.
+
+The theta(G) tables come from `tables.aut_subgroup`, which checks that
+theta(G) is closed; the row is then checked only for closure under the
+product.  Its p^3 elements are distinct, and a finite closed subset of a
+group is a subgroup, so the identity and the inverses need no check.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .subgroups import SubgroupHol
-from .tables import hol_codec
+from .tables import aut_subgroup, hol_codec
 
 __all__ = [
     "SkewBrace",
@@ -76,41 +81,25 @@ class SkewBrace:
         return bool(np.array_equal(self.ADD, self.ADD.T))
 
 
-def _theta_parts(codec, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct automorphism parts of a regular row, the position of each
-    row entry's part among them, and APPLY[t, j] = aparts[t](j) on n-parts."""
-    aparts, pos = np.unique(codes % codec.N, return_inverse=True)
-    APPLY = codec.aut.apply_codes(aparts[:, None], np.arange(len(codes))[None, :])
-    return aparts, pos, APPLY
-
-
 def brace_from_codes(p: int, codes: np.ndarray) -> SkewBrace:
     codec = hol_codec(p)
     codes = codec.regular_row(codes)
-    # (i, alpha)(j, beta) = (i alpha(j), alpha beta), with alpha and beta
-    # among the |theta(G)| distinct automorphism parts of the row.  Every
-    # table is read by np.take on flat row * width + column codes, which is
-    # faster than a 2-D fancy gather; one k x k buffer holds those codes.
-    aparts, pos, APPLY = _theta_parts(codec, codes)
-    t = len(aparts)
-    COMP = codec.aut.compose_idx(aparts[:, None], aparts[None, :])
-    k = len(codes)
+    # (i, alpha)(j, beta) = (i alpha(j), alpha beta), alpha and beta local
+    # indices in theta(G).  Tables are read by np.take on flat row * width +
+    # column codes, faster than a 2-D fancy gather, held in one k x k buffer.
+    aparts, pos = np.unique(codes % codec.N, return_inverse=True)
+    APPLY, COMP, INV = aut_subgroup(p, aparts)
+    t, k = len(aparts), len(codes)
     at = APPLY[pos]
     at += np.arange(k)[:, None] * k
     MUL = np.take(codec.m1.MUL, at)
     np.add(pos[:, None] * t, pos, out=at)
-    prod = MUL * np.int64(codec.N) + np.take(COMP, at)
-    # every product has some n-part i; it lies in the carrier iff it is codes[i]
-    if not np.array_equal(codes[MUL], prod):
+    # a product with n-part i lies in the carrier iff its part is codes[i]'s
+    if not np.array_equal(pos[MUL], np.take(COMP, at)):
         raise ValueError("carrier is not closed under the holomorph product")
-    inv_codes = codec.inv_codes(codes)
-    INV_MUL = inv_codes // codec.N
-    if not np.array_equal(codes[INV_MUL], inv_codes):
-        raise ValueError("carrier is not closed under inverses")
-    if codes[0] != codec.identity:
-        raise ValueError("carrier misses the identity")
 
     ADD, INV_ADD = codec.m1.MUL, codec.m1.INV
+    INV_MUL = APPLY[INV[pos], INV_ADD]  # (i, alpha)^-1 = (alpha^-1(i^-1), alpha^-1)
     np.add(INV_ADD[:, None] * k, MUL, out=at)
     LAM = np.take(ADD, at)
     return SkewBrace(p=p, codes=codes, MUL=MUL, ADD=ADD, INV_MUL=INV_MUL, INV_ADD=INV_ADD, LAM=LAM)
@@ -164,7 +153,9 @@ def _first_axiom_failure(brace: SkewBrace) -> tuple[int, int, int] | None:
 def lambda_matches_automorphism_action(brace: SkewBrace) -> bool:
     """The brace-defined lambda must be the stored automorphism acting on the
     n-parts, which are the local indices."""
-    _, pos, APPLY = _theta_parts(hol_codec(brace.p), brace.codes)
+    codec = hol_codec(brace.p)
+    aparts, pos = np.unique(brace.codes % codec.N, return_inverse=True)
+    APPLY = codec.aut.apply_codes(aparts[:, None], np.arange(brace.order))
     return bool(np.array_equal(brace.LAM, APPLY[pos]))
 
 

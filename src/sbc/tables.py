@@ -30,7 +30,8 @@ from .holomorph import HolElt
 from .subgroups import SubgroupHol, subgroup_from_cosets
 
 __all__ = [
-    "AutTable", "M1Table", "HolCodec", "aut_table", "distinct_rows", "hol_codec", "m1_table", "row_lookup",
+    "AutTable", "M1Table", "HolCodec", "aut_subgroup", "aut_table", "distinct_rows", "hol_codec", "m1_table",
+    "row_lookup",
 ]
 
 # Automorphisms per step of the inverse build, so its int64 temporaries stay
@@ -88,6 +89,21 @@ def row_lookup(rows: np.ndarray):
         return at, keys[at] == probe
 
     return find
+
+
+def aut_subgroup(p: int, members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tables of the subgroup of Aut(M1) with the ascending global indices
+    members, on local indices i (positions in members): APPLY[i, n] =
+    members[i](n), COMP[i, j] = the i of members[i] members[j], INV[i] = the
+    i of members[i]^-1.  ValueError unless the members are closed under
+    composition; a finite closed subset of a group is a subgroup."""
+    aut = aut_table(p)
+    APPLY = aut.apply_codes(members[:, None], np.arange(p**3)[None, :])
+    comp = aut.compose_idx(members[:, None], members[None, :])
+    COMP = np.searchsorted(members, comp)
+    if not np.array_equal(members.take(COMP, mode="clip"), comp):
+        raise ValueError("automorphism subset is not closed under composition")
+    return APPLY, COMP, np.searchsorted(members, aut.INV[members])
 
 
 class M1Table:
@@ -399,9 +415,10 @@ class HolCodec:
         """Automorphism indices that send every listed code into the regular
         row target, images being one conj_images row per code (any sequence
         of them); each row only probes the columns that survived the rows
-        before it."""
+        before it.  Rows of codes with the identity automorphism part, which
+        conjugation keeps, go last: they keep most columns."""
         keep = np.arange(self.N)
-        for row in images:
+        for row in sorted(images, key=lambda row: row[0] % self.N == self.aut.identity):
             img = row[keep]
             keep = keep[target[img // self.N] == img]
         return keep

@@ -378,6 +378,13 @@ def test_sylow_ambient_p7_counts_within_budget():
     assert elapsed < 40.0, f"p=7 ambient scan took {elapsed:.1f}s"
 
 
+def test_scan_refuses_an_automorphism_set_not_closed():
+    members = _sylow_ambient_indices(5)[0]
+    outside = np.setdiff1d(np.arange(aut_table(5).N), members)[0]
+    with pytest.raises(ValueError, match="not closed"):
+        AmbientScan(5, np.append(members, outside))
+
+
 def test_budget_gate_refuses_large_prime():
     with pytest.raises(ValueError):
         enumerate_regular_subgroups(7)

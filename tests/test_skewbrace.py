@@ -68,13 +68,27 @@ def test_carrier_must_have_cube_size():
         brace_from_codes(P, np.arange(10, dtype=np.int64) * codec.N)
 
 
-@pytest.mark.parametrize("row", [1, 60, 124])
+@pytest.mark.parametrize("row", [1, 60, 124, "part-at-identity", "parts-swapped"])
 def test_regular_but_open_carrier_is_rejected(row):
-    # moving one element to the largest automorphism index keeps the n-parts
-    # distinct, so only the closure check can reject the carrier
+    # each change keeps the n-parts distinct, so only the closure checks can
+    # reject the carrier
     codec = hol_codec(P)
-    codes = all_representatives(P)[12].codes.copy()
-    codes[row] = codes[row] // codec.N * codec.N + codec.N - 1
+    nparts, parts = np.divmod(all_representatives(P)[12].codes, codec.N)
+    theta = set(parts.tolist())
+    if row == "part-at-identity":
+        # entry 0 becomes (0, beta) with beta != id in theta(G)
+        parts[0] = parts[np.flatnonzero(parts != codec.aut.identity)[0]]
+        assert set(parts.tolist()) == theta
+    elif row == "parts-swapped":
+        # two entries trade their distinct parts, so theta(G) stays closed
+        i = 1
+        j = np.flatnonzero(parts != parts[i])[-1]
+        parts[[i, j]] = parts[[j, i]]
+        assert set(parts.tolist()) == theta
+    else:
+        # the largest automorphism index, outside theta(G)
+        parts[row] = codec.N - 1
+    codes = nparts * codec.N + parts
     assert codec.is_regular_row(codes)
     with pytest.raises(ValueError, match="not closed"):
         brace_from_codes(P, codes)

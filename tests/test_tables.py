@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -13,10 +14,12 @@ from sbc.automorphisms import (
     enumerate_aut,
     aut_apply,
 )
+from sbc.families import all_representatives
 from sbc.group_core import m1_code, m1_elements, m1_from_code, m1_inv, m1_mul
 from sbc.holomorph import HolElt, conj_by_aut, hol_inv, hol_mul
+from sbc.oracle import _sylow_ambient_indices
 from sbc.subgroups import generate
-from sbc.tables import aut_table, distinct_rows, hol_codec, m1_table, row_lookup
+from sbc.tables import aut_subgroup, aut_table, distinct_rows, hol_codec, m1_table, row_lookup
 
 P = 5
 RNG = random.Random(7)
@@ -161,6 +164,20 @@ def test_one_element_image_matches_scalar() -> None:
         assert codec.decode(image[i]) == conj_by_aut(auts[i], g)
 
 
+@pytest.mark.parametrize("ambient", range(P + 1))
+def test_aut_subgroup_matches_the_global_tables(ambient: int) -> None:
+    aut = aut_table(P)
+    members = np.sort(_sylow_ambient_indices(P)[ambient])
+    APPLY, COMP, INV = aut_subgroup(P, members)
+    assert np.array_equal(APPLY, aut.apply_codes(members[:, None], np.arange(P**3)[None, :]))
+    assert np.array_equal(members[COMP], aut.compose_idx(members[:, None], members[None, :]))
+    assert np.array_equal(members[INV], aut.INV[members])
+    # one automorphism outside the Sylow: p^3 + 1 members are no subgroup
+    outside = np.setdiff1d(np.arange(aut.N), members)[ambient]
+    with pytest.raises(ValueError, match="not closed"):
+        aut_subgroup(P, np.union1d(members, [outside]))
+
+
 def test_hol_codec_round_trip_and_ops() -> None:
     codec = hol_codec(P)
     auts = enumerate_aut(P)
@@ -228,3 +245,18 @@ def test_transporter_between_conjugates() -> None:
     # printed stabilizer orders).
     c = generate([HolElt(rho(P), e), HolElt(tau(P), e), HolElt(sigma(P), alpha3(P))])
     assert not codec.transporter_exists(ca, ga, codec.subgroup_codes(c))
+
+
+def test_carriers_do_not_depend_on_row_order() -> None:
+    # stabilizers, and transporters to a conjugate and to another
+    # representative, probing the generators' rows in every order
+    codec = hol_codec(P)
+    reps = all_representatives(P)
+    for a, b in zip(reps[::6], reps[3::6]):
+        images = codec.conj_images(a.gen_codes)
+        conjugate = np.sort(codec.conj_images(a.codes, np.array([4242]))[:, 0])
+        assert len(codec._carriers(images, conjugate)), a.rep_id
+        for target in (a.codes, b.codes, conjugate):
+            want = codec._carriers(images, target)
+            for order in itertools.permutations(range(len(images))):
+                assert np.array_equal(codec._carriers(images[list(order)], target), want), a.rep_id

@@ -15,7 +15,6 @@ G elementary abelian of rank 3 that ratio is |GL3(F_p)| / |Aut(M1)| = p^3 - 1.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -71,30 +70,47 @@ def stabilizer_indices(rep: Representative) -> np.ndarray:
     return hol_codec(rep.p).stabilizer(rep.codes, rep.gen_codes)
 
 
+# Entries (rows x |Aut(M1)|) of one block of swept generator rows: 5 rows at
+# p = 5, and one representative's new codes from p = 7 on, where a row alone
+# is larger.  Raising it raises the classification's peak memory.
+_SWEEP_BLOCK = 1 << 16
+
+
 def _generator_rows(
     p: int, reps: Iterable[Representative]
 ) -> Iterator[tuple[Representative, list[np.ndarray]]]:
     """Yield (rep, rows) in the order of reps, rows[i] the conj_images row
     of rep.gen_codes[i] under every automorphism.
 
-    A row the previous representative also had is reused, so only new codes
-    are swept: representatives in a row share generators (the central
-    (r, 1) generates most of them).  A representative's new codes are swept
-    in one call and each row is copied out, so a kept row never holds the
-    sweep block alive; rows the representative does not share are dropped
-    before the sweep.
+    Consecutive representatives share generators (the central (r, 1)
+    generates most of them), so only new codes are swept: the new codes of a
+    block of representatives go in one conj_images call, the block growing
+    while it holds at most _SWEEP_BLOCK entries (but taking at least one
+    representative).  A row is reused from anywhere in its block, and the last
+    representative's rows carry over to the next block as copies, so a kept
+    row never holds a swept block alive.
     """
     codec = hol_codec(p)
-    rows: dict[int, np.ndarray] = {}
-    for rep in reps:
-        codes = rep.gen_codes.tolist()
-        rows = {c: rows[c] for c in codes if c in rows}
-        new = [c for c in codes if c not in rows]
+    reps = list(reps)
+    carried: dict[int, np.ndarray] = {}
+    start = 0
+    while start < len(reps):
+        new: dict[int, None] = {}  # the block's codes, in sweep order
+        stop = start
+        while stop < len(reps):
+            codes = reps[stop].gen_codes.tolist()
+            fresh = dict.fromkeys(c for c in codes if c not in carried and c not in new)
+            if stop > start and (len(new) + len(fresh)) * codec.N > _SWEEP_BLOCK:
+                break
+            new.update(fresh)
+            stop += 1
+        rows = dict(carried)
         if new:
-            block = codec.conj_images(np.array(new, dtype=np.int64))
-            rows.update((c, row.copy()) for c, row in zip(new, block))
-            del block
-        yield rep, [rows[c] for c in codes]
+            rows.update(zip(new, codec.conj_images(np.array(list(new), dtype=np.int64))))
+        for rep in reps[start:stop]:
+            yield rep, [rows[c] for c in rep.gen_codes.tolist()]
+        carried = {c: rows[c].copy() if c in new else rows[c] for c in reps[stop - 1].gen_codes.tolist()}
+        start = stop
 
 
 @lru_cache(maxsize=4)
@@ -257,28 +273,30 @@ def verify_pairwise_nonconjugate(p: int) -> int:
 
     Conjugate subgroups share theta order, structure, and stabilizer order,
     so only pairs agreeing on that invariant triple, a bucket, need a
-    transporter search.  The representatives of buckets with two or more
-    members are walked in order, sharing generator rows, and each is tested
-    against the earlier members of its bucket: a transporter B -> A exists
-    exactly when one A -> B does.
+    transporter search.  Each representative with an earlier member in its
+    bucket is tested against those earlier members: a transporter B -> A
+    exists exactly when one A -> B does.  Only these representatives are
+    walked, sharing generator rows; a bucket's first member probes nothing.
     """
     codec = hol_codec(p)
-    reps = all_representatives(p)
     key = {
         rec.rep_id: (rec.theta_order, rec.structure, rec.autbr_order)
         for rec in classification_records(p)
     }
-    sizes = Counter(key[rep.rep_id] for rep in reps)
-    shared = [rep for rep in reps if sizes[key[rep.rep_id]] > 1]
-    earlier: dict[tuple, list[Representative]] = {}
+    buckets: dict[tuple, list[Representative]] = {}
+    probes = []  # (representative, the earlier members of its bucket)
+    for rep in all_representatives(p):
+        members = buckets.setdefault(key[rep.rep_id], [])
+        if members:
+            probes.append((rep, tuple(members)))
+        members.append(rep)
     pairs = 0
-    for b, rows in _generator_rows(p, shared):
-        members = earlier.setdefault(key[b.rep_id], [])
+    walk = _generator_rows(p, [b for b, _ in probes])
+    for (b, rows), (_, members) in zip(walk, probes):
         for a in members:
             pairs += 1
             if codec.transporter_exists(b.codes, b.gen_codes, a.codes, images=rows):
                 raise AssertionError("representatives are conjugate")
-        members.append(b)
     return pairs
 
 

@@ -188,13 +188,14 @@ class AmbientScan:
         self.MUL_FLAT = (m1_mul * self.AL).ravel()
         self._n_parts = np.arange(p**3, dtype=np.int64)
         # POW[k, g] = g^k for k = 0..p-1; the ambient must have exponent p.
-        everyone = np.arange(self.size, dtype=np.int64)
-        pows = [np.full(self.size, self.id_code, dtype=np.int64), everyone]
-        for _ in range(2, p):
-            pows.append(self.mul(pows[-1], everyone))
-        if not np.all(self.mul(pows[-1], everyone) == self.id_code):
+        # Filled row by row, so only one copy of it is ever held.
+        self.POW = np.empty((p, self.size), dtype=np.int64)
+        self.POW[0] = self.id_code
+        self.POW[1] = np.arange(self.size)
+        for k in range(2, p):
+            self.POW[k] = self.mul(self.POW[k - 1], self.POW[1])
+        if not np.all(self.mul(self.POW[p - 1], self.POW[1]) == self.id_code):
             raise AssertionError("ambient exponent is not p")
-        self.POW = np.stack(pows)
         # LEAST[z] = min(<z> - 1) names the line <z>, for z not the identity
         self.LEAST = self.POW[1:].min(axis=0)
         self.LEAST.flags.writeable = False

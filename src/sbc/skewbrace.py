@@ -69,6 +69,7 @@ class SkewBrace:
     INV_MUL: np.ndarray
     INV_ADD: np.ndarray    # the read-only M1Table.INV
     LAM: np.ndarray        # LAM[a, b] = (-a) (+) (a (*) b)
+    ACTION: np.ndarray     # ACTION[a, b] = alpha_a(b), alpha_a the automorphism part of a
 
     @property
     def order(self) -> int:
@@ -90,8 +91,8 @@ def brace_from_codes(p: int, codes: np.ndarray) -> SkewBrace:
     aparts, pos = np.unique(codes % codec.N, return_inverse=True)
     APPLY, COMP, INV = aut_subgroup(p, aparts)
     t, k = len(aparts), len(codes)
-    at = APPLY[pos]
-    at += np.arange(k)[:, None] * k
+    ACTION = APPLY[pos]
+    at = ACTION + np.arange(k)[:, None] * k
     MUL = np.take(codec.m1.MUL, at)
     np.add(pos[:, None] * t, pos, out=at)
     # a product with n-part i lies in the carrier iff its part is codes[i]'s
@@ -102,7 +103,9 @@ def brace_from_codes(p: int, codes: np.ndarray) -> SkewBrace:
     INV_MUL = APPLY[INV[pos], INV_ADD]  # (i, alpha)^-1 = (alpha^-1(i^-1), alpha^-1)
     np.add(INV_ADD[:, None] * k, MUL, out=at)
     LAM = np.take(ADD, at)
-    return SkewBrace(p=p, codes=codes, MUL=MUL, ADD=ADD, INV_MUL=INV_MUL, INV_ADD=INV_ADD, LAM=LAM)
+    return SkewBrace(
+        p=p, codes=codes, MUL=MUL, ADD=ADD, INV_MUL=INV_MUL, INV_ADD=INV_ADD, LAM=LAM, ACTION=ACTION
+    )
 
 
 def brace_from_subgroup(sub: SubgroupHol) -> SkewBrace:
@@ -120,10 +123,14 @@ def verify_brace_axiom(brace: SkewBrace) -> tuple[int, int, int] | None:
     and c in {1, p}, 2 p^6 identities, whatever MUL is.  Only when that
     finds a failure does the full p^9 sweep run, to name the first one.
     """
-    MUL, ADD, INV_ADD = brace.MUL, brace.ADD, brace.INV_ADD
-    head = ADD[MUL, INV_ADD[:, None]]  # (a (*) b) (+) (-a)
+    MUL, ADD, INV_ADD, k = brace.MUL, brace.ADD, brace.INV_ADD, brace.order
+    # tables read by np.take on flat row * k + column codes, as in brace_from_codes
+    head = np.take(ADD, MUL * k + INV_ADD[:, None])  # (a (*) b) (+) (-a)
+    head *= k
+    rows = np.arange(k)[:, None] * k
     for s in (1, brace.p):  # the M1 codes of (0, 0, 1) and (0, 1, 0)
-        if not np.array_equal(MUL[:, ADD[:, s]], ADD[head, MUL[:, s, None]]):
+        lhs = np.take(MUL, rows + ADD[:, s])  # a (*) (b (+) s)
+        if not np.array_equal(lhs, np.take(ADD, head + MUL[:, s, None])):
             return _first_axiom_failure(brace)
     return None
 
@@ -152,11 +159,9 @@ def _first_axiom_failure(brace: SkewBrace) -> tuple[int, int, int] | None:
 
 def lambda_matches_automorphism_action(brace: SkewBrace) -> bool:
     """The brace-defined lambda must be the stored automorphism acting on the
-    n-parts, which are the local indices."""
-    codec = hol_codec(brace.p)
-    aparts, pos = np.unique(brace.codes % codec.N, return_inverse=True)
-    APPLY = codec.aut.apply_codes(aparts[:, None], np.arange(brace.order))
-    return bool(np.array_equal(brace.LAM, APPLY[pos]))
+    n-parts, which are the local indices: LAM against the theta(G) action
+    rows the brace was built from."""
+    return bool(np.array_equal(brace.LAM, brace.ACTION))
 
 
 def socle_indices(brace: SkewBrace) -> np.ndarray:

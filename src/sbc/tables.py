@@ -96,12 +96,23 @@ def aut_subgroup(p: int, members: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     members, on local indices i (positions in members): APPLY[i, n] =
     members[i](n), COMP[i, j] = the i of members[i] members[j], INV[i] = the
     i of members[i]^-1.  ValueError unless the members are closed under
-    composition; a finite closed subset of a group is a subgroup."""
-    aut = aut_table(p)
-    APPLY = aut.apply_codes(members[:, None], np.arange(p**3)[None, :])
-    comp = aut.compose_idx(members[:, None], members[None, :])
-    COMP = np.searchsorted(members, comp)
-    if not np.array_equal(members.take(COMP, mode="clip"), comp):
+    composition; a finite closed subset of a group is a subgroup.
+
+    An automorphism is fixed by its images of the codes 1 and p, which
+    generate M1, so COMP is read off APPLY: members[i] members[j] sends
+    1 to APPLY[i, APPLY[j, 1]] and p to APPLY[i, APPLY[j, p]], and is the
+    member with that key pair, found by a search in the sorted member keys.
+    """
+    aut, n = aut_table(p), p**3
+    APPLY = aut.apply_codes(members[:, None], np.arange(n)[None, :])
+    keys = APPLY[:, 1] * n + APPLY[:, p]
+    order = np.argsort(keys)
+    comp = APPLY.take(APPLY[:, 1], axis=1)
+    comp *= n
+    comp += APPLY.take(APPLY[:, p], axis=1)
+    at = np.searchsorted(keys, comp, sorter=order)
+    COMP = order.take(at, out=at, mode="clip")  # a miss past the end reads the last key
+    if not np.array_equal(keys.take(COMP), comp):
         raise ValueError("automorphism subset is not closed under composition")
     return APPLY, COMP, np.searchsorted(members, aut.INV[members])
 
@@ -276,6 +287,7 @@ class HolCodec:
         self.aut = aut_table(p)
         self.N = self.aut.N
         self.identity = 0 * self.N + self.aut.identity
+        self._sweep_parts = self._code_free_sweep_parts()
 
     # -- element codecs ----------------------------------------------------
 
@@ -350,6 +362,23 @@ class HolCodec:
         )
         return new_n * self.N + new_a
 
+    def _code_free_sweep_parts(self) -> tuple:
+        """The parts of _conj_sweep that no listed code changes, built once
+        per codec and read-only: the matrix parts, their inverses and those
+        inverses' matrix coordinates, the inner-part column t, and lut, where
+        lut[key] holds the code's terms from the M1 part's a coordinate and
+        the inner part (8 p^3 entries)."""
+        aut, p, g, N = self.aut, self.p, self.aut.n_gl, self.N
+        mats = np.arange(g)
+        mats_inv = aut.INV[mats]
+        inv_coords = aut.coords(mats_inv)[2:]
+        t = np.arange(p).reshape(p, 1)
+        xs = np.arange(2 * p) % p
+        lut = (xs[:, None, None] * (p * p * N) + (xs[:, None] * p + xs) * g).reshape(-1)
+        for part in (mats, mats_inv, *inv_coords, t, lut):
+            part.flags.writeable = False
+        return mats, mats_inv, inv_coords, t, lut
+
     def _conj_sweep(self, codes: np.ndarray) -> np.ndarray:
         """conj_images under every automorphism, composed once per matrix part.
 
@@ -364,9 +393,7 @@ class HolCodec:
         give each row.  Compositions: 2 |GL2| per listed code, not 2 N.
         """
         aut, p, g, N = self.aut, self.p, self.aut.n_gl, self.N
-        mats = np.arange(g)
-        mats_inv = aut.INV[mats]
-        ai1, ai2, ai3, ai4 = aut.coords(mats_inv)[2:]
+        mats, mats_inv, (ai1, ai2, ai3, ai4), t, lut = self._sweep_parts
         nparts, aparts = np.divmod(codes.reshape(-1, 1), N)  # (k, 1)
         n0 = aut.apply_codes(mats, nparts)  # (k, g)
         gamma = aut.compose_idx(aut.compose_idx(mats, aparts), mats_inv)
@@ -375,7 +402,6 @@ class HolCodec:
         # t M with M = A^-1 (B - det(B) I), the row vector t on the left
         m11, m12 = ai1 * (b1 - d) + ai2 * b3, ai1 * b2 + ai2 * (b4 - d)
         m21, m22 = ai3 * (b1 - d) + ai4 * b3, ai3 * b2 + ai4 * (b4 - d)
-        t = np.arange(p).reshape(p, 1)
         na = (n0 // (p * p))[:, None]
         nb, nc = ((nparts // p) % p)[..., None], (nparts % p)[..., None]
 
@@ -384,9 +410,6 @@ class HolCodec:
 
         x = key(na + t * nb, u1 + t * m11, u2 + t * m12)  # (k, t1, A)
         y = key(t * nc, t * m21, t * m22)  # (k, t2, A)
-        # lut[key]: the code's terms from the M1 part's a coordinate and the inner part
-        xs = np.arange(2 * p) % p
-        lut = (xs[:, None, None] * (p * p * N) + (xs[:, None] * p + xs) * g).reshape(-1)
         base = (n0 % (p * p)) * N + gamma % g
         out = np.empty((len(codes), p, p, g), dtype=np.int64)
         buf = np.empty((p, p, g), dtype=np.int64)
@@ -417,8 +440,9 @@ class HolCodec:
         of them); each row only probes the columns that survived the rows
         before it.  Rows of codes with the identity automorphism part, which
         conjugation keeps, go last: they keep most columns."""
-        keep = np.arange(self.N)
-        for row in sorted(images, key=lambda row: row[0] % self.N == self.aut.identity):
+        rows = sorted(images, key=lambda row: row[0] % self.N == self.aut.identity)
+        keep = np.flatnonzero(target[rows[0] // self.N] == rows[0])
+        for row in rows[1:]:
             img = row[keep]
             keep = keep[target[img // self.N] == img]
         return keep

@@ -211,8 +211,9 @@ def fresh_records():
 
 
 def test_walks_sweep_each_shared_generator_once(fresh_records, monkeypatch) -> None:
-    # 42 distinct generator codes among the 59 representatives; a walk
-    # sweeps a code again only when the representative before did not share it
+    # 42 distinct generator codes among the 59 representatives; a walk sweeps
+    # a code again only when neither its block of at most 5 rows at p = 5 nor
+    # the last representative before the block had it
     swept, stabilizers = [], []
     sweep, stabilizer = HolCodec._conj_sweep, HolCodec.stabilizer
 
@@ -227,10 +228,34 @@ def test_walks_sweep_each_shared_generator_once(fresh_records, monkeypatch) -> N
     monkeypatch.setattr(HolCodec, "_conj_sweep", counting_sweep)
     monkeypatch.setattr(HolCodec, "stabilizer", counting_stabilizer)
     assert len(fresh_records(P)) == 59
-    assert sum(swept) == 72 and len(stabilizers) == 59
+    assert (sum(swept), len(swept), len(stabilizers)) == (63, 13, 59)
+    assert max(swept) * hol_codec(P).N <= classify._SWEEP_BLOCK
     swept.clear()
     assert verify_pairwise_nonconjugate(P) == 182
-    assert sum(swept) == 64 and len(stabilizers) == 59
+    assert (sum(swept), len(swept), len(stabilizers)) == (48, 10, 59)
+
+
+def test_nonconjugacy_walk_skips_bucket_leaders(fresh_records, monkeypatch) -> None:
+    # a bucket's first member has no earlier member to probe, so its
+    # generators are not swept for it; every later member is walked once
+    walked = []
+    walk = classify._generator_rows
+
+    def recording_walk(p, reps):
+        walked.extend(rep.rep_id for rep in reps)
+        return walk(p, reps)
+
+    monkeypatch.setattr(classify, "_generator_rows", recording_walk)
+    records = fresh_records(P)
+    walked.clear()
+    assert verify_pairwise_nonconjugate(P) == 182
+    seen, later = set(), []
+    for rec in records:
+        bucket = (rec.theta_order, rec.structure, rec.autbr_order)
+        if bucket in seen:
+            later.append(rec.rep_id)
+        seen.add(bucket)
+    assert walked == later and len(later) == len(records) - len(seen)
 
 
 def test_nonconjugacy_check_finds_a_conjugate_in_its_bucket(

@@ -178,6 +178,22 @@ def test_aut_subgroup_matches_the_global_tables(ambient: int) -> None:
         aut_subgroup(P, np.union1d(members, [outside]))
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_aut_subgroup_composition_matches_compose_idx(p: int) -> None:
+    # COMP is read off the members' images of the generators 1 and p; the
+    # reference composes the members in triangular form.  Every Sylow ambient
+    # and every theta(G) of a representative.
+    aut = aut_table(p)
+    thetas = {tuple(np.unique(rep.codes % aut.N)) for rep in all_representatives(p)}
+    subgroups = [np.sort(a) for a in _sylow_ambient_indices(p)] + [np.array(t) for t in thetas]
+    assert len(subgroups) > p + 1
+    for members in subgroups:
+        APPLY, COMP, INV = aut_subgroup(p, members)
+        assert np.array_equal(APPLY, aut.apply_codes(members[:, None], np.arange(p**3)[None, :]))
+        assert np.array_equal(members[COMP], aut.compose_idx(members[:, None], members[None, :]))
+        assert np.array_equal(members[INV], aut.INV[members])
+
+
 def test_hol_codec_round_trip_and_ops() -> None:
     codec = hol_codec(P)
     auts = enumerate_aut(P)

@@ -23,9 +23,15 @@ of its order: a subgroup of order p, p**2 or p**3 is <R, y> for any maximal
 subgroup R of it (maximal subgroups of a p-group are normal) and any y
 outside R.  Conjugation keeps the order, so a layer is closed under
 conjugation by the ambient G.  The parents of a layer are split into
-classes by a breadth-first walk: a small generating set of G is chosen
-greedily, and for a parent R and a generator z the sorted row of z R z^-1
-is looked up in the layer.  That records for every parent a
+classes by a breadth-first walk along a small generating set of G, chosen
+greedily.  A parent is named by its lines: a line <s> by LEAST[s] =
+min(<s> - 1), and an order-p**2 group Q, which is C_p x C_p with the p + 1
+lines <s> and <s^i x>, by the pair (a(Q), b(Q)) of its two least line
+minima (see Canonical parents).  The lines of z R z^-1 are the z L z^-1,
+so for a parent R and a generator z the key of z R z^-1 is read off the
+conjugated line members, and one search finds it among the parents' keys,
+which layers 1 and 2 list in ascending order.  Conjugation by each
+generator is tabulated once per scan.  The walk records for every parent a
 representative R0 (the first parent of its class) and a g with
 R = g R0 g^-1; a failed lookup is an AssertionError.  Only R0 gets the
 direct normalizer sweep and the leader pass below.  Since N(g R0 g^-1) =
@@ -44,18 +50,26 @@ automorphism part c depends on b alone, which gives a prefilter: only the b
 that send the automorphism part of every generator of R into R's projection
 to A can normalize R.  The M1 part is computed for the surviving b only.
 
-Leaders.  Each layer step adds the p cosets of one element, so a parent
-R = <g1, g2, ...> is the set product <g1><g2>... of its generators.  The
-extensions R<y>, y in N(R) - R, meet pairwise in R (each has index p over
-it), so they split N(R) - R, and each is named by its leader min(E - R).
-R0's leaders come from one vectorized pass over N(R0): the coset label
-label(y) = min(R0 y) is folded over the generators, the leader of <R0, y> is
-the least label(y^k), k = 1..p-1, and the leaders are the y outside R0 that
-are their own leader.  Every parent of the class builds each extension as
-its p - 1 cosets outside R, unsorted, and reads the leader as their minimum.
-A class is built in one batch: |G| / |N| parents with
-(|N| - |R|) / ((p - 1) |R|) extensions of (p - 1) |R| codes each, fewer than
-|G| codes in all (117,649 at p=7).
+Leaders from lines.  The extensions R<y>, y in N(R) - R, meet pairwise in R
+(each has index p over it), so they split N(R) - R, and each is named by
+its leader min(E - R).  Let E = <R, y> with R maximal in E, so E / R has
+order p and R y generates it.  A line <z> of E not in R meets R in the
+identity only, so it maps onto E / R, and exactly one of its elements lies
+in the coset R y.  E - R is the union of these lines without the identity,
+so
+
+  min(E - R) = min over x in R y of LEAST[x],
+
+one coset of |R| codes.  A leader is the least member of its own line, so
+R0's leaders are the y in N(R0) - R0 with LEAST[y] = y whose coset R0 y has
+least LEAST y.  Each parent R = g R0 g^-1 of the class gets one
+(parent, extension) entry R<g y g^-1> per leader y of R0.  A layer's
+entries are flattened and go in blocks of a fixed number of coset codes:
+each entry builds its coset R y' and reads its leader off it, the
+canonical test below runs on the leaders, and only the kept children get
+their other p - 2 cosets and are sorted.  The built counts are the named
+entries, 50,586 + 28,361 per p=5 ambient, of which only 8,431 + 2,931 are
+built in full.
 
 Canonical parents.  A subgroup is built once from each of its maximal
 subgroups, which gives two exact identities per ambient (asserted in the
@@ -76,7 +90,8 @@ row:
   identity <z> = <z'> iff min(<z> - 1) = min(<z'> - 1).  The least line of
   a subgroup H is <min(H - 1)>; call its index a(H).  A child Q of order
   p**2 is kept from its least line L, with leader b(Q) = min(Q - L), so
-  layer 2 is in order of (a(Q), b(Q)).
+  layer 2 is in order of (a(Q), b(Q)) and Q has generators (a(Q), b(Q)).
+  The test reads a(R) and b(R) off the parent's generators.
 
   Order p**2.  The maximal subgroups of E are its lines, and the first is
   the line of min(E - 1).  So R is canonical iff min(E - 1) lies in R, that
@@ -100,9 +115,12 @@ row:
   min(R - L*) < min(E - R); otherwise m = min(E - R), and m normalizes L*
   iff min(<m s m^-1> - 1) = min(<s> - 1).
 
-Each subgroup is a sorted row of global holomorph codes.  The ambients'
-rows are merged by `tables.distinct_rows`, so subgroups shared between
-ambients are counted once.
+Each subgroup is a sorted row of global holomorph codes.  Each ambient's
+regular rows are folded into the running union as its scan arrives: only
+the rows `tables.row_lookup` does not find there join it, so subgroups
+shared between ambients are counted once and no two ambients' blocks are
+held at once.  `tables.distinct_rows` puts the union in lexicographic
+order.
 """
 
 from __future__ import annotations
@@ -125,6 +143,11 @@ __all__ = [
 
 DEFAULT_ORACLE_BUDGET = 5
 
+# Coset codes (entries x parent order) in one block of the layer step.
+# Raising it trades peak memory for per-block overhead: at p = 5, 2^14
+# raises a scan's peak RSS by about 1 MB and saves about 7% of its time.
+_LAYER_BLOCK = 1 << 12
+
 
 @dataclass(frozen=True, eq=False)
 class OracleResult:
@@ -135,8 +158,9 @@ class OracleResult:
     give each row's theta order and GroupType value.  The arrays are
     read-only, since the result is memoized and shared.
 
-    per_ambient_built_p2/p3 count the subgroups each layer built, repeats
-    included; the layers keep only the distinct ones.
+    per_ambient_built_p2/p3 count the (parent, extension) pairs each layer
+    named, one per subgroup and maximal subgroup of it; the layers keep only
+    the distinct subgroups.
     """
 
     p: int
@@ -210,9 +234,9 @@ class AmbientScan:
         # take, which is faster than a 2-D fancy gather
         n1, a1 = np.divmod(np.asarray(c1), self.AL)
         n2, a2 = np.divmod(np.asarray(c2), self.AL)
-        image = np.take(self.LOC_APPLY, a1 * self.p**3 + n2)
-        out = np.take(self.MUL_FLAT, n1 * self.p**3 + image)
-        out += np.take(self.LOC_COMP, a1 * self.AL + a2)
+        image = self.LOC_APPLY.take(a1 * self.p**3 + n2)
+        out = self.MUL_FLAT.take(n1 * self.p**3 + image)
+        out += self.LOC_COMP.take(a1 * self.AL + a2)
         return out
 
     def conj(self, g: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -300,26 +324,54 @@ class AmbientScan:
             inside |= reached
             frontier = np.flatnonzero(reached)
 
-    def _classes(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(rep, g) with rows[i] = g[i] rows[rep[i]] g[i]^-1 for a layer of
-        sorted rows; rep[i] is the first row of the conjugacy class of i.
-
-        Each class is walked breadth-first along the generators.  A failed
-        lookup is an AssertionError: the layer holds every subgroup of its
-        order, so it is closed under conjugation.
-        """
-        n = len(rows)
-        find = row_lookup(rows)
+    @cached_property
+    def _conj_by_generators(self) -> np.ndarray:
+        """Row k holds the codes of z c z^-1 for every c, z = generators[k];
+        built once per scan, shared by the class walks of every layer."""
         everyone = np.arange(self.size, dtype=np.int64)
-        steps = []  # steps[k][i]: the index of z_k rows[i] z_k^-1
-        for z in self.generators:
-            conj = self.conj(z, everyone)[rows]
-            conj.sort(axis=1)
-            at, found = find(conj)
-            if not found.all():
+        return np.stack([self.conj(z, everyone) for z in self.generators])
+
+    def _lines(self, gens: np.ndarray) -> np.ndarray:
+        """One member of each line of every parent <gens[i]>, row by row.
+        The parents are all trivial (no lines), all lines <s> (s itself) or
+        all of order p**2, hence C_p x C_p, whose p + 1 lines are <s> and
+        the <s^i x>, i = 0..p-1 (s, x, s x, ..., s^(p-1) x)."""
+        if gens.shape[1] < 2:
+            return gens
+        s, x = gens.T
+        return np.column_stack([s, self.mul(self.POW[:, s].T, x[:, None])])
+
+    def _line_keys(self, lines: np.ndarray) -> np.ndarray:
+        """The key of each subgroup given by its lines (see _lines): its
+        least line minimum a, then for order p**2 the next one b, as
+        a * size + b.  A line <s> has key LEAST[s]; an order-p**2 group Q
+        has key (a(Q), b(Q)), and Q = <a(Q), b(Q)>, so keys are distinct."""
+        least = np.sort(self.LEAST[lines], axis=1)[:, :2]
+        key = np.zeros(len(lines), dtype=np.int64)
+        for column in least.T:
+            key = key * self.size + column
+        return key
+
+    def _classes(self, lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rep, g) with parent i = g[i] (parent rep[i]) g[i]^-1 for a layer
+        of parents given by their lines (see _lines) and listed in ascending
+        key order; rep[i] is the first parent of the conjugacy class of i.
+
+        The lines of z H z^-1 are the z L z^-1, so a conjugate's key is read
+        off the conjugated line members and found by one search among the
+        keys.  Each class is walked breadth-first along the generators.  A
+        failed lookup is an AssertionError: the layer holds every subgroup
+        of its order, so it is closed under conjugation.
+        """
+        n = len(lines)
+        keys = self._line_keys(lines)
+        steps = []  # steps[k][i]: the index of z_k (parent i) z_k^-1
+        for conj in self._conj_by_generators:
+            want = self._line_keys(conj[lines])
+            at = np.minimum(np.searchsorted(keys, want), n - 1)
+            if not np.array_equal(keys[at], want):
                 raise AssertionError("layer is not closed under conjugation")
             steps.append(at.tolist())
-        del find, conj
         rep, pred, via, depth = [-1] * n, [0] * n, [0] * n, [0] * n
         queue: list[int] = []
         head = 0
@@ -336,7 +388,7 @@ class AmbientScan:
                     if rep[v] < 0:
                         rep[v], pred[v], via[v], depth[v] = i, u, k, depth[u] + 1
                         queue.append(v)
-        # rows[v] = z_k rows[u] z_k^-1 for its predecessor u, so g[v] = z_k g[u]
+        # parent v = z_k (parent u) z_k^-1 for its predecessor u, so g[v] = z_k g[u]
         g = np.full(n, self.id_code, dtype=np.int64)
         pred, via, depth = (np.array(c, dtype=np.int64) for c in (pred, via, depth))
         for d in range(1, int(depth.max()) + 1):
@@ -344,7 +396,7 @@ class AmbientScan:
             g[at] = self.mul(self.generators[via[at]], g[pred[at]])
         return np.array(rep, dtype=np.int64), g
 
-    def _normalizer(self, row: np.ndarray, gens: tuple[int, ...]) -> np.ndarray:
+    def _normalizer(self, row: np.ndarray, gens: np.ndarray) -> np.ndarray:
         """Ascending codes of the normalizer of the subgroup row = <gens>."""
         # y normalizes the row iff it conjugates every generator into it
         # (every y does when there is none), so the automorphism parts
@@ -363,74 +415,66 @@ class AmbientScan:
             normal &= in_row[self.conj_all(g, bs)]
         return (self._n_parts[:, None] * self.AL + bs)[normal]
 
-    def _leaders(
-        self, row: np.ndarray, gens: tuple[int, ...], normalizer: np.ndarray, pos: np.ndarray
-    ) -> np.ndarray:
-        """Ascending leaders min(E - R) of the extensions E = <R, y> of the
-        subgroup R = row = <gens>, y in R's ascending normalizer.
+    def _coset_leaders(self, rows: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(leaders, cosets): for each E = <R, y[j]>, R = rows[j] (or one
+        row for all), the leader min(E - R), read as the least LEAST over
+        the coset R y[j], and that coset.  Every line of E outside R meets
+        R y[j] in one element (module docstring)."""
+        coset = self.mul(rows, y[:, None])
+        return self.LEAST[coset].min(axis=1), coset
 
-        Each layer step adds the p cosets of one element, so R is the set
-        product <g1><g2>...  of its generators in order.  The coset label
-        label(y) = min(R y) is folded over them: after g1..gj it is
-        min(<g1>...<gj> y), and folding in g replaces label(y) by the least
-        label(g^i y), i = 0..p-1.  E - R is the union of the cosets R y^k,
-        k = 1..p-1, so the leader of <R, y> is the least label(y^k).  Every
-        y outside R is in exactly one extension, the leader of an extension
-        is its own, and R y = R only for y in R (label min(R) = row[0]): the
-        leaders are the y outside R that are their own leader.  pos is a
-        |G| buffer; only the normalizer's entries are written and read.
+    def _leaders(self, row: np.ndarray, normalizer: np.ndarray) -> np.ndarray:
+        """Ascending leaders min(E - R) of the extensions E = <R, y> of the
+        subgroup R = row, sorted, y in R's ascending normalizer.
+
+        A leader is the least member of its own line, so the candidates are
+        the y in N - R with LEAST[y] = y, and y leads its extension iff the
+        least LEAST over R y is y.  The extensions split N - R, so each has
+        exactly one leader.
         """
-        pos[normalizer] = np.arange(len(normalizer))
-        label = normalizer
-        for g in gens:
-            prev, label = label, label.copy()
-            for i in range(1, self.p):
-                np.minimum(label, prev[pos[self.mul(self.POW[i, g], normalizer)]], out=label)
-        lead = label[pos[self.POW[1, normalizer]]]
-        for k in range(2, self.p):
-            np.minimum(lead, label[pos[self.POW[k, normalizer]]], out=lead)
-        return normalizer[(label != row[0]) & (lead == normalizer)]
+        y = normalizer[self.LEAST[normalizer] == normalizer]
+        at = np.minimum(np.searchsorted(row, y), len(row) - 1)
+        y = y[row[at] != y]
+        return y[self._coset_leaders(row, y)[0] == y]
 
     def _class_extensions(
-        self, rows: np.ndarray, parents: list[tuple[np.ndarray, tuple[int, ...]]]
-    ):
-        """Yield per conjugacy class of the parents (index, leaders, blocks):
-        blocks[j, e] holds the p - 1 cosets of parent R = rows[index[j]]
-        outside R, unsorted, that make its e-th extension, and leaders[j, e]
-        is their least element.
+        self, rows: np.ndarray, gens: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+        """(owner, y0, g, swept, walked): one entry per extension of every
+        parent.  Parent R = rows[i] = <gens[i]> is g[i] R0 g[i]^-1 for the
+        first parent R0 of its class, and entry k names the extension
+        R<g y0 g^-1> of R = rows[owner[k]], g = g[owner[k]], for y0 = y0[k]
+        a leader of R0; owner ascends.
 
-        Only the class's first parent R0 gets a normalizer sweep; a parent
-        R = g R0 g^-1 gets g E g^-1 = R<g y g^-1> for each extension
-        E = R0<y> of R0, built as the cosets R (g y g^-1)^k, k = 1..p-1.
+        Only R0 gets a normalizer sweep (swept counts them) and a leader
+        pass (walked counts its leaders): since N(g R0 g^-1) = g N(R0) g^-1,
+        the extensions of R are the g E g^-1 = R<g y0 g^-1> for the
+        extensions E = R0<y0> of R0.
         """
-        rep, g = self._classes(rows)
-        order = np.argsort(rep, kind="stable")  # a class's first parent leads it
-        pos = np.empty(self.size, dtype=np.int64)
-        for index in np.split(order, np.flatnonzero(np.diff(rep[order])) + 1):
-            row, gens = parents[index[0]]
-            leads = self._leaders(row, gens, self._normalizer(row, gens), pos)
-            y = self.conj(g[index, None], leads)
-            powers = np.moveaxis(self.POW[1:, y], 0, -1)[..., None]
-            blocks = self.mul(rows[index, None, None, :], powers)
-            blocks = blocks.reshape(len(index), len(leads), -1)
-            yield index, blocks.min(axis=2), blocks
+        rep, g = self._classes(self._lines(gens))
+        leads = {
+            r: self._leaders(rows[r], self._normalizer(rows[r], gens[r]))
+            for r in np.flatnonzero(rep == np.arange(len(rep))).tolist()
+        }
+        per_parent = [leads[r] for r in rep.tolist()]
+        owner = np.repeat(np.arange(len(rep)), [len(y) for y in per_parent])
+        walked = sum(len(y) for y in leads.values())
+        return owner, np.concatenate(per_parent), g, len(leads), walked
 
-    def _canonical(self, rows: np.ndarray, leaders: np.ndarray) -> np.ndarray:
-        """Mask shaped like leaders: True where parent R = rows[j] is the
-        canonical parent of its child E with leader leaders[j, e] =
-        min(E - R), that is the maximal subgroup of E that comes first in
-        the parents' layer.  The parents are all of order 1, all of order p
-        or all of order p**2; the module docstring proves the test.
+    def _canonical(self, gens: np.ndarray, leaders: np.ndarray) -> np.ndarray:
+        """True where parent R = <gens[j]> is the canonical parent of its
+        child E with leader leaders[j] = min(E - R), that is the maximal
+        subgroup of E that comes first in the parents' layer.  The parents
+        are all of order 1, all of order p or all of order p**2, and
+        gens[j] starts with a(R) = min(R - 1) and, at order p**2, b(R) =
+        min(R - <a(R)>); the module docstring proves the test.
         """
-        if rows.shape[1] == 1:  # an order-p group has one maximal subgroup
-            return np.ones(leaders.shape, dtype=bool)
-        s = np.where(rows[:, 0] == self.id_code, rows[:, 1], rows[:, 0])[:, None]
+        if gens.shape[1] == 0:  # an order-p group has one maximal subgroup
+            return np.ones(len(leaders), dtype=bool)
+        s = gens[:, 0]
         keep = s < leaders  # min(E - 1) lies in R
-        if rows.shape[1] > self.p:
-            least = self.LEAST
-            outside = (least[rows] != least[s]) & (rows != self.id_code)
-            b = np.where(outside, rows, self.size).min(axis=1, keepdims=True)
-            keep &= (b < leaders) | (least[self.conj(leaders, s)] != least[s])
+        if gens.shape[1] == 2:  # LEAST[s] = s, the least member of its line
+            keep &= (gens[:, 1] < leaders) | (self.LEAST[self.conj(leaders, s)] != s)
         return keep
 
     def _next_layer(
@@ -441,29 +485,36 @@ class AmbientScan:
         for the parents (sorted row, gens), y running over the row's
         normalizer.
 
-        A child is kept from its canonical parent R only, with y its leader
-        min(E - R); the kept children are sorted, and the layer is put in
-        order of (parent index, leader).
+        Every (parent, extension) entry of _class_extensions is built as
+        one coset, which gives its leader y = min(E - R); a child is kept
+        from its canonical parent R only, and only kept children get their
+        other p - 2 cosets and are sorted.  The entries go in blocks of
+        about _LAYER_BLOCK coset codes.  The layer is put in order of
+        (parent index, leader).
         """
         rows = np.array([row for row, _ in parents])
+        gens = np.array([pg for _, pg in parents], dtype=np.int64)
+        owner, y0, g, swept, walked = self._class_extensions(rows, gens)
         children: list[np.ndarray] = []
         ranks, layer_gens = [], []
-        built = swept = walked = 0
-        for index, leaders, blocks in self._class_extensions(rows, parents):
-            built += leaders.size
-            swept += 1
-            walked += leaders.shape[1]
-            j, e = np.nonzero(self._canonical(rows[index], leaders))
-            kept = np.concatenate([rows[index[j]], blocks[j, e]], axis=1)
+        step = max(1, _LAYER_BLOCK // rows.shape[1])
+        for start in range(0, len(owner), step):
+            at = owner[start : start + step]
+            y = self.conj(g[at], y0[start : start + step])
+            leaders, coset = self._coset_leaders(rows[at], y)
+            keep = np.flatnonzero(self._canonical(gens[at], leaders))
+            at, y, leaders, parent = at[keep], y[keep], leaders[keep], rows[at[keep]]
+            rest = self.mul(parent[:, None, :], self.POW[2:, y].T[:, :, None])  # R y^k, k >= 2
+            rest = rest.reshape(len(y), (self.p - 2) * rows.shape[1])
+            kept = np.concatenate([parent, coset[keep], rest], axis=1)
             kept.sort(axis=1)
             kept.flags.writeable = False
             children.extend(kept)  # row views: the kept blocks are the layer
-            owners, y = index[j], leaders[j, e]
-            ranks.append(owners * self.size + y)
-            layer_gens.extend(parents[i][1] + (v,) for i, v in zip(owners.tolist(), y.tolist()))
+            ranks.append(at * self.size + leaders)
+            layer_gens.extend(parents[i][1] + (v,) for i, v in zip(at.tolist(), leaders.tolist()))
         order = np.argsort(np.concatenate(ranks)).tolist()
         layer = [(children[k], layer_gens[k]) for k in order]
-        return layer, built, swept, walked
+        return layer, len(owner), swept, walked
 
     # -- classification -------------------------------------------------------
 
@@ -525,6 +576,27 @@ def _sylow_ambient_indices(p: int) -> list[np.ndarray]:
     return out
 
 
+def _fold(p: int, scans) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[dict]]:
+    """(rows, theta, types, scans) of the union of the ambients' regular
+    rows, folded in as each scan arrives: only the rows not found in the
+    running set by `tables.row_lookup` join it, so no two ambients' blocks
+    are held at once.  An ambient's own rows are distinct (its layers are).
+    The scans come back without their blocks."""
+    rows = np.empty((0, p**3), dtype=np.int64)
+    theta = np.empty(0, dtype=np.int64)
+    types = np.empty(0, dtype=str)
+    done = []
+    for scan in scans:
+        block = scan.pop("codes")
+        new = ~row_lookup(rows)(block)[1]
+        rows = np.concatenate([rows, block[new]])
+        theta = np.concatenate([theta, scan["theta"][new]])
+        types = np.concatenate([types, scan["types"][new]])
+        del block  # before the next scan runs
+        done.append(scan)
+    return rows, theta, types, done
+
+
 _SCAN_MEMO: dict[int, OracleResult] = {}
 
 
@@ -544,21 +616,15 @@ def enumerate_regular_subgroups(
     cached = _SCAN_MEMO.get(p)
     if cached is not None:
         return cached
-    ambients = _sylow_ambient_indices(p)
-    args = [(p, idx) for idx in ambients]
+    args = [(p, idx) for idx in _sylow_ambient_indices(p)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_one_ambient, args))
+            union, theta, types, results = _fold(p, pool.map(_scan_one_ambient, args))
     else:
-        results = [_scan_one_ambient(a) for a in args]
-    ends = np.cumsum([r["regular"] for r in results])
-    rows = np.empty((ends[-1], p**3), dtype=np.int64)
-    for r, end in zip(results, ends):  # popping each block frees it once copied
-        rows[end - r["regular"] : end] = r.pop("codes")
-    codes, first = distinct_rows(rows)
-    # theta and type are invariants of the subgroup: any occurrence will do
-    theta = np.concatenate([r["theta"] for r in results])[first]
-    types = np.concatenate([r["types"] for r in results])[first]
+        union, theta, types, results = _fold(p, map(_scan_one_ambient, args))
+    codes, first = distinct_rows(union)  # the rows are distinct: this sorts them
+    del union
+    theta, types = theta[first], types[first]
     for arr in (theta, types):
         arr.flags.writeable = False
     result = OracleResult(

@@ -160,7 +160,13 @@ def _first_axiom_failure(brace: SkewBrace) -> tuple[int, int, int] | None:
 def lambda_matches_automorphism_action(brace: SkewBrace) -> bool:
     """The brace-defined lambda must be the stored automorphism acting on the
     n-parts, which are the local indices: LAM against the theta(G) action
-    rows the brace was built from."""
+    rows the brace was built from.
+
+    `brace_from_codes` builds LAM[a, b] = (-a) (+) (a (+) ACTION[a, b]), so
+    this checks that `M1Table.MUL`/`INV` are a group law, not ACTION on its
+    own; ACTION is pinned to the composition route by
+    `tests/test_skewbrace.py::test_theta_tables_match_the_composition_route`.
+    """
     return bool(np.array_equal(brace.LAM, brace.ACTION))
 
 

@@ -257,7 +257,10 @@ class AutTable:
         c = ncode % p
         t1, t2, a1, a2, a3, a4 = self.coords(idx)
         det = (a1 * a4 - a2 * a3) % p
-        na = det * a + t1 * b + h * a1 * a3 * b * (b - 1) + t2 * c + h * a2 * a4 * c * (c - 1) + a2 * a3 * b * c
+        # the code-only factors are formed at the width of ncode before they
+        # meet the coefficients, so each term takes one broadcast product
+        bb, cc, bc = b * (b - 1), c * (c - 1), b * c
+        na = det * a + t1 * b + (h * a1 * a3) * bb + t2 * c + (h * a2 * a4) * cc + (a2 * a3) * bc
         nb = a1 * b + a2 * c
         nc = a3 * b + a4 * c
         return ((na % p) * p + nb % p) * p + nc % p

@@ -134,41 +134,56 @@ def _walk(scan, row, normalizer):
     return np.array(leaders, dtype=np.int64), np.array(members, dtype=np.int64).reshape(shape)
 
 
+def _rows_and_gens(parents):
+    rows = np.array([row for row, _ in parents])
+    return rows, np.array([gens for _, gens in parents], dtype=np.int64)
+
+
+def _built_extensions(scan, parents):
+    """(rows, gens, owner, y, cosets, swept, walked) for the layer step from
+    parents: every built (parent, extension) pair as the parent index
+    owner[k] and an element y[k] with extension <rows[owner[k]], y[k]>,
+    and cosets[k] the p - 1 cosets of that parent outside it, (R y^j,
+    j = 1..p-1) side by side, built in full from y."""
+    rows, gens = _rows_and_gens(parents)
+    owner, y0, g, swept, walked = scan._class_extensions(rows, gens)
+    y = scan.conj(g[owner], y0)
+    powers = scan.POW[1:, y].T[:, :, None]  # (pairs, p - 1, 1)
+    cosets = scan.mul(rows[owner][:, None, :], powers).reshape(len(owner), -1)
+    return rows, gens, owner, y, cosets, swept, walked
+
+
 def _check_class_extensions(scan, parents):
     """The extensions and leaders the layer step gives every parent equal
     that parent's own walk, the walk splits the parent's own direct
     normalizer, and each class representative's leaders equal its walk's.
     Returns (class count, extensions walked)."""
-    rows = np.array([row for row, _ in parents])
-    rep, g = scan._classes(rows)
+    rows, gens, owner, y, cosets, swept, walked = _built_extensions(scan, parents)
+    rep, g = scan._classes(scan._lines(gens))
     for i, r in enumerate(rep):
         assert np.array_equal(np.sort(scan.conj(g[i], rows[r])), rows[i])
-    assigned, walked = {}, 0
-    for index, leaders, blocks in scan._class_extensions(rows, parents):
-        k = leaders.shape[1]
-        walked += k
-        for j, i in enumerate(index.tolist()):
-            members = np.concatenate([np.broadcast_to(rows[i], (k, rows.shape[1])), blocks[j]], axis=1)
-            members.sort(axis=1)
-            assigned[i] = (leaders[j], members)
-    assert sorted(assigned) == list(range(len(parents)))
+    assert np.all(np.diff(owner) >= 0)
+    leaders = scan._coset_leaders(rows[owner], y)[0]
+    members = np.concatenate([rows[owner], cosets], axis=1)
+    members.sort(axis=1)
+    ends = np.searchsorted(owner, np.arange(len(parents) + 1))
     orders = 0
-    pos = np.empty(scan.size, dtype=np.int64)
-    for i, (row, gens) in enumerate(parents):
-        normalizer = scan._normalizer(row, gens)
+    for i, (row, gens_i) in enumerate(parents):
+        normalizer = scan._normalizer(row, gens_i)
         want_leaders, want_members = _walk(scan, row, normalizer)
         if rep[i] == i:
-            assert np.array_equal(scan._leaders(row, gens, normalizer, pos), want_leaders)
-        leaders, members = assigned[i]
-        by_leader = np.argsort(leaders)
-        assert np.array_equal(leaders[by_leader], want_leaders)
-        assert np.array_equal(members[by_leader], want_members)
+            assert np.array_equal(scan._leaders(row, normalizer), want_leaders)
+        mine = slice(ends[i], ends[i + 1])
+        by_leader = np.argsort(leaders[mine])
+        assert np.array_equal(leaders[mine][by_leader], want_leaders)
+        assert np.array_equal(members[mine][by_leader], want_members)
         # the extensions meet pairwise in the row and cover the normalizer
         assert len(normalizer) == len(row) * (1 + (scan.p - 1) * len(want_leaders))
         assert np.array_equal(np.union1d(row, want_members), normalizer)
         orders += len(normalizer)
     # orbit-stabilizer: the class of R has |G| / |N(R)| members
     classes = len(np.unique(rep))
+    assert classes == swept
     assert orders == classes * scan.size
     return classes, walked
 
@@ -177,19 +192,29 @@ def _check_canonical_parents(scan, parents):
     """The children the layer step keeps are exactly the first occurrences,
     by (parent index, leader), among all the children it builds, each kept
     once.  Returns the number of distinct children."""
-    rows = np.array([row for row, _ in parents])
+    rows, gens, owner, y, cosets, _, _ = _built_extensions(scan, parents)
+    leaders = scan._coset_leaders(rows[owner], y)[0]
+    keep = scan._canonical(gens[owner], leaders)
     first, kept = {}, []
-    for index, leaders, blocks in scan._class_extensions(rows, parents):
-        keep = scan._canonical(rows[index], leaders)
-        for j, i in enumerate(index.tolist()):
-            for e, y in enumerate(leaders[j].tolist()):
-                key = np.sort(np.concatenate([rows[i], blocks[j, e]])).tobytes()
-                if key not in first or (i, y) < first[key]:
-                    first[key] = (i, y)
-                if keep[j, e]:
-                    kept.append((i, y))
+    for k, (i, leader) in enumerate(zip(owner.tolist(), leaders.tolist())):
+        key = np.sort(np.concatenate([rows[i], cosets[k]])).tobytes()
+        if key not in first or (i, leader) < first[key]:
+            first[key] = (i, leader)
+        if keep[k]:
+            kept.append((i, leader))
     assert sorted(kept) == sorted(first.values())
     return len(first)
+
+
+def _check_coset_leaders(scan, parents):
+    """Every line of E = <R, y> outside R meets the coset R y in exactly
+    one element, so the least LEAST over R y, the leader the layer step
+    reads, is min(E - R) of the fully built E.  Returns the pairs checked."""
+    rows, _, owner, y, cosets, _, _ = _built_extensions(scan, parents)
+    leaders, coset = scan._coset_leaders(rows[owner], y)
+    assert np.array_equal(coset, cosets[:, : rows.shape[1]])
+    assert np.array_equal(leaders, cosets.min(axis=1))
+    return len(owner)
 
 
 def _generated_order(scan, gens):
@@ -254,6 +279,20 @@ def test_each_child_is_kept_from_its_first_parent_only(which, request):
     assert _check_canonical_parents(scan, layer2) == len(layer3)
 
 
+@pytest.mark.parametrize("which", ["sylow_scan", "small_ambient"])
+def test_coset_minimum_of_line_minima_is_the_leader(which, request):
+    # each step is checked before the next layer is built from it
+    scan = request.getfixturevalue(which)
+    if which == "sylow_scan":
+        scan = scan[0]
+    layer1 = scan.order_p_subgroups()
+    assert _check_coset_leaders(scan, _trivial(scan)) == len(layer1)
+    layer2 = scan.order_p2_subgroups(layer1)
+    assert _check_coset_leaders(scan, layer1) == scan.built_p2
+    scan.order_p3_subgroups(layer2)
+    assert _check_coset_leaders(scan, layer2) == scan.built_p3
+
+
 @pytest.mark.parametrize("which", ["sylow_scan", "small_ambient", "m1_scan"])
 def test_layer1_lists_lines_by_least_member(which, request):
     # LEAST[z] is the least non-identity member of the line holding z, which
@@ -271,29 +310,35 @@ def test_layer1_lists_lines_by_least_member(which, request):
     assert np.array_equal(scan.LEAST[members], np.broadcast_to(least[:, None], members.shape))
 
 
-def test_sylow_layers_digest(sylow_scan):
-    # SHA-256 of the layer-1 rows, then of each layer-2 and layer-3 row with
-    # its generator tuple, all as int64 bytes: pins the layers, their order
-    # and their generators on Sylow ambient 0 at p=5
-    _, layer1, layer2, layer3 = sylow_scan
+def _layers_digest(layer1, layer2, layer3):
+    """SHA-256 of the layer-1 rows, then of each layer-2 and layer-3 row with
+    its generator tuple, all as int64 bytes: pins the layers, their order
+    and their generators."""
     h = hashlib.sha256()
     for row, _ in layer1:
         h.update(row.astype(np.int64).tobytes())
     for row, gens in layer2 + layer3:
         h.update(row.astype(np.int64).tobytes())
         h.update(np.array(gens, dtype=np.int64).tobytes())
-    assert h.hexdigest() == "feab381e73000ec5fc3f47b9b24f2b5d42de1567b18d49cf37147013ffa0832b"
+    return h.hexdigest()
+
+
+def test_sylow_layers_digest(sylow_scan):
+    # Sylow ambient 0 at p=5
+    digest = _layers_digest(*sylow_scan[1:])
+    assert digest == "feab381e73000ec5fc3f47b9b24f2b5d42de1567b18d49cf37147013ffa0832b"
 
 
 def test_class_walk_refuses_a_layer_not_closed_under_conjugation(sylow_scan):
-    scan, layer1 = sylow_scan[:2]
-    rows = np.array([row for row, _ in layer1])
-    rep, _ = scan._classes(rows)
-    # drop one member of a class with more than one: its conjugates miss it
-    counts = np.bincount(rep)
-    victim = np.flatnonzero((rep != np.arange(len(rep))) & (counts[rep] > 1))[0]
-    with pytest.raises(AssertionError, match="not closed under conjugation"):
-        scan._classes(np.delete(rows, victim, axis=0))
+    scan = sylow_scan[0]
+    for parents in sylow_scan[1:3]:  # keyed by a line, then by two lines
+        lines = scan._lines(_rows_and_gens(parents)[1])
+        rep, _ = scan._classes(lines)
+        # drop one member of a class with more than one: its conjugates miss it
+        counts = np.bincount(rep)
+        victim = np.flatnonzero((rep != np.arange(len(rep))) & (counts[rep] > 1))[0]
+        with pytest.raises(AssertionError, match="not closed under conjugation"):
+            scan._classes(np.delete(lines, victim, axis=0))
 
 
 def test_conj_all_matches_full_products(sylow_scan):
@@ -360,8 +405,9 @@ def test_sylow_ambient_builds_each_subgroup_once_per_maximal(sylow_scan):
 
 
 def test_sylow_ambient_p7_counts_within_budget():
-    # One of the eight p=7 ambients, start to finish.  About 3-4 s on a
-    # 2-vCPU VM whose speed drifts up to 2x; the budget allows for that.
+    # One of the eight p=7 ambients, start to finish, its layers pinned by
+    # SHA-256 as on p=5 Sylow ambient 0.  About 2-3 s on a 2-vCPU VM whose
+    # speed drifts up to 2x; the budget allows for that.
     p = 7
     t0 = time.perf_counter()
     scan = AmbientScan(p, _sylow_ambient_indices(p)[0])
@@ -376,6 +422,8 @@ def test_sylow_ambient_p7_counts_within_budget():
     assert (scan.swept_p2, scan.swept_p3) == (120, 371)
     assert (scan.walked_p2, scan.walked_p3) == (9976, 8897)
     assert elapsed < 40.0, f"p=7 ambient scan took {elapsed:.1f}s"
+    digest = _layers_digest(layer1, layer2, layer3)
+    assert digest == "f46684e7dfe6700db928f4020c0ddd32162c9a6ba1a4a6f6a372bbc9b3a75d43"
 
 
 def test_scan_refuses_an_automorphism_set_not_closed():

@@ -208,8 +208,6 @@ def cmd_count(args) -> int:
 
 def cmd_oracle(args) -> int:
     p = args.prime
-    if args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
     result = enumerate_regular_subgroups(p, budget=args.oracle_budget, jobs=args.jobs)
     by_type = result.count_by_type()
     total = len(result.codes)
@@ -372,8 +370,6 @@ def _random_aut(rng, p: int):
 
 def cmd_verify(args) -> int:
     p = args.prime
-    if args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
     results = []
     for name, check in _verify_checks(p, args.oracle_budget, args.jobs):
         try:
@@ -487,6 +483,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         validate_prime(args.prime)
+        if getattr(args, "jobs", 1) < 1:  # only oracle and verify take --jobs
+            raise ValueError("--jobs must be at least 1")
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,27 +18,32 @@ For a parent <s> of order p the normalizer is the centralizer of s:
 N(<s>)/C(s) embeds in Aut(C_p), of order p - 1, and is a p-group (both the
 ambient and its A are), so it is trivial.
 
-One walk per conjugacy class.  Each layer is the complete set of subgroups
-of its order: a subgroup of order p, p**2 or p**3 is <R, y> for any maximal
-subgroup R of it (maximal subgroups of a p-group are normal) and any y
-outside R.  Conjugation keeps the order, so a layer is closed under
-conjugation by the ambient G.  The parents of a layer are split into
-classes by a breadth-first walk along a small generating set of G, chosen
-greedily.  A parent is named by its lines: a line <s> by LEAST[s] =
-min(<s> - 1), and an order-p**2 group Q, which is C_p x C_p with the p + 1
-lines <s> and <s^i x>, by the pair (a(Q), b(Q)) of its two least line
-minima (see Canonical parents).  The lines of z R z^-1 are the z L z^-1,
-so for a parent R and a generator z the key of z R z^-1 is read off the
-conjugated line members, and one search finds it among the parents' keys,
-which layers 1 and 2 list in ascending order.  Conjugation by each
-generator is tabulated once per scan.  The walk records for every parent a
-representative R0 (the first parent of its class) and a g with
-R = g R0 g^-1; a failed lookup is an AssertionError.  Only R0 gets the
-direct normalizer sweep and the leader pass below.  Since N(g R0 g^-1) =
-g N(R0) g^-1, the extensions of R are the g E g^-1 for the extensions
-E = R0<y> of R0, and g E g^-1 = R<g y g^-1>.  By orbit-stabilizer a class
-holds |G| / |N(R)| parents, so a layer's parents take sum |N(R)| / |G|
-sweeps: 66 + 195 on Sylow ambient 0 at p=5 instead of 3906 + 8431.
+One sweep per conjugacy class.  Each layer is the complete set of
+subgroups of its order: a subgroup of order p, p**2 or p**3 is <R, y> for
+any maximal subgroup R of it (maximal subgroups of a p-group are normal)
+and any y outside R.  Conjugation keeps the order, so a layer is closed
+under conjugation by the ambient G.  A parent is named by its lines: a
+line <s> by LEAST[s] = min(<s> - 1), and an order-p**2 group Q, which is
+C_p x C_p with the p + 1 lines <s> and <s^i x>, by the pair (a(Q), b(Q))
+of its two least line minima (see Canonical parents).  The lines of
+z R z^-1 are the z L z^-1, so for each z_k of a small generating set of G,
+chosen greedily, one search among the parents' keys (ascending in layers
+1 and 2) finds steps[k][i], the index of z_k R_i z_k^-1; a failed lookup
+is an AssertionError.  A label pass starts from rep[i] = i, g[i] = 1 and,
+in rounds over k, lets every u with rep[u] < rep[v], v = steps[k][u], set
+rep[v] = rep[u] and g[v] = z_k g[u]; R_i = g[i] R_rep[i] g[i]^-1 holds
+throughout.  Labels only fall, so a round changes nothing (for parents
+of order p or p**2 the 6th at p=5, the 8th at p=7) and the pass stops
+with rep[u] >= rep[steps[k][u]] for all u, k.  A step permutes the
+finite layer, so rep is constant on its cycles, hence on each class; a
+label is an index in its class, and the least index R0 keeps its own,
+so rep[i] = R0, the class's first parent.  Which g a parent gets does
+not change the layer.  Only R0 gets the direct normalizer sweep and the
+leader pass below.  Since N(g R0 g^-1) = g N(R0) g^-1, the extensions of
+R are the g E g^-1 for the extensions E = R0<y> of R0, and
+g E g^-1 = R<g y g^-1>.  By orbit-stabilizer a class holds |G| / |N(R)|
+parents, so a layer's parents take sum |N(R)| / |G| sweeps: 66 + 195 on
+Sylow ambient 0 at p=5 instead of 3906 + 8431.
 
 The direct sweep conjugates one element by the whole ambient at once.  For
 g = (n, a) and y = (m, b),
@@ -222,7 +227,9 @@ class AmbientScan:
             raise AssertionError("ambient exponent is not p")
         # LEAST[z] = min(<z> - 1) names the line <z>, for z not the identity
         self.LEAST = self.POW[1:].min(axis=0)
-        self.LEAST.flags.writeable = False
+        for table in (self.aut_global, self.LOC_APPLY, self.LOC_COMP, self.AUT_CONJ, self.MUL_BY,
+                      self.INV_IMAGE, self.MUL_FLAT, self._n_parts, self.POW, self.LEAST):
+            table.flags.writeable = False  # the tables are shared by every layer
         self.built_p2 = self.built_p3 = 0
         self.swept_p2 = self.swept_p3 = 0
         self.walked_p2 = self.walked_p3 = 0
@@ -309,7 +316,9 @@ class AmbientScan:
         while not inside.all():
             gens.append(int(np.argmin(inside)))
             self._extend(inside, gens)
-        return np.array(gens, dtype=np.int64)
+        out = np.array(gens, dtype=np.int64)
+        out.flags.writeable = False
+        return out
 
     def _extend(self, inside: np.ndarray, gens: list[int]) -> None:
         """Grow the mask of a subgroup H, in place, to the mask of <H, gens>:
@@ -327,9 +336,11 @@ class AmbientScan:
     @cached_property
     def _conj_by_generators(self) -> np.ndarray:
         """Row k holds the codes of z c z^-1 for every c, z = generators[k];
-        built once per scan, shared by the class walks of every layer."""
+        built once per scan, read-only, shared by every layer's class pass."""
         everyone = np.arange(self.size, dtype=np.int64)
-        return np.stack([self.conj(z, everyone) for z in self.generators])
+        out = np.stack([self.conj(z, everyone) for z in self.generators])
+        out.flags.writeable = False
+        return out
 
     def _lines(self, gens: np.ndarray) -> np.ndarray:
         """One member of each line of every parent <gens[i]>, row by row.
@@ -357,11 +368,11 @@ class AmbientScan:
         of parents given by their lines (see _lines) and listed in ascending
         key order; rep[i] is the first parent of the conjugacy class of i.
 
-        The lines of z H z^-1 are the z L z^-1, so a conjugate's key is read
-        off the conjugated line members and found by one search among the
-        keys.  Each class is walked breadth-first along the generators.  A
-        failed lookup is an AssertionError: the layer holds every subgroup
-        of its order, so it is closed under conjugation.
+        A failed lookup of a conjugate's key is an AssertionError: the layer
+        holds every subgroup of its order.  The label pass hands each label,
+        and g times z, on to the conjugate by z while that conjugate's label
+        is larger, in rounds until one changes nothing; labels only fall, and
+        each ends as the least index of its class (module docstring).
         """
         n = len(lines)
         keys = self._line_keys(lines)
@@ -371,30 +382,18 @@ class AmbientScan:
             at = np.minimum(np.searchsorted(keys, want), n - 1)
             if not np.array_equal(keys[at], want):
                 raise AssertionError("layer is not closed under conjugation")
-            steps.append(at.tolist())
-        rep, pred, via, depth = [-1] * n, [0] * n, [0] * n, [0] * n
-        queue: list[int] = []
-        head = 0
-        for i in range(n):
-            if rep[i] >= 0:
-                continue
-            rep[i] = i
-            queue.append(i)
-            while head < len(queue):
-                u = queue[head]
-                head += 1
-                for k, step in enumerate(steps):
-                    v = step[u]
-                    if rep[v] < 0:
-                        rep[v], pred[v], via[v], depth[v] = i, u, k, depth[u] + 1
-                        queue.append(v)
-        # parent v = z_k (parent u) z_k^-1 for its predecessor u, so g[v] = z_k g[u]
+            steps.append(at)
+        rep = np.arange(n)
         g = np.full(n, self.id_code, dtype=np.int64)
-        pred, via, depth = (np.array(c, dtype=np.int64) for c in (pred, via, depth))
-        for d in range(1, int(depth.max()) + 1):
-            at = np.flatnonzero(depth == d)
-            g[at] = self.mul(self.generators[via[at]], g[pred[at]])
-        return np.array(rep, dtype=np.int64), g
+        moved = n
+        while moved:  # a round that moves no label ends the pass
+            moved = 0
+            for z, step in zip(self.generators, steps):
+                u = np.flatnonzero(rep < rep[step])
+                v = step[u]
+                rep[v], g[v] = rep[u], self.mul(z, g[u])
+                moved += u.size
+        return rep, g
 
     def _normalizer(self, row: np.ndarray, gens: np.ndarray) -> np.ndarray:
         """Ascending codes of the normalizer of the subgroup row = <gens>."""

@@ -442,8 +442,11 @@ class HolCodec:
         row target, images being one conj_images row per code (any sequence
         of them); each row only probes the columns that survived the rows
         before it.  Rows of codes with the identity automorphism part, which
-        conjugation keeps, go last: they keep most columns."""
+        conjugation keeps, go last: they keep most columns.  ValueError when
+        there is no row: an empty list of codes generates no regular group."""
         rows = sorted(images, key=lambda row: row[0] % self.N == self.aut.identity)
+        if not rows:
+            raise ValueError("no generator codes: a regular subgroup needs a generating set")
         keep = np.flatnonzero(target[rows[0] // self.N] == rows[0])
         for row in rows[1:]:
             img = row[keep]

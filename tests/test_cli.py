@@ -200,6 +200,7 @@ def test_verify_catches_perturbed_composition(capsys, monkeypatch):
         ["brace", "--prime", "5", "--id", "r=p9/bogus"],
         ["oracle", "--prime", "7"],
         ["oracle", "--prime", "5", "--jobs", "0"],
+        ["verify", "--prime", "5", "--jobs", "0"],
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

@@ -341,6 +341,53 @@ def test_class_walk_refuses_a_layer_not_closed_under_conjugation(sylow_scan):
             scan._classes(np.delete(lines, victim, axis=0))
 
 
+def _reference_class_reps(scan, lines):
+    """rep[i], the first parent of the conjugacy class of parent i, by the
+    breadth-first walk along the generators that the label pass of
+    `AmbientScan._classes` replaced: each class is walked from its first
+    parent, one (parent, generator) step at a time."""
+    keys = scan._line_keys(lines)
+    steps = [np.searchsorted(keys, scan._line_keys(conj[lines])).tolist() for conj in scan._conj_by_generators]
+    rep = [-1] * len(lines)
+    for i in range(len(lines)):
+        if rep[i] >= 0:
+            continue
+        rep[i] = i
+        queue = [i]
+        for u in queue:  # the queue grows while it is read
+            for step in steps:
+                v = step[u]
+                if rep[v] < 0:
+                    rep[v] = i
+                    queue.append(v)
+    return np.array(rep, dtype=np.int64)
+
+
+@pytest.mark.parametrize("which", ["sylow_scan", "small_ambient", "m1_scan"])
+def test_label_pass_matches_breadth_first_walk(which, request):
+    # _check_class_extensions checks every conjugator g; this pins rep
+    scan = request.getfixturevalue(which)
+    if which == "sylow_scan":
+        scan, layer1, layer2, _ = scan
+    else:
+        layer1 = scan.order_p_subgroups()
+        layer2 = scan.order_p2_subgroups(layer1)
+    for parents in (_trivial(scan), layer1, layer2):
+        lines = scan._lines(_rows_and_gens(parents)[1])
+        assert np.array_equal(scan._classes(lines)[0], _reference_class_reps(scan, lines))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["aut_global", "LOC_APPLY", "LOC_COMP", "AUT_CONJ", "MUL_BY", "INV_IMAGE", "MUL_FLAT",
+     "POW", "LEAST", "generators", "_conj_by_generators"],
+)
+def test_scan_tables_are_read_only(m1_scan, name):
+    table = getattr(m1_scan, name)
+    with pytest.raises(ValueError, match="read-only"):
+        table.flat[0] = table.flat[0]
+
+
 def test_conj_all_matches_full_products(sylow_scan):
     scan = sylow_scan[0]
     everyone = np.arange(scan.size, dtype=np.int64)

@@ -276,3 +276,15 @@ def test_carriers_do_not_depend_on_row_order() -> None:
             want = codec._carriers(images, target)
             for order in itertools.permutations(range(len(images))):
                 assert np.array_equal(codec._carriers(images[list(order)], target), want), a.rep_id
+
+
+def test_stabilizer_and_transporter_refuse_no_generators() -> None:
+    codec = hol_codec(P)
+    rep = all_representatives(P)[3]
+    none = np.array([], dtype=np.int64)
+    with pytest.raises(ValueError, match="no generator codes"):
+        codec.stabilizer(rep.codes, none)
+    with pytest.raises(ValueError, match="no generator codes"):
+        codec.stabilizer(rep.codes, rep.gen_codes, images=[])
+    with pytest.raises(ValueError, match="no generator codes"):
+        codec.transporter_exists(rep.codes, none, rep.codes)

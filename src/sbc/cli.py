@@ -9,8 +9,9 @@ Subcommands
     ybe       Yang-Baxter verification for one representative id
 
 Reports are byte-identical for a fixed configuration: ordering is canonical
-everywhere, no timestamps, and --jobs only changes the schedule, never the
-output.  The environment variable SBC_SEED is accepted and ignored; it is
+everywhere and there are no timestamps.  oracle and verify accept --jobs
+(at least 1) and ignore it: the oracle scans one Sylow ambient in one
+process.  The environment variable SBC_SEED is accepted and ignored; it is
 reserved so that callers scripting several tools can export it uniformly
 (nothing here is randomized).
 
@@ -76,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--theta", choices=["1", "p", "p2", "p3"], default=None)
         if name in ("oracle", "verify"):
             cmd.add_argument("--oracle-budget", type=int, default=DEFAULT_ORACLE_BUDGET)
-            cmd.add_argument("--jobs", type=int, default=1)
+            cmd.add_argument("--jobs", type=int, default=1)  # accepted, no effect
         if name in ("brace", "ybe"):
             cmd.add_argument("--id", required=True, dest="rep_id")
         if name == "ybe":
@@ -208,7 +209,7 @@ def cmd_count(args) -> int:
 
 def cmd_oracle(args) -> int:
     p = args.prime
-    result = enumerate_regular_subgroups(p, budget=args.oracle_budget, jobs=args.jobs)
+    result = enumerate_regular_subgroups(p, budget=args.oracle_budget)
     by_type = result.count_by_type()
     total = len(result.codes)
     thetas, theta_counts = np.unique(result.theta, return_counts=True)
@@ -250,7 +251,7 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _verify_checks(p: int, oracle_budget: int, jobs: int):
+def _verify_checks(p: int, oracle_budget: int):
     """(name, callable) pairs; callables raise on failure."""
 
     def algebra_identities():
@@ -342,7 +343,7 @@ def _verify_checks(p: int, oracle_budget: int, jobs: int):
     if p <= oracle_budget:
 
         def oracle_equivalence():
-            result = enumerate_regular_subgroups(p, budget=oracle_budget, jobs=jobs)
+            result = enumerate_regular_subgroups(p, budget=oracle_budget)
             split = result.count_by_type_and_theta()
             report = closed_form_count_report(p)
             want_m1 = report.regular_by_structure["HeisenbergM1"]
@@ -371,7 +372,7 @@ def _random_aut(rng, p: int):
 def cmd_verify(args) -> int:
     p = args.prime
     results = []
-    for name, check in _verify_checks(p, args.oracle_budget, args.jobs):
+    for name, check in _verify_checks(p, args.oracle_budget):
         try:
             check()
             results.append((name, True, ""))

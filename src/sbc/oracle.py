@@ -3,8 +3,9 @@
 Independent of the family formulas: every order-p**3 subgroup of Hol(M1) has
 its automorphism image inside a Sylow p-subgroup of Aut(M1) (those are the
 preimages of the GL2 Sylows, since the inner C_p x C_p is a normal
-p-subgroup), so it lies in one of the p + 1 ambients M1 x| A of order p**6.
-Each ambient is scanned by a layered lattice walk, all three layers by one
+p-subgroup), so it lies in one of the p + 1 ambients M1 x| A of order p**6,
+and these are conjugate in Hol(M1) (see One ambient decides the rest).
+Sylow ambient 0 is scanned by a layered lattice walk, all three layers by one
 step from the trivial group: extend each parent R of the layer below by the
 y that normalize it.
 
@@ -120,17 +121,28 @@ row:
   min(R - L*) < min(E - R); otherwise m = min(E - R), and m normalizes L*
   iff min(<m s m^-1> - 1) = min(<s> - 1).
 
-Each subgroup is a sorted row of global holomorph codes.  Each ambient's
-regular rows are folded into the running union as its scan arrives: only
-the rows `tables.row_lookup` does not find there join it, so subgroups
-shared between ambients are counted once and no two ambients' blocks are
-held at once.  `tables.distinct_rows` puts the union in lexicographic
-order.
+One ambient decides the rest.  The Sylows A_i are conjugate, A_i =
+beta_i A_0 beta_i^-1 for a matrix part beta_i, and conjugation by
+(1, beta_i) is an automorphism of Hol(M1) that sends ambient 0 onto ambient
+i, with
+
+  (1, beta) (n, a) (1, beta)^-1 = (beta(n), beta a beta^-1),
+
+so it carries ambient 0's regular subgroups exactly onto ambient i's and
+keeps their type and theta order.  Only ambient 0 is scanned.  Two
+ambients meet in M1 x| Inn(M1), since A_0 and A_i (i > 0) meet in Inn(M1).
+So a regular row whose automorphism parts are all inner (identity matrix
+part) lies in every ambient and is kept once; every other row of ambient
+0 lies in no other ambient, and its p copies lie one in each ambient
+i > 0.  The p + 1 blocks are disjoint: `tables.distinct_rows` puts the
+union in lexicographic order, and that it drops no row is asserted, an
+exact check of the argument.  A copy is two gathers on a local row
+(n-part j in column j, automorphism position pos_j): the column beta(j)
+gets beta(j) N + beta a_(pos_j) beta^-1, which keeps the row sorted.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -138,7 +150,7 @@ import numpy as np
 
 from .group_core import validate_prime
 from .subgroups import GroupType
-from .tables import aut_subgroup, aut_table, distinct_rows, m1_table, row_lookup
+from .tables import aut_subgroup, aut_table, distinct_rows, m1_table
 
 __all__ = [
     "AmbientScan",
@@ -156,16 +168,19 @@ _LAYER_BLOCK = 1 << 12
 
 @dataclass(frozen=True, eq=False)
 class OracleResult:
-    """Merged scan of all ambients; per_ambient_* follow the ambient order.
+    """The regular subgroups of all p + 1 Sylow ambients.
 
     codes holds one regular subgroup per row, as its sorted global holomorph
-    codes; the rows are distinct and in lexicographic order.  theta and types
-    give each row's theta order and GroupType value.  The arrays are
-    read-only, since the result is memoized and shared.
+    codes; the rows are distinct and in lexicographic order.  They are
+    ambient 0's regular rows, its rows with an automorphism part outside
+    Inn(M1) conjugated by (1, beta_i) onto each ambient i > 0, and nothing
+    else (module docstring).  theta and types give each row's theta order
+    and GroupType value; conjugation keeps both.  The arrays are read-only,
+    since the result is memoized and shared.
 
-    per_ambient_built_p2/p3 count the (parent, extension) pairs each layer
-    named, one per subgroup and maximal subgroup of it; the layers keep only
-    the distinct subgroups.
+    per_ambient_regular has one entry per ambient, in the ambient order, and
+    each is ambient 0's count: conjugation by (1, beta_i) is an automorphism
+    of Hol(M1) that carries ambient 0's regular subgroups onto ambient i's.
     """
 
     p: int
@@ -173,10 +188,6 @@ class OracleResult:
     theta: np.ndarray
     types: np.ndarray
     per_ambient_regular: tuple[int, ...]
-    per_ambient_order_p: tuple[int, ...]
-    per_ambient_order_p2: tuple[int, ...]
-    per_ambient_built_p2: tuple[int, ...]
-    per_ambient_built_p3: tuple[int, ...]
 
     def count_by_type(self) -> dict[str, int]:
         tags, counts = np.unique(self.types, return_counts=True)
@@ -530,35 +541,6 @@ class AmbientScan:
         return bool(np.array_equal(self.mul(g[:, None], g[None, :]), self.mul(g[None, :], g[:, None])))
 
 
-def _scan_one_ambient(args: tuple[int, np.ndarray]) -> dict:
-    """Worker: full three-layer scan of one ambient; returns plain data, the
-    regular subgroups as rows of sorted global codes."""
-    p, aut_idx = args
-    scan = AmbientScan(p, aut_idx)
-    layer1 = scan.order_p_subgroups()
-    layer2 = scan.order_p2_subgroups(layer1)
-    layer3 = scan.order_p3_subgroups(layer2)
-    regular = [(row, gens) for row, gens in layer3 if scan.is_regular(row)]
-    order_p, order_p2 = len(layer1), len(layer2)
-    del layer1, layer2, layer3  # so the global block does not raise the worker's peak
-    # Ambient exponent p is asserted in the constructor, so the type is
-    # decided by abelianness alone.
-    types = [
-        (GroupType.ElemAbelian_p3 if scan.is_abelian(gens) else GroupType.HeisenbergM1).value
-        for _, gens in regular
-    ]
-    return {
-        "regular": len(regular),
-        "order_p": order_p,
-        "order_p2": order_p2,
-        "built_p2": scan.built_p2,
-        "built_p3": scan.built_p3,
-        "codes": scan.to_global([row for row, _ in regular]).reshape(-1, p**3),
-        "theta": np.array([scan.theta_order(row) for row, _ in regular], dtype=np.int64),
-        "types": np.array(types, dtype=str),
-    }
-
-
 def _sylow_ambient_indices(p: int) -> list[np.ndarray]:
     """The Aut(M1) indices of each Sylow p-subgroup, one array per ambient."""
     from .automorphisms import sylow_p_subgroups_gl2
@@ -575,67 +557,76 @@ def _sylow_ambient_indices(p: int) -> list[np.ndarray]:
     return out
 
 
-def _fold(p: int, scans) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[dict]]:
-    """(rows, theta, types, scans) of the union of the ambients' regular
-    rows, folded in as each scan arrives: only the rows not found in the
-    running set by `tables.row_lookup` join it, so no two ambients' blocks
-    are held at once.  An ambient's own rows are distinct (its layers are).
-    The scans come back without their blocks."""
-    rows = np.empty((0, p**3), dtype=np.int64)
-    theta = np.empty(0, dtype=np.int64)
-    types = np.empty(0, dtype=str)
-    done = []
-    for scan in scans:
-        block = scan.pop("codes")
-        new = ~row_lookup(rows)(block)[1]
-        rows = np.concatenate([rows, block[new]])
-        theta = np.concatenate([theta, scan["theta"][new]])
-        types = np.concatenate([types, scan["types"][new]])
-        del block  # before the next scan runs
-        done.append(scan)
-    return rows, theta, types, done
+def _conjugators(p: int, ambients: list[np.ndarray]) -> np.ndarray:
+    """Aut(M1) indices of matrix parts beta_i with beta_i A_0 beta_i^-1 =
+    A_i, the members of ambients[i], for i = 1..p.  A_i is Inn(M1) times a
+    GL2 Sylow of order p, so beta A_0 beta^-1 is the A_i that holds
+    beta g beta^-1 for one g of A_0 outside Inn(M1); one pass over the
+    |GL2| matrix parts (inner part (0, 0): index = rank) finds them."""
+    aut = aut_table(p)
+    owner = np.full(aut.N, -1, dtype=np.int64)
+    for i, members in enumerate(ambients):
+        owner[members] = i  # right for every member outside Inn(M1)
+    g = ambients[0][ambients[0] % aut.n_gl != aut.identity][0]
+    betas = np.arange(aut.n_gl, dtype=np.int64)
+    reached = owner[aut.compose_idx(aut.compose_idx(betas, g), aut.INV[betas])]
+    labels, first = np.unique(reached, return_index=True)
+    if not np.array_equal(labels, np.arange(p + 1)):
+        raise AssertionError("the Sylow ambients are not conjugate to ambient 0")
+    return betas[first[1:]]
 
 
 _SCAN_MEMO: dict[int, OracleResult] = {}
 
 
-def enumerate_regular_subgroups(
-    p: int, budget: int = DEFAULT_ORACLE_BUDGET, jobs: int = 1
-) -> OracleResult:
-    """Scan all p + 1 ambients and merge.  Refuses p above the budget.
-
-    The merged result does not depend on the schedule, so it is memoized per
-    prime; jobs only affects how fast a cold run finishes.
+def enumerate_regular_subgroups(p: int, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleResult:
+    """Scan Sylow ambient 0, conjugate its regular rows onto the other p
+    ambients (module docstring) and merge.  Refuses p above the budget.
+    The result is memoized per prime.
     """
     validate_prime(p)
     if p > budget:
-        raise ValueError(
-            f"oracle budget is p <= {budget}; pass a larger budget to override"
-        )
+        raise ValueError(f"oracle budget is p <= {budget}; pass a larger budget to override")
     cached = _SCAN_MEMO.get(p)
     if cached is not None:
         return cached
-    args = [(p, idx) for idx in _sylow_ambient_indices(p)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            union, theta, types, results = _fold(p, pool.map(_scan_one_ambient, args))
-    else:
-        union, theta, types, results = _fold(p, map(_scan_one_ambient, args))
-    codes, first = distinct_rows(union)  # the rows are distinct: this sorts them
+    aut = aut_table(p)
+    ambients = _sylow_ambient_indices(p)
+    scan = AmbientScan(p, ambients[0])
+    layer3 = scan.order_p3_subgroups(scan.order_p2_subgroups(scan.order_p_subgroups()))
+    regular = [(row, gens) for row, gens in layer3 if scan.is_regular(row)]
+    del layer3
+    rows = np.array([row for row, _ in regular])  # local codes, n-part j in column j
+    theta = np.array([scan.theta_order(row) for row in rows], dtype=np.int64)
+    # the ambient has exponent p (asserted), so abelianness decides the type
+    abelian = np.array([scan.is_abelian(gens) for _, gens in regular])
+    types = np.where(abelian, GroupType.ElemAbelian_p3.value, GroupType.HeisenbergM1.value)
+    del regular
+    # A row lies in every ambient iff all its automorphism parts are inner
+    # (matrix part the identity, whose rank is aut.identity); the others
+    # are copied onto ambients 1..p.
+    pos = rows % scan.AL
+    outer = np.any(scan.aut_global[pos] % aut.n_gl != aut.identity, axis=1)
+    moved = pos[outer]
+    union = np.empty((len(rows) + p * len(moved), p**3), dtype=np.int64)
+    union[: len(rows)] = scan.to_global(rows)
+    for k, beta in enumerate(_conjugators(p, ambients)):
+        # (1, beta) (n, a) (1, beta)^-1 = (beta(n), beta a beta^-1): the
+        # n-part j of column j goes to column beta(j), so the copy is sorted
+        nmap = aut.apply_codes(beta, np.arange(p**3))
+        amap = aut.compose_idx(aut.compose_idx(beta, scan.aut_global), aut.INV[beta])
+        block = union[len(rows) + k * len(moved) :][: len(moved)]
+        block[:, nmap] = amap[moved] + nmap * aut.N
+    per_ambient = (len(rows),) * (p + 1)  # conjugation carries ambient 0 onto each
+    del rows, pos, moved
+    codes, first = distinct_rows(union)  # the blocks are disjoint: this sorts them
+    if len(first) != len(union):
+        raise AssertionError("two ambients share a regular subgroup outside Inn(M1)")
     del union
-    theta, types = theta[first], types[first]
+    theta = np.concatenate([theta, np.tile(theta[outer], p)])[first]
+    types = np.concatenate([types, np.tile(types[outer], p)])[first]
     for arr in (theta, types):
         arr.flags.writeable = False
-    result = OracleResult(
-        p=p,
-        codes=codes,
-        theta=theta,
-        types=types,
-        per_ambient_regular=tuple(r["regular"] for r in results),
-        per_ambient_order_p=tuple(r["order_p"] for r in results),
-        per_ambient_order_p2=tuple(r["order_p2"] for r in results),
-        per_ambient_built_p2=tuple(r["built_p2"] for r in results),
-        per_ambient_built_p3=tuple(r["built_p3"] for r in results),
-    )
+    result = OracleResult(p, codes, theta, types, per_ambient)
     _SCAN_MEMO[p] = result
     return result

@@ -11,6 +11,13 @@ Counting Hopf-Galois structures: a regular subgroup of Hol(N) isomorphic to
 G corresponds to one Hopf-Galois structure of type N on a Galois extension
 with group G, after scaling subgroup counts by |Aut(G)| / |Aut(N)|.  For
 G elementary abelian of rank 3 that ratio is |GL3(F_p)| / |Aut(M1)| = p^3 - 1.
+
+Checking the oracle: orbits_match decides whether a set of rows is the
+disjoint union of the representative orbits from one conjugation per row
+and generator of Aut(M1) (`tables.aut_generators`, `tables.row_conjugator`)
+and the label pass `tables.class_labels` that the oracle's layer step runs
+too.  orbit_union_keys lists the orbits by coset transversals, the slow
+reference.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from .skewbrace import annihilator_indices, brace_from_codes, socle_indices
 # perfbench/selfcheck.py checks that tracing patches this imported binding
 from .skewbrace import brace_from_subgroup  # noqa: F401
 from .subgroups import GroupType
-from .tables import distinct_rows, hol_codec, row_lookup
+from .tables import aut_generators, class_labels, distinct_rows, hol_codec, row_conjugator, row_lookup
 
 __all__ = [
     "ClassificationRecord",
@@ -301,68 +308,84 @@ def verify_pairwise_nonconjugate(p: int) -> int:
 
 
 def _coset_transversal(rep: Representative) -> np.ndarray:
-    """One automorphism per left coset of rep's stabilizer: alpha S alpha^-1
-    depends only on the coset, and distinct cosets give distinct conjugates."""
+    """The least automorphism of each left coset of rep's stabilizer, each
+    found by a scan from the last: alpha S alpha^-1 depends only on the
+    coset, and distinct cosets give distinct conjugates."""
     codec = hol_codec(rep.p)
     stab = stabilizer_indices(rep)
-    transversal = []
-    uncovered = np.ones(codec.N, dtype=bool)
-    while uncovered.any():
-        alpha = int(np.argmax(uncovered))
+    transversal, alpha = [], 0
+    uncovered = np.ones(codec.N + 1, dtype=bool)  # the last entry ends the scan
+    while alpha < codec.N:
         transversal.append(alpha)
         uncovered[codec.aut.compose_idx(alpha, stab)] = False
+        alpha += int(np.argmax(uncovered[alpha:]))
     if len(transversal) * len(stab) != codec.N:
         raise AssertionError("stabilizer cosets must partition Aut(M1)")
     return np.array(transversal, dtype=np.int64)
 
 
-def _orbit_rows(p: int, reps: list[Representative], transversals: list[np.ndarray]):
-    """Yield every representative's orbit as sorted code rows, one conjugate
-    per stabilizer coset, in chunks with 512 kB composition temporaries."""
-    codec = hol_codec(p)
-    step = max(1, (1 << 16) // p**3)
-    for rep, transversal in zip(reps, transversals):
-        for alphas in np.split(transversal, range(step, len(transversal), step)):
-            yield codec.conj_matrix(rep.codes, alphas)
-
-
 def orbit_union_keys(p: int) -> np.ndarray:
     """Every subgroup in every representative orbit: a read-only array of
-    sorted code rows, distinct and in lexicographic order.
-
-    Conjugates by one automorphism per stabilizer coset, in chunks, into one
-    array of sum |orbit| rows.  Each orbit lists its members once, so these
-    rows are distinct exactly when no two representatives are conjugate.
-    """
-    reps = all_representatives(p)
-    transversals = [_coset_transversal(rep) for rep in reps]
-    rows = np.empty((sum(map(len, transversals)), p**3), dtype=np.int64)
-    start = 0
-    for chunk in _orbit_rows(p, reps, transversals):
-        rows[start : start + len(chunk)] = chunk
-        start += len(chunk)
+    sorted code rows, distinct and in lexicographic order, the slow
+    reference for orbits_match.  One conjugate per stabilizer coset, in
+    chunks with 512 kB composition temporaries: the sum |orbit| rows are
+    distinct exactly when no two representatives are conjugate."""
+    codec, step, chunks = hol_codec(p), max(1, (1 << 16) // p**3), []
+    for rep in all_representatives(p):
+        alphas = _coset_transversal(rep)
+        chunks += [codec.conj_matrix(rep.codes, alphas[i : i + step]) for i in range(0, len(alphas), step)]
+    rows = np.concatenate(chunks)
     out = distinct_rows(rows)[0]
     if len(out) != len(rows):
         raise AssertionError("two representative orbits overlap")
     return out
 
 
+def _orbit_classes(p: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(label, at): label[i] the least index in the Aut(M1)-orbit of row i
+    of codes, at[r] the row of representative r or -1; None unless every
+    row is regular and each generator z_k maps the rows into themselves.
+    Blocks of 2^18 entries are conjugated and looked up: steps[k][i] is the
+    index of z_k (row i) z_k^-1.  A lookup finds the first of equal rows, so
+    a repeated row is no step's image and ends in a class of its own."""
+    N, n, k = hol_codec(p).N, len(codes), p**3
+    conjugators = [row_conjugator(p, z, np.arange(N)) for z in aut_generators(p).tolist()]
+    find = row_lookup(codes)
+    steps = [np.empty(n, dtype=np.int64) for _ in conjugators]
+    size = max(1, (1 << 18) // k)
+    for start in range(0, n, size):
+        block = codes[start : start + size]
+        if not np.all(block // N == np.arange(k)):
+            return None
+        for conjugate, step in zip(conjugators, steps):
+            at, hit = find(conjugate(block % N))
+            if not hit.all():
+                return None
+            step[start : start + size] = at
+    at, hit = find(np.array([rep.codes for rep in all_representatives(p)]))
+    return class_labels(n, steps), np.where(hit, at, -1)
+
+
 def orbits_match(p: int, codes: np.ndarray) -> bool:
     """Are the subgroups in the representative orbits exactly the rows of
-    codes, an array of distinct sorted code rows?
+    codes, distinct sorted code rows (a repeat is one class too many)?
+    True iff every row is regular, each generator z_k of Aut(M1) maps the
+    rows into themselves, and (_orbit_classes) every representative row is
+    found, in its own class, with as many classes as representatives.
 
-    Each chunk of orbit rows is looked up in codes, so no union is built.
-    True when every orbit row is found, every row of codes is found, and
-    sum |orbit| = len(codes): the orbits then map onto the rows one to
-    one, so no subgroup lies in two orbits.
+    Proof.  On regular rows the steps are true conjugations, and
+    conjugation by z_k maps the finite set X of rows injectively into
+    itself, hence onto it, so X is closed under the group generated,
+    Aut(M1): X is a union of orbits, and the label classes are these
+    orbits.  Each representative lies in X, in its own class, and the
+    classes number the representatives, so each orbit in X holds exactly
+    one representative: X is the union of the representative orbits, and
+    no two of them meet.  Conversely, when X is that disjoint union, its
+    rows are conjugates of regular subgroups, hence regular rows, X is
+    closed under conjugation, and its orbits are one per representative.
     """
-    reps = all_representatives(p)
-    transversals = [_coset_transversal(rep) for rep in reps]
-    find = row_lookup(codes)
-    found = np.zeros(len(codes), dtype=bool)
-    for chunk in _orbit_rows(p, reps, transversals):
-        at, hit = find(chunk)
-        if not hit.all():
-            return False
-        found[at] = True
-    return sum(map(len, transversals)) == len(codes) and bool(found.all())
+    classes = _orbit_classes(p, codes)
+    if classes is None:
+        return False
+    label, at = classes
+    return bool(np.all(at >= 0)) and len(np.unique(label[at])) == len(at) == len(np.unique(label))

@@ -9,11 +9,7 @@ Subcommands
     ybe       Yang-Baxter verification for one representative id
 
 Reports are byte-identical for a fixed configuration: ordering is canonical
-everywhere and there are no timestamps.  oracle and verify accept --jobs
-(at least 1) and ignore it: the oracle scans one Sylow ambient in one
-process.  The environment variable SBC_SEED is accepted and ignored; it is
-reserved so that callers scripting several tools can export it uniformly
-(nothing here is randomized).
+everywhere, there are no timestamps and nothing is randomized.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error.
@@ -77,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--theta", choices=["1", "p", "p2", "p3"], default=None)
         if name in ("oracle", "verify"):
             cmd.add_argument("--oracle-budget", type=int, default=DEFAULT_ORACLE_BUDGET)
-            cmd.add_argument("--jobs", type=int, default=1)  # accepted, no effect
         if name in ("brace", "ybe"):
             cmd.add_argument("--id", required=True, dest="rep_id")
         if name == "ybe":
@@ -207,6 +202,18 @@ def cmd_count(args) -> int:
     return 0 if ok else 1
 
 
+def _write_dump(path: str, p: int, counts: dict, result) -> None:
+    """_json_text of {"p", "counts", "subgroups": a dict per row}, written a
+    subgroup at a time, each indented to its depth ("subgroups" sorts last)."""
+    head = _json_text({"p": p, "counts": counts})[: -len("\n}\n")]
+    with open(path, "w") as fh:
+        fh.write(head + ',\n  "subgroups": [')
+        for i, (row, tag, theta) in enumerate(zip(result.codes, result.types, result.theta)):
+            sub = {"codes": row.tolist(), "type": str(tag), "theta": int(theta)}
+            fh.write(("," if i else "") + "\n    " + _json_text(sub)[:-1].replace("\n", "\n    "))
+        fh.write("\n  ]\n}\n")
+
+
 def cmd_oracle(args) -> int:
     p = args.prime
     result = enumerate_regular_subgroups(p, budget=args.oracle_budget)
@@ -224,15 +231,7 @@ def cmd_oracle(args) -> int:
         "total": total,
     }
     if args.out:
-        dump = {
-            "p": p,
-            "counts": counts,
-            "subgroups": [
-                {"codes": row.tolist(), "type": str(tag), "theta": int(theta)}
-                for row, tag, theta in zip(result.codes, result.types, result.theta)
-            ],
-        }
-        _emit(_json_text(dump), args.out)
+        _write_dump(args.out, p, counts, result)
     if args.format == "csv":
         rows = [
             {"type": tag, "count": n} for tag, n in sorted(counts["by_type"].items())
@@ -484,8 +483,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         validate_prime(args.prime)
-        if getattr(args, "jobs", 1) < 1:  # only oracle and verify take --jobs
-            raise ValueError("--jobs must be at least 1")
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

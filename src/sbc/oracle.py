@@ -27,19 +27,11 @@ under conjugation by the ambient G.  A parent is named by its lines: a
 line <s> by LEAST[s] = min(<s> - 1), and an order-p**2 group Q, which is
 C_p x C_p with the p + 1 lines <s> and <s^i x>, by the pair (a(Q), b(Q))
 of its two least line minima (see Canonical parents).  The lines of
-z R z^-1 are the z L z^-1, so for each z_k of a small generating set of G,
-chosen greedily, one search among the parents' keys (ascending in layers
-1 and 2) finds steps[k][i], the index of z_k R_i z_k^-1; a failed lookup
-is an AssertionError.  A label pass starts from rep[i] = i, g[i] = 1 and,
-in rounds over k, lets every u with rep[u] < rep[v], v = steps[k][u], set
-rep[v] = rep[u] and g[v] = z_k g[u]; R_i = g[i] R_rep[i] g[i]^-1 holds
-throughout.  Labels only fall, so a round changes nothing (for parents
-of order p or p**2 the 6th at p=5, the 8th at p=7) and the pass stops
-with rep[u] >= rep[steps[k][u]] for all u, k.  A step permutes the
-finite layer, so rep is constant on its cycles, hence on each class; a
-label is an index in its class, and the least index R0 keeps its own,
-so rep[i] = R0, the class's first parent.  Which g a parent gets does
-not change the layer.  Only R0 gets the direct normalizer sweep and the
+z R z^-1 are the z L z^-1, so for each z_k of a greedy generating set of
+G one search among the parents' keys finds steps[k][i], the index of
+z_k R_i z_k^-1; `tables.class_labels` on the steps gives rep[i] = R0, the
+first parent of the class of R_i, and carries a g[i] with R_i =
+g[i] R0 g[i]^-1.  Only R0 gets the direct normalizer sweep and the
 leader pass below.  Since N(g R0 g^-1) = g N(R0) g^-1, the extensions of
 R are the g E g^-1 for the extensions E = R0<y> of R0, and
 g E g^-1 = R<g y g^-1>.  By orbit-stabilizer a class holds |G| / |N(R)|
@@ -133,12 +125,9 @@ keeps their type and theta order.  Only ambient 0 is scanned.  Two
 ambients meet in M1 x| Inn(M1), since A_0 and A_i (i > 0) meet in Inn(M1).
 So a regular row whose automorphism parts are all inner (identity matrix
 part) lies in every ambient and is kept once; every other row of ambient
-0 lies in no other ambient, and its p copies lie one in each ambient
-i > 0.  The p + 1 blocks are disjoint: `tables.distinct_rows` puts the
-union in lexicographic order, and that it drops no row is asserted, an
-exact check of the argument.  A copy is two gathers on a local row
-(n-part j in column j, automorphism position pos_j): the column beta(j)
-gets beta(j) N + beta a_(pos_j) beta^-1, which keeps the row sorted.
+0 lies in no other ambient, and its p copies (`tables.row_conjugator`) lie
+one in each ambient i > 0.  The p + 1 blocks are disjoint, and that
+`tables.distinct_rows` drops no row is asserted.
 """
 
 from __future__ import annotations
@@ -150,7 +139,8 @@ import numpy as np
 
 from .group_core import validate_prime
 from .subgroups import GroupType
-from .tables import aut_subgroup, aut_table, distinct_rows, m1_table
+from .tables import aut_subgroup, aut_table, class_labels, distinct_rows, greedy_generators, m1_table
+from .tables import row_conjugator
 
 __all__ = [
     "AmbientScan",
@@ -171,16 +161,10 @@ class OracleResult:
     """The regular subgroups of all p + 1 Sylow ambients.
 
     codes holds one regular subgroup per row, as its sorted global holomorph
-    codes; the rows are distinct and in lexicographic order.  They are
-    ambient 0's regular rows, its rows with an automorphism part outside
-    Inn(M1) conjugated by (1, beta_i) onto each ambient i > 0, and nothing
-    else (module docstring).  theta and types give each row's theta order
-    and GroupType value; conjugation keeps both.  The arrays are read-only,
-    since the result is memoized and shared.
-
-    per_ambient_regular has one entry per ambient, in the ambient order, and
-    each is ambient 0's count: conjugation by (1, beta_i) is an automorphism
-    of Hol(M1) that carries ambient 0's regular subgroups onto ambient i's.
+    codes, distinct and in lexicographic order (module docstring); theta
+    and types give each row's theta order and GroupType value.  The arrays
+    are read-only, since the result is memoized and shared.
+    per_ambient_regular holds ambient 0's count once per ambient.
     """
 
     p: int
@@ -262,24 +246,15 @@ class AmbientScan:
         has exponent p."""
         return self.mul(self.mul(g, c), self.POW[self.p - 1, g])
 
-    def to_global(self, codes) -> np.ndarray:
-        """Global codes of a block of sorted regular rows of local codes,
-        computed in place on one new copy of the block.  The rows stay
-        sorted: the n-part orders both n |A| + pos and n N + index."""
-        out = np.array(codes, dtype=np.int64)
-        a = out % self.AL
-        out //= self.AL
-        out *= aut_table(self.p).N
-        out += np.take(self.aut_global, a, out=a, mode="wrap")  # reads each index before writing it
-        return out
+    def to_global(self, rows) -> np.ndarray:
+        """Global codes of a block of sorted regular rows of local codes:
+        their conjugates by the identity (`tables.row_conjugator`)."""
+        return row_conjugator(self.p, aut_table(self.p).identity, self.aut_global)(np.asarray(rows) % self.AL)
 
     def conj_all(self, g: int, bs: np.ndarray | None = None) -> np.ndarray:
-        """Codes of y g y^-1 for every y = (m, b), b in bs (default: all of A).
-
-        With g = (n, a) and c = b a b^-1 the conjugate is (m b(n) c(m^-1), c),
-        so it takes three gathers on the small tables instead of two products
-        over the whole ambient.  Entry [m, j] is for y = (m, bs[j]); with bs
-        ascending, the flattened array is in y-code order.
+        """Codes of y g y^-1 for every y = (m, b), b in bs (default: all of A),
+        by three gathers (module docstring).  Entry [m, j] is for y =
+        (m, bs[j]); with bs ascending, the flattened array is in y-code order.
         """
         n, a = divmod(int(g), self.AL)
         if bs is None:
@@ -318,31 +293,9 @@ class AmbientScan:
 
     @cached_property
     def generators(self) -> np.ndarray:
-        """A small generating set of the ambient, chosen greedily: the least
-        element outside the subgroup generated so far, until that subgroup
-        is the whole ambient (at most log_p(size) steps)."""
-        gens: list[int] = []
-        inside = np.zeros(self.size, dtype=bool)
-        inside[self.id_code] = True
-        while not inside.all():
-            gens.append(int(np.argmin(inside)))
-            self._extend(inside, gens)
-        out = np.array(gens, dtype=np.int64)
-        out.flags.writeable = False
-        return out
-
-    def _extend(self, inside: np.ndarray, gens: list[int]) -> None:
-        """Grow the mask of a subgroup H, in place, to the mask of <H, gens>:
-        the closure of H under right multiplication by the generators.  Each
-        round's frontier is the elements it reached first, read off a mask."""
-        g = np.array(gens, dtype=np.int64)
-        frontier = np.flatnonzero(inside)
-        while frontier.size:
-            reached = np.zeros(self.size, dtype=bool)
-            reached[self.mul(frontier[:, None], g[None, :])] = True
-            reached &= ~inside
-            inside |= reached
-            frontier = np.flatnonzero(reached)
+        """A small generating set of the ambient, chosen greedily
+        (`tables.greedy_generators`)."""
+        return greedy_generators(self.size, self.id_code, self.mul)
 
     @cached_property
     def _conj_by_generators(self) -> np.ndarray:
@@ -380,10 +333,7 @@ class AmbientScan:
         key order; rep[i] is the first parent of the conjugacy class of i.
 
         A failed lookup of a conjugate's key is an AssertionError: the layer
-        holds every subgroup of its order.  The label pass hands each label,
-        and g times z, on to the conjugate by z while that conjugate's label
-        is larger, in rounds until one changes nothing; labels only fall, and
-        each ends as the least index of its class (module docstring).
+        holds every subgroup of its order (module docstring).
         """
         n = len(lines)
         keys = self._line_keys(lines)
@@ -394,24 +344,17 @@ class AmbientScan:
             if not np.array_equal(keys[at], want):
                 raise AssertionError("layer is not closed under conjugation")
             steps.append(at)
-        rep = np.arange(n)
         g = np.full(n, self.id_code, dtype=np.int64)
-        moved = n
-        while moved:  # a round that moves no label ends the pass
-            moved = 0
-            for z, step in zip(self.generators, steps):
-                u = np.flatnonzero(rep < rep[step])
-                v = step[u]
-                rep[v], g[v] = rep[u], self.mul(z, g[u])
-                moved += u.size
-        return rep, g
+
+        def carry(k, u, v):
+            g[v] = self.mul(self.generators[k], g[u])
+
+        return class_labels(n, steps, carry), g
 
     def _normalizer(self, row: np.ndarray, gens: np.ndarray) -> np.ndarray:
-        """Ascending codes of the normalizer of the subgroup row = <gens>."""
-        # y normalizes the row iff it conjugates every generator into it
-        # (every y does when there is none), so the automorphism parts
-        # b a b^-1 of the conjugates must lie in the row's projection to A;
-        # that settles b before any M1 work.
+        """Ascending codes of the normalizer of the subgroup row = <gens>:
+        the y that conjugate every generator into it, b prefiltered (module
+        docstring)."""
         in_proj = np.zeros(self.AL, dtype=bool)
         in_proj[row % self.AL] = True
         keep = np.ones(self.AL, dtype=bool)
@@ -435,12 +378,8 @@ class AmbientScan:
 
     def _leaders(self, row: np.ndarray, normalizer: np.ndarray) -> np.ndarray:
         """Ascending leaders min(E - R) of the extensions E = <R, y> of the
-        subgroup R = row, sorted, y in R's ascending normalizer.
-
-        A leader is the least member of its own line, so the candidates are
-        the y in N - R with LEAST[y] = y, and y leads its extension iff the
-        least LEAST over R y is y.  The extensions split N - R, so each has
-        exactly one leader.
+        subgroup R = row, sorted, y in R's ascending normalizer: the y in
+        N - R with LEAST[y] = y and least LEAST over R y (module docstring).
         """
         y = normalizer[self.LEAST[normalizer] == normalizer]
         at = np.minimum(np.searchsorted(row, y), len(row) - 1)
@@ -454,12 +393,8 @@ class AmbientScan:
         parent.  Parent R = rows[i] = <gens[i]> is g[i] R0 g[i]^-1 for the
         first parent R0 of its class, and entry k names the extension
         R<g y0 g^-1> of R = rows[owner[k]], g = g[owner[k]], for y0 = y0[k]
-        a leader of R0; owner ascends.
-
-        Only R0 gets a normalizer sweep (swept counts them) and a leader
-        pass (walked counts its leaders): since N(g R0 g^-1) = g N(R0) g^-1,
-        the extensions of R are the g E g^-1 = R<g y0 g^-1> for the
-        extensions E = R0<y0> of R0.
+        a leader of R0; owner ascends.  Only R0 gets a normalizer sweep
+        (swept counts them) and a leader pass (walked counts its leaders).
         """
         rep, g = self._classes(self._lines(gens))
         leads = {
@@ -473,11 +408,9 @@ class AmbientScan:
 
     def _canonical(self, gens: np.ndarray, leaders: np.ndarray) -> np.ndarray:
         """True where parent R = <gens[j]> is the canonical parent of its
-        child E with leader leaders[j] = min(E - R), that is the maximal
-        subgroup of E that comes first in the parents' layer.  The parents
-        are all of order 1, all of order p or all of order p**2, and
-        gens[j] starts with a(R) = min(R - 1) and, at order p**2, b(R) =
-        min(R - <a(R)>); the module docstring proves the test.
+        child E with leader leaders[j] = min(E - R) (module docstring); the
+        parents all have one order, and gens[j] starts with a(R) and, at
+        order p**2, b(R).
         """
         if gens.shape[1] == 0:  # an order-p group has one maximal subgroup
             return np.ones(len(leaders), dtype=bool)
@@ -493,14 +426,8 @@ class AmbientScan:
         """(distinct <row, y> with generators gens + (y,), number built,
         number of direct normalizer sweeps, number of extensions walked)
         for the parents (sorted row, gens), y running over the row's
-        normalizer.
-
-        Every (parent, extension) entry of _class_extensions is built as
-        one coset, which gives its leader y = min(E - R); a child is kept
-        from its canonical parent R only, and only kept children get their
-        other p - 2 cosets and are sorted.  The entries go in blocks of
-        about _LAYER_BLOCK coset codes.  The layer is put in order of
-        (parent index, leader).
+        normalizer, in order of (parent index, leader) (module docstring).
+        The entries go in blocks of about _LAYER_BLOCK coset codes.
         """
         rows = np.array([row for row, _ in parents])
         gens = np.array([pg for _, pg in parents], dtype=np.int64)
@@ -531,14 +458,6 @@ class AmbientScan:
     def is_regular(self, row: np.ndarray) -> bool:
         """A sorted regular row has n-part j at position j."""
         return bool(np.array_equal(row // self.AL, self._n_parts))
-
-    def theta_order(self, row: np.ndarray) -> int:
-        """The number of distinct automorphism parts in the row."""
-        return int(np.count_nonzero(np.bincount(row % self.AL)))
-
-    def is_abelian(self, gens: tuple[int, ...]) -> bool:
-        g = np.array(gens, dtype=np.int64)
-        return bool(np.array_equal(self.mul(g[:, None], g[None, :]), self.mul(g[None, :], g[:, None])))
 
 
 def _sylow_ambient_indices(p: int) -> list[np.ndarray]:
@@ -594,31 +513,26 @@ def enumerate_regular_subgroups(p: int, budget: int = DEFAULT_ORACLE_BUDGET) -> 
     ambients = _sylow_ambient_indices(p)
     scan = AmbientScan(p, ambients[0])
     layer3 = scan.order_p3_subgroups(scan.order_p2_subgroups(scan.order_p_subgroups()))
-    regular = [(row, gens) for row, gens in layer3 if scan.is_regular(row)]
+    rows = np.array([row for row, _ in layer3])  # local codes
+    # is_regular on every row at once, then theta orders and types
+    regular = np.all(rows // scan.AL == scan._n_parts, axis=1)
+    rows, gens = rows[regular], np.array([gens for _, gens in layer3])[regular]
     del layer3
-    rows = np.array([row for row, _ in regular])  # local codes, n-part j in column j
-    theta = np.array([scan.theta_order(row) for row in rows], dtype=np.int64)
+    pos = rows % scan.AL  # n-part j in column j
+    theta = 1 + np.count_nonzero(np.diff(np.sort(pos, axis=1), axis=1), axis=1)
     # the ambient has exponent p (asserted), so abelianness decides the type
-    abelian = np.array([scan.is_abelian(gens) for _, gens in regular])
+    products = scan.mul(gens[:, :, None], gens[:, None, :])  # [r, i, j] = g_i g_j
+    abelian = np.all(products == products.transpose(0, 2, 1), axis=(1, 2))
     types = np.where(abelian, GroupType.ElemAbelian_p3.value, GroupType.HeisenbergM1.value)
-    del regular
-    # A row lies in every ambient iff all its automorphism parts are inner
-    # (matrix part the identity, whose rank is aut.identity); the others
-    # are copied onto ambients 1..p.
-    pos = rows % scan.AL
+    # rows with an automorphism part outside Inn(M1) go to ambients 1..p
     outer = np.any(scan.aut_global[pos] % aut.n_gl != aut.identity, axis=1)
     moved = pos[outer]
     union = np.empty((len(rows) + p * len(moved), p**3), dtype=np.int64)
     union[: len(rows)] = scan.to_global(rows)
     for k, beta in enumerate(_conjugators(p, ambients)):
-        # (1, beta) (n, a) (1, beta)^-1 = (beta(n), beta a beta^-1): the
-        # n-part j of column j goes to column beta(j), so the copy is sorted
-        nmap = aut.apply_codes(beta, np.arange(p**3))
-        amap = aut.compose_idx(aut.compose_idx(beta, scan.aut_global), aut.INV[beta])
-        block = union[len(rows) + k * len(moved) :][: len(moved)]
-        block[:, nmap] = amap[moved] + nmap * aut.N
+        union[len(rows) + k * len(moved) :][: len(moved)] = row_conjugator(p, beta, scan.aut_global)(moved)
     per_ambient = (len(rows),) * (p + 1)  # conjugation carries ambient 0 onto each
-    del rows, pos, moved
+    del rows, pos, moved, gens, products
     codes, first = distinct_rows(union)  # the blocks are disjoint: this sorts them
     if len(first) != len(union):
         raise AssertionError("two ambients share a regular subgroup outside Inn(M1)")

@@ -30,8 +30,8 @@ from .holomorph import HolElt
 from .subgroups import SubgroupHol, subgroup_from_cosets
 
 __all__ = [
-    "AutTable", "M1Table", "HolCodec", "aut_subgroup", "aut_table", "distinct_rows", "hol_codec", "m1_table",
-    "row_lookup",
+    "AutTable", "M1Table", "HolCodec", "aut_generators", "aut_subgroup", "aut_table", "class_labels",
+    "distinct_rows", "greedy_generators", "hol_codec", "m1_table", "row_conjugator", "row_lookup",
 ]
 
 # Automorphisms per step of the inverse build, so its int64 temporaries stay
@@ -54,41 +54,111 @@ def hol_codec(p: int) -> "HolCodec":
     return HolCodec(p)
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row as one opaque scalar, its big-endian int64 bytes: equal keys
+    are equal rows, and non-negative rows sort by key lexicographically."""
+    rows = np.ascontiguousarray(rows, dtype=">i8")
+    return rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel()
+
+
 def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The set of subgroups in a filled (n, m) array of sorted code rows: its
     distinct rows, read-only and in lexicographic order, and the index in rows
-    of each one's first occurrence.  Besides the result, only n-long arrays."""
-    order = np.lexsort(rows.T[::-1])  # the last key is primary: column 0
+    of each one's first occurrence.  One stable sort of the row keys; a key
+    unlike the one before is new (blocks of 2^16 entries, so one copy)."""
+    keys = _row_keys(rows)
+    order = np.argsort(keys, kind="stable")
     new = np.arange(len(rows)) == 0
-    for column in rows.T:
-        ordered = column[order]
-        new[1:] |= ordered[1:] != ordered[:-1]
-    first = order[new]
-    out = rows[first]
+    step = max(1, (1 << 16) // rows.shape[1])
+    for start in range(1, len(rows), step):
+        block = keys[order[start - 1 : start + step]]
+        new[start : start + step] = block[1:] != block[:-1]
+    del keys
+    out = rows[order[new]]
     out.flags.writeable = False
-    return out, first
+    return out, order[new]
 
 
 def row_lookup(rows: np.ndarray):
-    """Lookup in a set of distinct rows, sorted once for many probes.
-
-    The returned function maps a block of probe rows, of the set's width and
-    dtype, to (at, found): found[i] says whether probe i is a row of the set,
-    and then rows[at[i]] is that row.
-    """
-    # each row as one opaque scalar, which sorts, searches and compares as bytes
-    key = np.dtype((np.void, rows.shape[1] * rows.itemsize))
-    keys = np.ascontiguousarray(rows).view(key).ravel()
-    order = np.argsort(keys)
+    """Lookup in a set of distinct rows, sorted once for many probes: the
+    returned function maps a block of probe rows, of the set's width, to
+    (at, found), found[i] when probe i is the row rows[at[i]] of the set,
+    the first one if rows repeats it."""
+    keys = _row_keys(rows)
+    order = np.argsort(keys, kind="stable")
 
     def find(probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        probe = np.ascontiguousarray(probes).view(key).ravel()
+        probe = _row_keys(probes)
         if not len(keys):
             return np.zeros(len(probe), dtype=np.int64), np.zeros(len(probe), dtype=bool)
         at = order[np.minimum(np.searchsorted(keys, probe, sorter=order), len(keys) - 1)]
         return at, keys[at] == probe
 
     return find
+
+
+def row_conjugator(p: int, z: int, members: np.ndarray):
+    """The map from parts, row i holding a regular R_i's automorphism parts
+    in row order as positions in members (ascending global indices), to the
+    sorted global rows of the (1, z) R_i (1, z)^-1.  As (1, z) (n, a)
+    (1, z)^-1 = (z(n), z a z^-1), column z(j) gets z(j) N + z
+    members[parts[i, j]] z^-1: two gathers, and the row stays sorted."""
+    aut = aut_table(p)
+    nmap = aut.apply_codes(z, np.arange(p**3))
+    amap = aut.compose_idx(aut.compose_idx(z, members), aut.INV[z])
+
+    def conjugate(parts: np.ndarray) -> np.ndarray:
+        out = np.empty(parts.shape, dtype=np.int64)
+        out[:, nmap] = amap[parts] + nmap * aut.N
+        return out
+
+    return conjugate
+
+
+def greedy_generators(size: int, identity: int, mul) -> np.ndarray:
+    """A small generating set of a group on the codes range(size), mul its
+    broadcast product: the least code outside the subgroup generated so far,
+    until there is none.  The subgroup's mask grows by right products with
+    the generators, from each round's newly reached codes."""
+    gens: list[int] = []
+    inside = np.arange(size) == identity
+    while not inside.all():
+        gens.append(int(np.argmin(inside)))
+        frontier = np.flatnonzero(inside)
+        while frontier.size:
+            reached = np.zeros(size, dtype=bool)
+            reached[mul(frontier[:, None], np.array(gens)[None, :])] = True
+            frontier = np.flatnonzero(reached & ~inside)
+            inside |= reached
+    out = np.array(gens, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=4)
+def aut_generators(p: int) -> np.ndarray:
+    """The greedy generating set of Aut(M1): indices 0, 1 and p at p = 5, 7."""
+    aut = aut_table(p)
+    return greedy_generators(aut.N, aut.identity, aut.compose_idx)
+
+
+def class_labels(n: int, steps: list[np.ndarray], moved=lambda k, u, v: None) -> np.ndarray:
+    """rep[i], the least index in the class of i, for the classes of range(n)
+    under the group generated by the permutations steps[k].  From rep[i] =
+    i, in rounds over k, every u with rep[u] < rep[v], v = steps[k][u],
+    hands its label on (moved(k, u, v) lets a caller carry a conjugator
+    along).  Labels only fall, so the pass ends, with rep[u] >= rep[v] for
+    all u, k: rep never rises around a cycle of a step, so it is constant
+    on classes, and the least index of a class keeps its own label."""
+    rep, changed = np.arange(n), n
+    while changed:
+        changed = 0
+        for k, step in enumerate(steps):
+            u = np.flatnonzero(rep < rep[step])
+            rep[step[u]] = rep[u]
+            moved(k, u, step[u])
+            changed += u.size
+    return rep
 
 
 def aut_subgroup(p: int, members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -276,12 +346,8 @@ class HolCodec:
     Stabilizers and transporters therefore sweep |Aut(M1)| x (generator
     count) conjugates, and memory stays O(|Aut(M1)| + p^3).  Their targets
     are regular rows, so a conjugate x lies in T exactly when T[x // N] == x.
-
-    The sweep over all of Aut(M1) = Inn(M1) x| GL2(F_p) composes each code
-    with the |GL2| matrix parts only; the p^2 inner parts shift three mod-p
-    coordinates of the result affinely.  Its columns follow the automorphism
-    index (t1 p + t2) |GL2| + rank(A), as a sweep over an explicit index list
-    would, so the two are interchangeable.
+    The sweep over all of Aut(M1) composes each code with the |GL2| matrix
+    parts only (_conj_sweep).
     """
 
     def __init__(self, p: int) -> None:
@@ -319,8 +385,7 @@ class HolCodec:
         return row
 
     def subgroup_codes(self, sub: SubgroupHol) -> np.ndarray:
-        out = np.array(sorted(self.encode(g) for g in sub.elements), dtype=np.int64)
-        return out
+        return np.array(sorted(self.encode(g) for g in sub.elements), dtype=np.int64)
 
     def materialize(self, codes: np.ndarray, generators: list[HolElt] | None = None) -> SubgroupHol:
         els = [self.decode(c) for c in codes]

@@ -199,8 +199,6 @@ def test_verify_catches_perturbed_composition(capsys, monkeypatch):
         ["count", "--prime", "10"],
         ["brace", "--prime", "5", "--id", "r=p9/bogus"],
         ["oracle", "--prime", "7"],
-        ["oracle", "--prime", "5", "--jobs", "0"],
-        ["verify", "--prime", "5", "--jobs", "0"],
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -215,6 +213,8 @@ def test_usage_errors_exit_2(capsys, argv):
         ["count", "--prime", "5", "--theta", "p"],
         ["classify", "--prime", "5", "--jobs", "2"],
         ["brace", "--prime", "5", "--id", "r=1/trivial", "--full-ybe"],
+        ["oracle", "--prime", "5", "--jobs", "2"],
+        ["verify", "--prime", "5", "--jobs", "2"],
     ],
 )
 def test_options_a_command_does_not_read_are_rejected(capsys, argv):

@@ -24,6 +24,7 @@ from sbc.classify import (
 from sbc.families import Representative, all_representatives, trivial_subgroup
 from sbc.group_core import M1Elt
 from sbc.holomorph import HolElt
+from sbc.oracle import enumerate_regular_subgroups
 from sbc.skewbrace import (
     annihilator_indices,
     brace_from_codes,
@@ -331,3 +332,56 @@ def test_orbit_lookup_matches_orbit_union(reps, monkeypatch) -> None:
     # found, but the orbit sizes add up to more than the rows
     monkeypatch.setattr(classify, "all_representatives", lambda p: reps + reps[7:8])
     assert not orbits_match(P, union)
+
+
+def _argmax_transversal(rep: Representative) -> np.ndarray:
+    """The coset transversal by one argmax over all of Aut(M1) per coset."""
+    codec = hol_codec(rep.p)
+    stab = stabilizer_indices(rep)
+    transversal, uncovered = [], np.ones(codec.N, dtype=bool)
+    while uncovered.any():
+        transversal.append(int(np.argmax(uncovered)))
+        uncovered[codec.aut.compose_idx(transversal[-1], stab)] = False
+    return np.array(transversal)
+
+
+def test_coset_transversal_resumes_where_the_last_coset_began(reps) -> None:
+    for rep in (reps[0], reps[12], reps[30], reps[-1]):
+        assert np.array_equal(classify._coset_transversal(rep), _argmax_transversal(rep)), rep.rep_id
+
+
+def test_orbits_match_needs_every_aut_generator(oracle_p5, monkeypatch) -> None:
+    gens = classify.aut_generators(P)
+    assert gens.tolist() == [0, 1, P] and orbits_match(P, oracle_p5.codes)
+    got = []
+    for k in range(len(gens)):
+        monkeypatch.setattr(classify, "aut_generators", lambda p: np.delete(gens, k))
+        got.append(orbits_match(P, oracle_p5.codes))
+    # 1 and p alone generate Aut(M1) (greedy took 0 first), but without 1
+    # or p the others generate a proper subgroup (orders 240 and 32),
+    # whose orbits split some representative orbit
+    assert got == [True, False, False]
+
+
+def test_orbits_match_refuses_a_non_regular_row(oracle_p5) -> None:
+    codes = oracle_p5.codes.copy()
+    codes[-1, -1] = codes[-1, -2] + 1  # sorted, n-part p^3 - 2 twice
+    assert not orbits_match(P, codes)
+    assert classify._orbit_classes(P, codes) is None
+
+
+def test_orbits_match_refuses_a_repeated_row(oracle_p5) -> None:
+    codes = oracle_p5.codes
+    assert not orbits_match(P, np.concatenate([codes, codes[:1]]))
+    assert not orbits_match(P, np.concatenate([codes[:1], codes]))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_class_sizes_are_the_record_orbit_sizes(p) -> None:
+    # independent of the stabilizer sweep: the classes of the oracle rows
+    # under the Aut(M1) generators against each record's |Aut(M1)| / |Stab|
+    rows = enumerate_regular_subgroups(p, budget=p).codes
+    label, at = classify._orbit_classes(p, rows)
+    sizes = np.bincount(label)[label[at]]
+    assert len(np.unique(label)) == len(at) == len(classification_records(p))
+    assert sizes.tolist() == [rec.orbit_size for rec in classification_records(p)]

@@ -68,11 +68,22 @@ def reference_order_p3(scan, layer2):
     return list(seen.values())
 
 
+def _theta_order(scan, row):
+    """The number of distinct automorphism parts in one local row."""
+    return int(np.count_nonzero(np.bincount(row % scan.AL)))
+
+
+def _is_abelian(scan, gens):
+    """Do the generators, local codes, commute pairwise?"""
+    g = np.array(gens, dtype=np.int64)
+    return bool(np.array_equal(scan.mul(g[:, None], g[None, :]), scan.mul(g[None, :], g[:, None])))
+
+
 def _built_p3_identity(scan, layer3):
     """Each order-p**3 group is built once from each maximal subgroup."""
     p = scan.p
     return sum(
-        p * p + p + 1 if scan.is_abelian(gens) else p + 1 for _, gens in layer3
+        p * p + p + 1 if _is_abelian(scan, gens) else p + 1 for _, gens in layer3
     )
 
 
@@ -447,7 +458,7 @@ def test_sylow_ambient_builds_each_subgroup_once_per_maximal(sylow_scan):
     p = scan.p
     assert (len(layer1), len(layer2), len(layer3)) == (3906, 8431, 2931)
     assert scan.built_p2 == (p + 1) * len(layer2) == 50586
-    abelian = sum(1 for _, gens in layer3 if scan.is_abelian(gens))
+    abelian = sum(1 for _, gens in layer3 if _is_abelian(scan, gens))
     assert (abelian, len(layer3) - abelian) == (431, 2500)
     assert scan.built_p3 == _built_p3_identity(scan, layer3) == 28361
 
@@ -510,7 +521,7 @@ def test_m1_ambient_recovers_known_subgroup_lattice(m1_scan):
     assert len(full_row) == 125
     # M1 x {1} acts on itself by left translation: regular, trivial theta.
     assert scan.is_regular(full_row)
-    assert scan.theta_order(full_row) == 1
+    assert _theta_order(scan, full_row) == 1
 
 
 def test_total_counts(oracle_p5):
@@ -556,9 +567,9 @@ def test_six_ambient_scans_give_the_conjugated_union(oracle_p5):
         assert scan.built_p2 == (p + 1) * len(layer2)
         assert scan.built_p3 == _built_p3_identity(scan, layer3) == 28361
         blocks.append(scan.to_global([row for row, _ in regular]))
-        theta += [scan.theta_order(row) for row, _ in regular]
+        theta += [_theta_order(scan, row) for row, _ in regular]
         types += [
-            (GroupType.ElemAbelian_p3 if scan.is_abelian(gens) else GroupType.HeisenbergM1).value
+            (GroupType.ElemAbelian_p3 if _is_abelian(scan, gens) else GroupType.HeisenbergM1).value
             for _, gens in regular
         ]
     codes, first = distinct_rows(np.concatenate(blocks))

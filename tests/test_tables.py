@@ -19,7 +19,17 @@ from sbc.group_core import m1_code, m1_elements, m1_from_code, m1_inv, m1_mul
 from sbc.holomorph import HolElt, conj_by_aut, hol_inv, hol_mul
 from sbc.oracle import _sylow_ambient_indices
 from sbc.subgroups import generate
-from sbc.tables import aut_subgroup, aut_table, distinct_rows, hol_codec, m1_table, row_lookup
+from sbc.tables import (
+    aut_generators,
+    aut_subgroup,
+    aut_table,
+    class_labels,
+    distinct_rows,
+    hol_codec,
+    m1_table,
+    row_conjugator,
+    row_lookup,
+)
 
 P = 5
 RNG = random.Random(7)
@@ -49,6 +59,19 @@ def test_distinct_rows_matches_lexicographic_unique() -> None:
     assert not out.flags.writeable
     with pytest.raises(ValueError):
         out[0, 0] = 1
+
+
+def test_distinct_rows_across_compare_blocks() -> None:
+    # rows 2^13 wide are compared 8 at a time, and rows that differ only in
+    # their last column straddle the block boundaries
+    rng = np.random.default_rng(5)
+    pool = np.repeat(rng.integers(0, 3, size=(1, 1 << 13)), 30, axis=0)
+    pool[:, -1] = rng.integers(0, 12, size=30)
+    rows = pool[rng.permutation(30)]
+    out, first = distinct_rows(rows)
+    want, want_first = np.unique(rows, axis=0, return_index=True)
+    assert len(want) < len(rows)
+    assert np.array_equal(out, want) and np.array_equal(first, want_first)
 
 
 def test_row_lookup_finds_rows_and_misses() -> None:
@@ -288,3 +311,67 @@ def test_stabilizer_and_transporter_refuse_no_generators() -> None:
         codec.stabilizer(rep.codes, rep.gen_codes, images=[])
     with pytest.raises(ValueError, match="no generator codes"):
         codec.transporter_exists(rep.codes, none, rep.codes)
+
+
+def _composition_route(p: int, rows: np.ndarray, z: int) -> np.ndarray:
+    """The sorted conjugates of code rows by z through conj_matrix, the
+    per-automorphism compositions, one row at a time."""
+    codec = hol_codec(p)
+    return np.array([codec.conj_matrix(row, np.array([z]))[0] for row in rows])
+
+
+def test_row_conjugator_matches_conj_matrix(oracle_p5) -> None:
+    # every p=5 oracle row by every Aut(M1) generator and two more
+    # automorphisms, and a sample of p=7 rows (the representatives)
+    codec = hol_codec(P)
+    rows = oracle_p5.codes
+    for z in aut_generators(P).tolist() + [4242, codec.N - 1]:
+        got = row_conjugator(P, z, np.arange(codec.N))(rows % codec.N)
+        moved = codec.conj_images(rows.ravel(), np.array([z]))[:, 0].reshape(rows.shape)
+        assert np.array_equal(got, np.sort(moved, axis=1)), z
+        assert np.array_equal(got[::500], _composition_route(P, rows[::500], z)), z
+    codec7 = hol_codec(7)
+    rows7 = np.array([rep.codes for rep in all_representatives(7)])
+    for z in aut_generators(7).tolist() + [12345]:
+        got = row_conjugator(7, z, np.arange(codec7.N))(rows7 % codec7.N)
+        assert np.array_equal(got, _composition_route(7, rows7, z)), z
+
+
+def test_row_conjugator_on_local_positions() -> None:
+    # the oracle's merge gives positions in an ambient's members: here the
+    # representatives inside Sylow ambient 0
+    members = np.sort(_sylow_ambient_indices(P)[0])
+    codec = hol_codec(P)
+    rows = np.array([rep.codes for rep in all_representatives(P)])
+    rows = rows[np.isin(rows % codec.N, members).all(axis=1)]
+    assert len(rows) > 10
+    pos = np.searchsorted(members, rows % codec.N)
+    got = row_conjugator(P, 4242, members)(pos)
+    assert np.array_equal(got, _composition_route(P, rows, 4242))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_aut_generators_generate_aut_m1(p) -> None:
+    aut = aut_table(p)
+    gens = aut_generators(p)
+    assert gens.tolist() == [0, 1, p] and not gens.flags.writeable
+    # breadth-first closure under composition on the right
+    inside = np.zeros(aut.N, dtype=bool)
+    inside[aut.identity] = True
+    frontier = np.array([aut.identity])
+    while frontier.size:
+        products = aut.compose_idx(frontier[:, None], gens[None, :]).ravel()
+        frontier = np.unique(products[~inside[products]])
+        inside[frontier] = True
+    assert inside.all()
+
+
+def test_class_labels_are_least_indices_of_orbits() -> None:
+    # two permutations of range(8): (0 3)(5 6) and (1 3 7); classes
+    # {0, 1, 3, 7}, {2}, {4}, {5, 6}
+    steps = [np.array([3, 1, 2, 0, 4, 6, 5, 7]), np.array([0, 3, 2, 7, 4, 5, 6, 1])]
+    moves = []  # each label handed on goes along a step, to v = steps[k][u]
+    rep = class_labels(8, steps, lambda k, u, v: moves.append((np.array_equal(steps[k][u], v), len(u))))
+    assert rep.tolist() == [0, 0, 2, 0, 4, 5, 5, 0]
+    assert all(ok for ok, _ in moves) and sum(n for _, n in moves) >= 4
+    assert class_labels(3, []).tolist() == [0, 1, 2]

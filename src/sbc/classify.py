@@ -5,7 +5,11 @@ automorphism of M1, acting as (n, alpha) -> (g(n), g alpha g^-1), carries one
 onto the other.  The classification therefore reports, per representative:
 the stabilizer order inside Aut(M1) (the automorphism group of the brace),
 the orbit size through the orbit-stabilizer identity, and the socle and
-annihilator orders of the carried brace.
+annihilator orders of the carried brace.  Those two orders are read off the
+regular rows themselves (`skewbrace.socle_and_annihilator_masks`), with no
+brace built: lambda_a is the automorphism part alpha_a of a, so the socle
+is the elements with alpha_a = id and a central n-part, and the annihilator
+is the socle elements fixed by alpha_g for every generator g.
 
 Counting Hopf-Galois structures: a regular subgroup of Hol(N) isomorphic to
 G corresponds to one Hopf-Galois structure of type N on a Galois extension
@@ -22,7 +26,7 @@ reference.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -31,7 +35,7 @@ import numpy as np
 from .automorphisms import aut_order_total
 from .families import Representative, all_representatives
 from .group_core import validate_prime
-from .skewbrace import annihilator_indices, brace_from_codes, socle_indices
+from .skewbrace import socle_and_annihilator_masks
 # perfbench/selfcheck.py checks that tracing patches this imported binding
 from .skewbrace import brace_from_subgroup  # noqa: F401
 from .subgroups import GroupType
@@ -69,8 +73,12 @@ class ClassificationRecord:
     ann_order: int
 
 
+_RECORD_FIELDS = tuple(f.name for f in fields(ClassificationRecord))
+
+
 def record_to_dict(rec: ClassificationRecord) -> dict:
-    return asdict(rec)
+    """The record's fields in declaration order; every field is flat."""
+    return {name: getattr(rec, name) for name in _RECORD_FIELDS}
 
 
 def stabilizer_indices(rep: Representative) -> np.ndarray:
@@ -122,9 +130,13 @@ def _generator_rows(
 
 @lru_cache(maxsize=4)
 def classification_records(p: int) -> tuple[ClassificationRecord, ...]:
-    """One record per representative.  Every stabilizer comes first, through
-    one walk that shares generator rows; the braces are built after it, when
-    no row is held."""
+    """One record per representative.  Every stabilizer comes from one walk
+    that shares generator rows.  No brace is built: the socle is the
+    elements a with automorphism part alpha_a = lambda_a = id and a central
+    n-part, and the annihilator is the socle elements that every generator's
+    automorphism part fixes (a socle element commutes with b under the
+    subgroup law iff alpha_b fixes it, and the b that fix it form a
+    subgroup), both read off the stacked regular rows in one pass."""
     validate_prime(p)
     total = aut_order_total(p)
     codec = hol_codec(p)
@@ -133,12 +145,15 @@ def classification_records(p: int) -> tuple[ClassificationRecord, ...]:
         len(codec.stabilizer(rep.codes, rep.gen_codes, images=rows))
         for rep, rows in _generator_rows(p, reps)
     ]
+    socle, ann = socle_and_annihilator_masks(
+        p, np.stack([rep.codes for rep in reps]), np.stack([rep.gen_codes for rep in reps])
+    )
     out = []
-    for rep, stab in zip(reps, stabs):
+    for rep, stab, socle_order, ann_order in zip(
+        reps, stabs, socle.sum(axis=1).tolist(), ann.sum(axis=1).tolist()
+    ):
         if total % stab:
             raise AssertionError("stabilizer order must divide the group order")
-        brace = brace_from_codes(p, rep.codes)
-        socle = socle_indices(brace)
         out.append(
             ClassificationRecord(
                 rep_id=rep.rep_id,
@@ -147,8 +162,8 @@ def classification_records(p: int) -> tuple[ClassificationRecord, ...]:
                 structure=rep.group_type.value,
                 autbr_order=stab,
                 orbit_size=total // stab,
-                socle_order=len(socle),
-                ann_order=len(annihilator_indices(brace, socle=socle)),
+                socle_order=socle_order,
+                ann_order=ann_order,
             )
         )
     return tuple(out)

@@ -204,13 +204,18 @@ def cmd_count(args) -> int:
 
 def _write_dump(path: str, p: int, counts: dict, result) -> None:
     """_json_text of {"p", "counts", "subgroups": a dict per row}, written a
-    subgroup at a time, each indented to its depth ("subgroups" sorts last)."""
+    subgroup at a time ("subgroups" sorts last).  Each subgroup's lines are
+    the ones json.dumps(sort_keys=True, indent=2) gives the dict {"codes",
+    "theta", "type"} at depth 2, formatted directly: one code per line."""
     head = _json_text({"p": p, "counts": counts})[: -len("\n}\n")]
+    sep = ",\n        "
     with open(path, "w") as fh:
         fh.write(head + ',\n  "subgroups": [')
         for i, (row, tag, theta) in enumerate(zip(result.codes, result.types, result.theta)):
-            sub = {"codes": row.tolist(), "type": str(tag), "theta": int(theta)}
-            fh.write(("," if i else "") + "\n    " + _json_text(sub)[:-1].replace("\n", "\n    "))
+            fh.write(
+                f'{"," if i else ""}\n    {{\n      "codes": [\n        {sep.join(map(str, row.tolist()))}'
+                f'\n      ],\n      "theta": {int(theta)},\n      "type": {json.dumps(str(tag))}\n    }}'
+            )
         fh.write("\n  ]\n}\n")
 
 

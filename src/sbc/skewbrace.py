@@ -12,9 +12,9 @@ laws:
 and the pair is a skew left brace: a (*) (b (+) c) equals
 (a (*) b) (+) (-a) (+) (a (*) c).  The additive tables are the shared M1
 tables themselves.  Everything here is table-driven, and the braid relation
-and the socle/annihilator screens are exhaustive sweeps.  The braid sweep
-runs over triple codes (a k + b) k + c, on which r12 and r23 are single
-gathers through r written as a permutation of pair codes.
+and the table route's socle/annihilator screens are exhaustive sweeps.  The
+braid sweep runs over triple codes (a k + b) k + c, on which r12 and r23
+are single gathers through r written as a permutation of pair codes.
 
 Two exact arguments keep a brace at O(p^6) work instead of O(p^9):
 
@@ -33,6 +33,22 @@ The theta(G) tables come from `tables.aut_subgroup`, which checks that
 theta(G) is closed; the row is then checked only for closure under the
 product.  Its p^3 elements are distinct, and a finite closed subset of a
 group is a subgroup, so the identity and the inverses need no check.
+
+The socle and the annihilator need no brace at all (the row route,
+`socle_and_annihilator_masks`).  Soc(B) = ker lambda meet Z(B, (+))
+(Guarnieri-Vendramin, Math. Comp. 86, 2017), and lambda_a = alpha_a, the
+automorphism part of a, so a is in the socle iff alpha_a = id and the
+n-part a is central in M1, that is commutes with the generators 1 and p.
+Ann(B) is the socle meet the centre of (G, (*)).  For a in the socle,
+a (*) b = a b = b a and b (*) a = b alpha_b(a), so a commutes with b iff
+alpha_b(a) = a; b -> alpha_b is a homomorphism of (G, (*)), so the b that
+fix a form a subgroup, and a is in the annihilator iff every generator of
+G fixes it.  An automorphism sends a central (x, 0, 0) to (det x, 0, 0),
+and theta(G), an image of a group of order p^3, is a p-group, so each
+determinant has order dividing both a power of p and p - 1, and is 1: here
+the two sets agree, and the generator test checks that rather than
+assuming it.  The table route (`socle_indices`, `annihilator_indices`)
+reads both off a built brace and is the row route's test reference.
 """
 
 from __future__ import annotations
@@ -51,6 +67,7 @@ __all__ = [
     "brace_from_subgroup",
     "is_involutive",
     "lambda_matches_automorphism_action",
+    "socle_and_annihilator_masks",
     "socle_indices",
     "verify_brace_axiom",
     "verify_braid",
@@ -195,6 +212,40 @@ def annihilator_indices(brace: SkewBrace, *, socle: np.ndarray | None = None) ->
     soc = np.zeros(brace.order, dtype=bool)
     soc[socle] = True
     return np.flatnonzero(soc & mul_central)
+
+
+def socle_and_annihilator_masks(
+    p: int, rows: np.ndarray, gen_codes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(socle, ann), boolean (r, p^3) masks: socle[i, a] when local index a
+    is in the socle of the brace of the regular row rows[i], ann[i, a] when
+    it is in its annihilator; gen_codes[i] generate that row's subgroup.
+
+    No brace is built (see the module docstring): the socle is the columns
+    with automorphism part the identity and a central n-part, the
+    annihilator the socle columns fixed by the automorphism part of every
+    generator.  ker lambda is found twice, as the identity index and as the
+    automorphisms fixing the codes 1 and p, which generate M1; AssertionError
+    if the two disagree, ValueError unless every row is a regular row.
+    """
+    codec, k = hol_codec(p), p**3
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 2 or not np.array_equal(rows // codec.N, np.broadcast_to(np.arange(k), rows.shape)):
+        raise ValueError("not regular rows: row i needs n-part j at position j")
+    aut, MUL = codec.aut, codec.m1.MUL
+    parts, at = np.unique(rows % codec.N, return_inverse=True)
+    identity = parts == aut.identity
+    if not np.array_equal(identity, (aut.apply_codes(parts, 1) == 1) & (aut.apply_codes(parts, p) == p)):
+        raise AssertionError("ker lambda routes disagree")
+    n = np.arange(k)
+    centre = np.flatnonzero((MUL[n, 1] == MUL[1, n]) & (MUL[n, p] == MUL[p, n]))
+    socle = np.zeros(rows.shape, dtype=bool)
+    socle[:, centre] = identity[at.reshape(rows.shape)[:, centre]]
+    gens = np.asarray(gen_codes, dtype=np.int64) % codec.N  # (r, generators)
+    fixed = np.all(aut.apply_codes(gens[:, :, None], centre) == centre, axis=1)  # (r, |centre|)
+    ann = socle.copy()
+    ann[:, centre] &= fixed
+    return socle, ann
 
 
 def verify_ideal(brace: SkewBrace, indices: np.ndarray) -> bool:

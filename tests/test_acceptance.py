@@ -93,6 +93,25 @@ def test_criterion_2_classify_counts_p7_in_5min():
     assert elapsed < 300.0, f"p=7 pipeline took {elapsed:.2f}s"
 
 
+def test_counts_p11_match_closed_forms_within_budget():
+    # about 9-10 s cold on a 2-vCPU VM; the caches are emptied after, so the
+    # p = 11 tables (about 180 MB) do not stay resident for later tests
+    _clear_caches()
+    p = 11
+    try:
+        t0 = time.perf_counter()
+        report = count_report(p)
+        elapsed = time.perf_counter() - t0
+        assert report == closed_form_count_report(p)
+        assert report.class_counts == {MUL_TAG: 234, AB_TAG: 23}
+        assert 234 == 2 * p**2 - p + 3
+        assert 23 == 2 * p + 1
+        assert report.hgs_totals == {MUL_TAG: 318230, AB_TAG: 21081830}
+        assert elapsed < 40.0, f"p=11 counts took {elapsed:.2f}s"
+    finally:
+        _clear_caches()
+
+
 def test_criterion_3_hgs_counts_p5():
     p = 5
     report = count_report(p)  # assembled by orbit-stabilizer summation

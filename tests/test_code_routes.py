@@ -30,6 +30,7 @@ from sbc.skewbrace import (
     brace_from_codes,
     brace_from_subgroup,
     is_involutive,
+    socle_and_annihilator_masks,
     socle_indices,
     verify_braid,
     verify_nondegenerate,
@@ -296,6 +297,56 @@ def test_precomputed_tables_give_the_same_answers(reps) -> None:
         assert verify_nondegenerate(brace, tables=tables) == verify_nondegenerate(brace)
         assert is_involutive(brace, tables=tables) == is_involutive(brace)
         assert verify_braid(brace, tables=tables) == verify_braid(brace)
+
+
+def _row_masks(p: int, reps) -> tuple[np.ndarray, np.ndarray]:
+    rows = np.stack([rep.codes for rep in reps])
+    return socle_and_annihilator_masks(p, rows, np.stack([rep.gen_codes for rep in reps]))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_row_socles_match_the_brace_route(p) -> None:
+    reps = all_representatives(p)
+    socle, ann = _row_masks(p, reps)
+    for i, rep in enumerate(reps):
+        brace = brace_from_codes(p, rep.codes)
+        want = socle_indices(brace)
+        assert np.array_equal(np.flatnonzero(socle[i]), want), rep.rep_id
+        assert np.array_equal(np.flatnonzero(ann[i]), annihilator_indices(brace, socle=want)), rep.rep_id
+    records = classification_records(p)
+    assert [rec.socle_order for rec in records] == socle.sum(axis=1).tolist()
+    assert [rec.ann_order for rec in records] == ann.sum(axis=1).tolist()
+
+
+def test_row_annihilator_keeps_the_socle_columns_every_generator_fixes(reps) -> None:
+    # every theta(G) is a p-group, so its matrix parts have determinant 1
+    # and fix the centre (a, 0, 0) -> (det a, 0, 0): on the representatives
+    # the annihilator is the socle.  The fixed-point rule itself is checked
+    # with listed automorphisms of determinant 1 and 2 on the row of
+    # M1 x {id}, whose socle is the whole centre.
+    codec = hol_codec(P)
+    trivial = [rep for rep in reps if rep.theta_order == 1]
+    assert len(trivial) == 1
+    row = trivial[0].codes[None, :]
+    centre = np.arange(P) * P * P
+    socle, ann = _row_masks(P, reps)
+    assert np.array_equal(socle, ann)
+    for (t1, t2, a1, a2, a3, a4), kept in [((1, 0, 1, 0, 0, 1), centre), ((0, 0, 2, 0, 0, 1), [0])]:
+        moved = [int(codec.aut.index(t1, t2, a1, a2, a3, a4))]
+        socle, ann = socle_and_annihilator_masks(P, row, [moved])
+        assert np.flatnonzero(socle[0]).tolist() == centre.tolist()
+        assert np.flatnonzero(ann[0]).tolist() == list(kept)
+
+
+def test_row_socles_check_their_input_and_both_kernel_routes(reps, monkeypatch) -> None:
+    rows = np.stack([rep.codes for rep in reps[:3]])
+    gens = np.stack([rep.gen_codes for rep in reps[:3]])
+    with pytest.raises(ValueError):
+        socle_and_annihilator_masks(P, rows[:, ::-1], gens)
+    aut = hol_codec(P).aut
+    monkeypatch.setattr(aut, "apply_codes", lambda idx, n: np.zeros(np.broadcast(idx, n).shape, dtype=np.int64))
+    with pytest.raises(AssertionError, match="ker lambda routes disagree"):
+        socle_and_annihilator_masks(P, rows, gens)
 
 
 def test_coset_orbit_matches_full_orbit(reps) -> None:

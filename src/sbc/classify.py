@@ -26,6 +26,7 @@ reference.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -33,13 +34,14 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .automorphisms import aut_order_total
-from .families import Representative, all_representatives
+from .families import Representative, all_representatives, representative
 from .group_core import validate_prime
 from .skewbrace import socle_and_annihilator_masks
 # perfbench/selfcheck.py checks that tracing patches this imported binding
 from .skewbrace import brace_from_subgroup  # noqa: F401
 from .subgroups import GroupType
 from .tables import aut_generators, class_labels, distinct_rows, hol_codec, row_conjugator, row_lookup
+from .tables import regular_row_mask
 
 __all__ = [
     "ClassificationRecord",
@@ -102,8 +104,10 @@ def _generator_rows(
     block of representatives go in one conj_images call, the block growing
     while it holds at most _SWEEP_BLOCK entries (but taking at least one
     representative).  A row is reused from anywhere in its block, and the last
-    representative's rows carry over to the next block as copies, so a kept
-    row never holds a swept block alive.
+    representative's rows carry over to the next block.  A carried row is a
+    view of the array it was swept in, and is copied when that array holds
+    a row that is not carried, so a kept row never holds a dead row alive:
+    from p = 7 on a block's rows are all carried, and none is copied.
     """
     codec = hol_codec(p)
     reps = list(reps)
@@ -124,7 +128,11 @@ def _generator_rows(
             rows.update(zip(new, codec.conj_images(np.array(list(new), dtype=np.int64))))
         for rep in reps[start:stop]:
             yield rep, [rows[c] for c in rep.gen_codes.tolist()]
-        carried = {c: rows[c].copy() if c in new else rows[c] for c in reps[stop - 1].gen_codes.tolist()}
+        carried = {c: rows[c] for c in reps[stop - 1].gen_codes.tolist()}
+        views = Counter(id(row.base) for row in carried.values())
+        for c, row in carried.items():
+            if row.base is not None and views[id(row.base)] * codec.N < row.base.size:
+                carried[c] = row.copy()  # its sweep holds a row that is not carried
         start = stop
 
 
@@ -170,38 +178,9 @@ def classification_records(p: int) -> tuple[ClassificationRecord, ...]:
 
 
 def expected_stabilizer_order(rep_id: str, p: int) -> int:
-    """The closed-form stabilizer order attached to each representative id."""
-    parts = rep_id.split("/")
-    head = parts[0]
-    if head == "r=1":
-        return aut_order_total(p)
-    if head == "r=p":
-        kind = parts[1]
-        if kind == "a1":
-            return (p - 1) * p**3
-        if kind == "a2" or kind == "a2a3":
-            return (p - 1) * p**2
-        if kind == "a3":
-            return (p - 1) ** 2 * p**2
-    if head == "r=p2":
-        kind = parts[1]
-        if kind == "II":
-            return (p - 1) * p**2
-        if parts[1] == "I" and parts[2].startswith("u5="):
-            return aut_order_total(p)
-        if parts[1] == "I":
-            u3 = int(parts[2].split("=")[1])
-            u4 = int(parts[3].split("=")[1])
-            disc = (u3 * u3 - 4 * u4) % p
-            if disc == 0:
-                return (p - 1) * p**3
-            if pow(disc, (p - 1) // 2, p) == 1:
-                return (p - 1) ** 2 * p**2
-            return (p**2 - 1) * p**2
-    if head == "r=p3":
-        t3 = int(parts[1].split("=")[1])
-        return 2 * p if t3 == 1 else 2 * (p - 1) * p
-    raise ValueError(f"unknown representative id {rep_id!r}")
+    """The closed-form stabilizer order of the representative rep_id
+    (`Representative.autbr_order`); ValueError for an unknown id."""
+    return representative(p, rep_id).autbr_order
 
 
 # -- counting ----------------------------------------------------------------
@@ -370,7 +349,7 @@ def _orbit_classes(p: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray] |
     size = max(1, (1 << 18) // k)
     for start in range(0, n, size):
         block = codes[start : start + size]
-        if not np.all(block // N == np.arange(k)):
+        if not regular_row_mask(p, block, N).all():
             return None
         for conjugate, step in zip(conjugators, steps):
             at, hit = find(conjugate(block % N))

@@ -12,7 +12,7 @@ Reports are byte-identical for a fixed configuration: ordering is canonical
 everywhere, there are no timestamps and nothing is randomized.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error.
+error, or not enough memory for the prime.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .classify import (
     record_to_dict,
     verify_pairwise_nonconjugate,
 )
+from .families import all_representatives, representative
 from .group_core import validate_prime
 from .oracle import DEFAULT_ORACLE_BUDGET, enumerate_regular_subgroups
 from .skewbrace import (
@@ -48,6 +49,7 @@ from .skewbrace import (
     verify_nondegenerate,
     ybe_tables,
 )
+from .tables import hol_codec
 
 __all__ = ["main"]
 
@@ -286,12 +288,8 @@ def _verify_checks(p: int, oracle_budget: int):
                     acc = hm.hol_mul(acc, g)
 
     def family_regularity():
-        from .families import all_representatives
-        from .tables import hol_codec
-
         reps = all_representatives(p)
-        expected = 1 + 2 * p + ((2 * p - 3) * p + 2 * p - 1) + 4
-        if len(reps) != expected:
+        if len(reps) != sum(closed_form_count_report(p).class_counts.values()):
             raise AssertionError("representative count off")
         codec = hol_codec(p)
         for rep in reps:
@@ -311,8 +309,6 @@ def _verify_checks(p: int, oracle_budget: int):
             raise AssertionError("counts disagree")
 
     def brace_axiom():
-        from .families import all_representatives
-
         for rep in all_representatives(p):
             brace = brace_from_codes(p, rep.codes)
             bad = verify_brace_axiom(brace)
@@ -322,8 +318,6 @@ def _verify_checks(p: int, oracle_budget: int):
                 raise AssertionError(f"{rep.rep_id} lambda mismatch")
 
     def braid_sample():
-        from .families import all_representatives
-
         reps = all_representatives(p)
         # every fifth representative, then the other ones with |theta| = p^3
         rest = (r for i, r in enumerate(reps) if i % 5 and r.theta_order == p**3)
@@ -348,14 +342,8 @@ def _verify_checks(p: int, oracle_budget: int):
 
         def oracle_equivalence():
             result = enumerate_regular_subgroups(p, budget=oracle_budget)
-            split = result.count_by_type_and_theta()
-            report = closed_form_count_report(p)
-            want_m1 = report.regular_by_structure["HeisenbergM1"]
-            want_ab = report.regular_by_structure["ElemAbelian_p3"]
-            if split.get("HeisenbergM1") != want_m1 or split.get("ElemAbelian_p3") != want_ab:
+            if result.count_by_type_and_theta() != closed_form_count_report(p).regular_by_structure:
                 raise AssertionError("oracle counts disagree with closed forms")
-            if len(result.codes) != report.total_regular:
-                raise AssertionError("oracle total off")
             if not orbits_match(p, result.codes):
                 raise AssertionError("oracle subgroups differ from the representative orbits")
 
@@ -380,6 +368,8 @@ def cmd_verify(args) -> int:
         try:
             check()
             results.append((name, True, ""))
+        except MemoryError:
+            raise  # not a failed check: main exits 2
         except Exception as exc:  # noqa: BLE001 - report any failure in the matrix
             results.append((name, False, str(exc)))
     all_pass = all(ok for _, ok, _ in results)
@@ -400,18 +390,9 @@ def cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
-def _find_rep(p: int, rep_id: str):
-    from .families import all_representatives
-
-    for rep in all_representatives(p):
-        if rep.rep_id == rep_id:
-            return rep
-    raise ValueError(f"no representative with id {rep_id!r} at p={p}")
-
-
 def cmd_brace(args) -> int:
     p = args.prime
-    rep = _find_rep(p, args.rep_id)
+    rep = representative(p, args.rep_id)
     brace = brace_from_codes(p, rep.codes)
     axiom_ok = verify_brace_axiom(brace) is None
     lam_ok = lambda_matches_automorphism_action(brace)
@@ -441,7 +422,7 @@ def cmd_brace(args) -> int:
 
 def cmd_ybe(args) -> int:
     p = args.prime
-    rep = _find_rep(p, args.rep_id)
+    rep = representative(p, args.rep_id)
     brace = brace_from_codes(p, rep.codes)
     tables = ybe_tables(brace)
     braid_bad = verify_braid(brace, tables=tables)
@@ -491,6 +472,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory at p={args.prime}: {exc}", file=sys.stderr)
         return 2
 
 

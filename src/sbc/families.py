@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .automorphisms import aut_identity, sylow_aut_from_coords
+from .automorphisms import aut_identity, aut_order_total, sylow_aut_from_coords
 from .group_core import (
     M1Elt,
     inv_mod,
@@ -43,6 +43,7 @@ __all__ = [
     "families_theta_p",
     "families_theta_p2",
     "families_theta_p3",
+    "representative",
     "smallest_nonresidue",
     "trivial_subgroup",
 ]
@@ -50,13 +51,16 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Representative:
-    """One orbit representative: stable id, theta size, type, and the subgroup
-    as read-only code arrays (sorted element codes, three generator codes)."""
+    """One orbit representative: stable id, theta size, type, the closed-form
+    order of its brace's automorphism group (its stabilizer in Aut(M1)), and
+    the subgroup as read-only code arrays (sorted element codes, three
+    generator codes)."""
 
     rep_id: str
     p: int
     theta_order: int
     group_type: GroupType
+    autbr_order: int
     codes: np.ndarray
     gen_codes: np.ndarray
 
@@ -205,44 +209,52 @@ def families_theta_p3(p: int) -> list[SubgroupHol]:
     ]
 
 
-def _recipes(p: int) -> Iterator[tuple[str, int, GroupType, list[HolElt]]]:
-    """(id, theta order, type, generators) of every representative.
+def _recipes(p: int) -> Iterator[tuple[str, int, GroupType, int, list[HolElt]]]:
+    """(id, theta order, type, closed-form |Aut(B)|, generators) of every
+    representative.
 
     theta = p:   s alpha1, s alpha2, s alpha3^c and s alpha2 alpha3^c for
                  c = 1..p-1 (c = 1 gives the two abelian ones).
     theta = p^2: the u3/u4 sweep (Case I rank-one reduction, s alpha1), the
                  antidiagonal u5 line (fixed by every reduction), and the
-                 Case II x3/a sweep.
+                 Case II x3/a sweep.  On the u3/u4 sweep |Aut(B)| is p^2
+                 times p (p - 1), (p - 1)^2 or p^2 - 1 as the discriminant
+                 u3^2 - 4 u4 is zero, a nonzero square or a non-square.
     theta = p^3: t3 in {0, 1} and r-exponent s in {1, delta} of the second
                  generator, the family at u1 = w1 = 0.
     """
     heis, abel = GroupType.HeisenbergM1, GroupType.ElemAbelian_p3
-    yield "r=1/trivial", 1, heis, [_emb(rho(p)), _emb(sigma(p)), _emb(tau(p))]
+    total = aut_order_total(p)
+    yield "r=1/trivial", 1, heis, total, [_emb(rho(p)), _emb(sigma(p)), _emb(tau(p))]
 
-    yield "r=p/a1", p, heis, _gens_theta_p(p, 1, 0, 0)
-    yield "r=p/a2", p, heis, _gens_theta_p(p, 0, 1, 0)
+    yield "r=p/a1", p, heis, (p - 1) * p**3, _gens_theta_p(p, 1, 0, 0)
+    yield "r=p/a2", p, heis, (p - 1) * p**2, _gens_theta_p(p, 0, 1, 0)
     for c in range(1, p):
         gtype = abel if c == 1 else heis
-        yield f"r=p/a3/c={c}", p, gtype, _gens_theta_p(p, 0, 0, c)
-        yield f"r=p/a2a3/c={c}", p, gtype, _gens_theta_p(p, 0, 1, c)
+        yield f"r=p/a3/c={c}", p, gtype, (p - 1) ** 2 * p**2, _gens_theta_p(p, 0, 0, c)
+        yield f"r=p/a2a3/c={c}", p, gtype, (p - 1) * p**2, _gens_theta_p(p, 0, 1, c)
 
+    by_legendre = {0: (p - 1) * p**3, 1: (p - 1) ** 2 * p**2, p - 1: (p**2 - 1) * p**2}
     for u3 in range(p):
         for u4 in range(1, p):
             gens = _gens_theta_p2(p, sigma(p), M1Elt(p, 0, u3, u4), 0, 1)
-            yield f"r=p2/I/u3={u3}/u4={u4}", p * p, abel if u3 == u4 else heis, gens
+            legendre = pow(u3 * u3 - 4 * u4, (p - 1) // 2, p)
+            gtype = abel if u3 == u4 else heis
+            yield f"r=p2/I/u3={u3}/u4={u4}", p * p, gtype, by_legendre[legendre], gens
     for u5 in range(1, p):
         gens = _gens_theta_p2(p, M1Elt(p, 0, 0, -u5), M1Elt(p, 0, u5, 0), 0, 1)
-        yield f"r=p2/I/u5={u5}", p * p, abel if u5 == 2 else heis, gens
+        yield f"r=p2/I/u5={u5}", p * p, abel if u5 == 2 else heis, total, gens
     for x3 in range(1, p):
         for a in range(p):
             gens = _gens_theta_p2(p, M1Elt(p, 0, 0, x3), sigma(p), 1, a)
             abelian = a == ((1 + x3) * inv_mod(x3, p)) % p
-            yield f"r=p2/II/x3={x3}/a={a}", p * p, abel if abelian else heis, gens
+            yield f"r=p2/II/x3={x3}/a={a}", p * p, abel if abelian else heis, (p - 1) * p**2, gens
 
     delta = smallest_nonresidue(p)
     for t3 in (0, 1):
         for s_name, s_val in (("1", 1), ("delta", delta)):
-            yield f"r=p3/t3={t3}/s={s_name}", p**3, heis, _gens_theta_p3(p, 0, s_val, 0, t3)
+            gens = _gens_theta_p3(p, 0, s_val, 0, t3)
+            yield f"r=p3/t3={t3}/s={s_name}", p**3, heis, 2 * p if t3 else 2 * (p - 1) * p, gens
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -265,8 +277,16 @@ def all_representatives(p: int) -> tuple[Representative, ...]:
     )
     spans = _frozen(_spans(p, gen_codes))
     reps = [
-        Representative(rep_id, p, theta, gtype, spans[i], gen_codes[i])
-        for i, (rep_id, theta, gtype, _) in enumerate(recipes)
+        Representative(rep_id, p, theta, gtype, autbr, spans[i], gen_codes[i])
+        for i, (rep_id, theta, gtype, autbr, _) in enumerate(recipes)
     ]
     reps.sort(key=lambda rec: (rec.theta_order, rec.rep_id))
     return tuple(reps)
+
+
+def representative(p: int, rep_id: str) -> Representative:
+    """The representative with id rep_id; ValueError if there is none at p."""
+    for rep in all_representatives(p):
+        if rep.rep_id == rep_id:
+            return rep
+    raise ValueError(f"no representative with id {rep_id!r} at p={p}")

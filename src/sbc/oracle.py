@@ -133,14 +133,14 @@ one in each ambient i > 0.  The p + 1 blocks are disjoint, and that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .group_core import validate_prime
 from .subgroups import GroupType
 from .tables import aut_subgroup, aut_table, class_labels, distinct_rows, greedy_generators, m1_table
-from .tables import row_conjugator
+from .tables import regular_row_mask, row_conjugator
 
 __all__ = [
     "AmbientScan",
@@ -210,7 +210,6 @@ class AmbientScan:
         self.MUL_BY = np.ascontiguousarray(m1_mul.T) * p**3
         self.INV_IMAGE = np.ascontiguousarray(self.LOC_APPLY[:, m1.INV])
         self.MUL_FLAT = (m1_mul * self.AL).ravel()
-        self._n_parts = np.arange(p**3, dtype=np.int64)
         # POW[k, g] = g^k for k = 0..p-1; the ambient must have exponent p.
         # Filled row by row, so only one copy of it is ever held.
         self.POW = np.empty((p, self.size), dtype=np.int64)
@@ -223,7 +222,7 @@ class AmbientScan:
         # LEAST[z] = min(<z> - 1) names the line <z>, for z not the identity
         self.LEAST = self.POW[1:].min(axis=0)
         for table in (self.aut_global, self.LOC_APPLY, self.LOC_COMP, self.AUT_CONJ, self.MUL_BY,
-                      self.INV_IMAGE, self.MUL_FLAT, self._n_parts, self.POW, self.LEAST):
+                      self.INV_IMAGE, self.MUL_FLAT, self.POW, self.LEAST):
             table.flags.writeable = False  # the tables are shared by every layer
         self.built_p2 = self.built_p3 = 0
         self.swept_p2 = self.swept_p3 = 0
@@ -366,7 +365,7 @@ class AmbientScan:
         normal = np.ones((self.p**3, len(bs)), dtype=bool)
         for g in gens:
             normal &= in_row[self.conj_all(g, bs)]
-        return (self._n_parts[:, None] * self.AL + bs)[normal]
+        return (m1_table(self.p).codes[:, None] * self.AL + bs)[normal]
 
     def _coset_leaders(self, rows: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(leaders, cosets): for each E = <R, y[j]>, R = rows[j] (or one
@@ -457,7 +456,7 @@ class AmbientScan:
 
     def is_regular(self, row: np.ndarray) -> bool:
         """A sorted regular row has n-part j at position j."""
-        return bool(np.array_equal(row // self.AL, self._n_parts))
+        return bool(regular_row_mask(self.p, row, self.AL))
 
 
 def _sylow_ambient_indices(p: int) -> list[np.ndarray]:
@@ -495,27 +494,26 @@ def _conjugators(p: int, ambients: list[np.ndarray]) -> np.ndarray:
     return betas[first[1:]]
 
 
-_SCAN_MEMO: dict[int, OracleResult] = {}
-
-
 def enumerate_regular_subgroups(p: int, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleResult:
-    """Scan Sylow ambient 0, conjugate its regular rows onto the other p
-    ambients (module docstring) and merge.  Refuses p above the budget.
-    The result is memoized per prime.
-    """
+    """The regular subgroups of every Sylow ambient (_scan, memoized per
+    prime).  Refuses p above the budget."""
     validate_prime(p)
     if p > budget:
         raise ValueError(f"oracle budget is p <= {budget}; pass a larger budget to override")
-    cached = _SCAN_MEMO.get(p)
-    if cached is not None:
-        return cached
+    return _scan(p)
+
+
+@lru_cache(maxsize=4)
+def _scan(p: int) -> OracleResult:
+    """Scan Sylow ambient 0, conjugate its regular rows onto the other p
+    ambients (module docstring) and merge."""
     aut = aut_table(p)
     ambients = _sylow_ambient_indices(p)
     scan = AmbientScan(p, ambients[0])
     layer3 = scan.order_p3_subgroups(scan.order_p2_subgroups(scan.order_p_subgroups()))
     rows = np.array([row for row, _ in layer3])  # local codes
     # is_regular on every row at once, then theta orders and types
-    regular = np.all(rows // scan.AL == scan._n_parts, axis=1)
+    regular = regular_row_mask(p, rows, scan.AL)
     rows, gens = rows[regular], np.array([gens for _, gens in layer3])[regular]
     del layer3
     pos = rows % scan.AL  # n-part j in column j
@@ -541,6 +539,4 @@ def enumerate_regular_subgroups(p: int, budget: int = DEFAULT_ORACLE_BUDGET) -> 
     types = np.concatenate([types, np.tile(types[outer], p)])[first]
     for arr in (theta, types):
         arr.flags.writeable = False
-    result = OracleResult(p, codes, theta, types, per_ambient)
-    _SCAN_MEMO[p] = result
-    return result
+    return OracleResult(p, codes, theta, types, per_ambient)

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .subgroups import SubgroupHol
-from .tables import aut_subgroup, hol_codec
+from .tables import aut_subgroup, hol_codec, regular_row_mask
 
 __all__ = [
     "SkewBrace",
@@ -228,16 +228,16 @@ def socle_and_annihilator_masks(
     automorphisms fixing the codes 1 and p, which generate M1; AssertionError
     if the two disagree, ValueError unless every row is a regular row.
     """
-    codec, k = hol_codec(p), p**3
+    codec = hol_codec(p)
     rows = np.asarray(rows, dtype=np.int64)
-    if rows.ndim != 2 or not np.array_equal(rows // codec.N, np.broadcast_to(np.arange(k), rows.shape)):
+    if rows.ndim != 2 or not regular_row_mask(p, rows, codec.N).all():
         raise ValueError("not regular rows: row i needs n-part j at position j")
     aut, MUL = codec.aut, codec.m1.MUL
     parts, at = np.unique(rows % codec.N, return_inverse=True)
     identity = parts == aut.identity
     if not np.array_equal(identity, (aut.apply_codes(parts, 1) == 1) & (aut.apply_codes(parts, p) == p)):
         raise AssertionError("ker lambda routes disagree")
-    n = np.arange(k)
+    n = codec.m1.codes
     centre = np.flatnonzero((MUL[n, 1] == MUL[1, n]) & (MUL[n, p] == MUL[p, n]))
     socle = np.zeros(rows.shape, dtype=bool)
     socle[:, centre] = identity[at.reshape(rows.shape)[:, centre]]

@@ -31,7 +31,8 @@ from .subgroups import SubgroupHol, subgroup_from_cosets
 
 __all__ = [
     "AutTable", "M1Table", "HolCodec", "aut_generators", "aut_subgroup", "aut_table", "class_labels",
-    "distinct_rows", "greedy_generators", "hol_codec", "m1_table", "row_conjugator", "row_lookup",
+    "distinct_rows", "greedy_generators", "hol_codec", "m1_table", "regular_row_mask", "row_conjugator",
+    "row_lookup",
 ]
 
 # Automorphisms per step of the inverse build, so its int64 temporaries stay
@@ -77,6 +78,16 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     out = rows[order[new]]
     out.flags.writeable = False
     return out, order[new]
+
+
+def regular_row_mask(p: int, rows: np.ndarray, width: int) -> np.ndarray:
+    """Which rows (along the last axis) are regular rows: p^3 codes with
+    n-part code // width equal to j at position j (module docstring).  width
+    is N for holomorph codes and |A| for the local codes of M1 x| A."""
+    rows, positions = np.asarray(rows), m1_table(p).codes
+    if rows.shape[-1:] != positions.shape:
+        return np.zeros(rows.shape[:-1], dtype=bool)
+    return (rows // width == positions).all(-1)
 
 
 def row_lookup(rows: np.ndarray):
@@ -188,20 +199,20 @@ def aut_subgroup(p: int, members: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
 
 
 class M1Table:
-    """Dense multiplication and inverse tables for the base group."""
+    """The base group's codes 0..p^3 - 1 and dense multiplication and inverse
+    tables."""
 
     def __init__(self, p: int) -> None:
         validate_prime(p)
         self.p = p
-        n = p**3
-        codes = np.arange(n, dtype=np.int64)
+        self.codes = codes = np.arange(p**3, dtype=np.int64)
         a, b, c = self._split(codes)
         xa, ya = a[:, None], a[None, :]
         xb, yb = b[:, None], b[None, :]
         xc, yc = c[:, None], c[None, :]
         self.MUL = self._join(xa + ya + xc * yb, xb + yb, xc + yc).astype(np.int32)
         self.INV = self._join(-a + b * c, -b, -c).astype(np.int32)
-        for table in (self.MUL, self.INV):  # shared by the cache
+        for table in (self.codes, self.MUL, self.INV):  # shared by the cache
             table.flags.writeable = False
 
     def _split(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -374,8 +385,7 @@ class HolCodec:
     def is_regular_row(self, codes: np.ndarray) -> bool:
         """Is codes the sorted code row of a regular subgroup: p^3 codes with
         n-part j at position j?  For a subgroup this is regularity itself."""
-        codes, k = np.asarray(codes), self.p**3
-        return codes.shape == (k,) and bool(np.array_equal(codes // self.N, np.arange(k)))
+        return np.ndim(codes) == 1 and bool(regular_row_mask(self.p, codes, self.N))
 
     def regular_row(self, codes: np.ndarray) -> np.ndarray:
         """codes sorted as an int64 row; ValueError unless is_regular_row."""

@@ -14,6 +14,7 @@ import numpy as np
 
 import sbc.classify as classify
 import sbc.families as families
+import sbc.oracle as oracle
 import sbc.tables as tables
 from sbc.automorphisms import (
     aut_apply,
@@ -51,6 +52,7 @@ from sbc.skewbrace import (
 def _clear_caches() -> None:
     classify.classification_records.cache_clear()
     families.all_representatives.cache_clear()
+    oracle._scan.cache_clear()
     tables.m1_table.cache_clear()
     tables.aut_table.cache_clear()
     tables.hol_codec.cache_clear()
@@ -108,6 +110,10 @@ def test_counts_p11_match_closed_forms_within_budget():
         assert 23 == 2 * p + 1
         assert report.hgs_totals == {MUL_TAG: 318230, AB_TAG: 21081830}
         assert elapsed < 40.0, f"p=11 counts took {elapsed:.2f}s"
+        records = classification_records(p)
+        assert len(records) == 257
+        for rec in records:
+            assert rec.autbr_order == expected_stabilizer_order(rec.rep_id, p), rec.rep_id
     finally:
         _clear_caches()
 

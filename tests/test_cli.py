@@ -207,6 +207,21 @@ def test_usage_errors_exit_2(capsys, argv):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["count", "verify"])
+def test_memory_error_exits_2_with_the_prime(capsys, monkeypatch, command):
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 540. MiB")
+
+    if command == "count":
+        monkeypatch.setitem(cli._COMMANDS, "count", out_of_memory)
+    else:  # a check that runs out of memory is not a failed check
+        monkeypatch.setattr(cli, "_verify_checks", lambda p, budget: [("stub", out_of_memory)])
+    assert main([command, "--prime", "17"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory at p=17: Unable to allocate 540. MiB\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -267,7 +267,7 @@ def test_nonconjugacy_check_finds_a_conjugate_in_its_bucket(
     a = reps[12]
     alpha = np.setdiff1d(np.arange(codec.N), stabilizer_indices(a))[:1]
     moved = Representative(
-        "conjugate", P, a.theta_order, a.group_type,
+        "conjugate", P, a.theta_order, a.group_type, a.autbr_order,
         codec.conj_matrix(a.codes, alpha)[0], codec.conj_images(a.gen_codes, alpha)[:, 0],
     )
     assert not np.array_equal(moved.codes, a.codes)

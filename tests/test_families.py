@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from sbc.automorphisms import aut_identity
+from sbc.classify import expected_stabilizer_order
 from sbc.families import (
     _spans,
     all_representatives,
     families_theta_p,
     families_theta_p2,
     families_theta_p3,
+    representative,
     smallest_nonresidue,
     trivial_subgroup,
 )
@@ -146,6 +148,14 @@ def test_representatives_count_and_ids() -> None:
     assert thetas.count(P) == 10
     assert thetas.count(P * P) == 44
     assert thetas.count(P**3) == 4
+
+
+def test_unknown_id_has_no_representative_and_no_closed_form() -> None:
+    assert representative(P, "r=p/a1").autbr_order == expected_stabilizer_order("r=p/a1", P)
+    with pytest.raises(ValueError):
+        representative(P, "r=p9/bogus")
+    with pytest.raises(ValueError):
+        expected_stabilizer_order("r=p9/bogus", P)
 
 
 def test_representative_types_match_declared() -> None:

@@ -27,6 +27,7 @@ from sbc.tables import (
     distinct_rows,
     hol_codec,
     m1_table,
+    regular_row_mask,
     row_conjugator,
     row_lookup,
 )
@@ -87,6 +88,19 @@ def test_row_lookup_finds_rows_and_misses() -> None:
     at, found = row_lookup(rows[:0])(probes)
     assert at.shape == found.shape == (len(probes),) and not found.any()
     assert find(probes[:0])[1].shape == (0,)
+
+
+def test_regular_row_mask_marks_regular_rows_only() -> None:
+    N = hol_codec(P).N
+    rows = np.stack([rep.codes for rep in all_representatives(P)[:4]])
+    assert regular_row_mask(P, rows, N).tolist() == [True] * 4
+    bad = rows.copy()
+    bad[1] = bad[1, ::-1]  # n-part p^3 - 1 - j at position j
+    assert regular_row_mask(P, bad, N).tolist() == [True, False, True, True]
+    assert bool(regular_row_mask(P, rows[0], N)) and not regular_row_mask(P, bad[1], N)
+    assert regular_row_mask(P, rows[:, 1:], N).tolist() == [False] * 4  # p^3 - 1 codes
+    # local codes of an ambient of width |A|: a row reads the same at any width
+    assert regular_row_mask(P, rows // N * 25 + 3, 25).tolist() == [True] * 4
 
 
 def test_aut_table_enumeration_matches_scalar() -> None:
@@ -155,7 +169,7 @@ def test_cached_tables_are_read_only() -> None:
         aut.INV[0] = aut.INV[0]
     with pytest.raises(ValueError):
         m1.MUL[0, 0] = m1.MUL[0, 0]
-    for table in (*aut.GL, aut.RANK, aut.INV, aut._inv_mod, m1.MUL, m1.INV):
+    for table in (*aut.GL, aut.RANK, aut.INV, aut._inv_mod, m1.codes, m1.MUL, m1.INV):
         assert not table.flags.writeable
 
 

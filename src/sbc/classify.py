@@ -93,15 +93,27 @@ def stabilizer_indices(rep: Representative) -> np.ndarray:
 _SWEEP_BLOCK = 1 << 16
 
 
+@lru_cache(maxsize=4)
+def _generator_factors(p: int) -> tuple:
+    """The sweep factors (`HolCodec.sweep_factors`) of the automorphism
+    parts of every representative's generators, built once per prime for
+    both walks: 11 parts at p = 5, 15 at p = 7, 23 at p = 11."""
+    codec = hol_codec(p)
+    return codec.sweep_factors(np.concatenate([rep.gen_codes for rep in all_representatives(p)]) % codec.N)
+
+
 def _generator_rows(
     p: int, reps: Iterable[Representative]
 ) -> Iterator[tuple[Representative, list[np.ndarray]]]:
     """Yield (rep, rows) in the order of reps, rows[i] the conj_images row
     of rep.gen_codes[i] under every automorphism.
 
-    Consecutive representatives share generators (the central (r, 1)
-    generates most of them), so only new codes are swept: the new codes of a
-    block of representatives go in one conj_images call, the block growing
+    Every row comes from the per-prime sweep factors (_generator_factors),
+    so the reps must be among all_representatives(p) (ValueError for a
+    generator part without a factor).  Consecutive
+    representatives share generators (the central (r, 1) generates most of
+    them), so only new codes are swept: the new codes of a block of
+    representatives go in one sweep, the block growing
     while it holds at most _SWEEP_BLOCK entries (but taking at least one
     representative).  A row is reused from anywhere in its block, and the last
     representative's rows carry over to the next block.  A carried row is a
@@ -111,6 +123,7 @@ def _generator_rows(
     """
     codec = hol_codec(p)
     reps = list(reps)
+    factors = _generator_factors(p)
     carried: dict[int, np.ndarray] = {}
     start = 0
     while start < len(reps):
@@ -125,7 +138,7 @@ def _generator_rows(
             stop += 1
         rows = dict(carried)
         if new:
-            rows.update(zip(new, codec.conj_images(np.array(list(new), dtype=np.int64))))
+            rows.update(zip(new, codec._conj_sweep(np.array(list(new), dtype=np.int64), factors)))
         for rep in reps[start:stop]:
             yield rep, [rows[c] for c in rep.gen_codes.tolist()]
         carried = {c: rows[c] for c in reps[stop - 1].gen_codes.tolist()}
@@ -382,4 +395,5 @@ def orbits_match(p: int, codes: np.ndarray) -> bool:
     if classes is None:
         return False
     label, at = classes
-    return bool(np.all(at >= 0)) and len(np.unique(label[at])) == len(at) == len(np.unique(label))
+    n_classes = np.count_nonzero(label == np.arange(len(label)))  # each class's least index
+    return bool(np.all(at >= 0)) and len(set(label[at].tolist())) == len(at) == n_classes

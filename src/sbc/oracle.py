@@ -179,8 +179,10 @@ class OracleResult:
 
     def count_by_type_and_theta(self) -> dict[str, dict[int, int]]:
         out: dict[str, dict[int, int]] = {}
-        for tag in np.unique(self.types):
-            thetas, counts = np.unique(self.theta[self.types == tag], return_counts=True)
+        # sort-path forms: a plain np.unique imports numpy.ma on first use
+        tags, at = np.unique(self.types, return_inverse=True)
+        for i, tag in enumerate(tags):
+            thetas, counts = np.unique(self.theta[at == i], return_counts=True)
             out[str(tag)] = {int(t): int(n) for t, n in zip(thetas, counts)}
         return out
 

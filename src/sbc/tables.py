@@ -35,9 +35,10 @@ __all__ = [
     "row_lookup",
 ]
 
-# Automorphisms per step of the inverse build, so its int64 temporaries stay
-# at 512 kB each whatever the prime (|Aut(M1)| = 1,597,200 at p = 11).
-_INVERSE_CHUNK = 1 << 16
+# Entries per step of the inverse build and the sweep-factor build, so their
+# int64 temporaries stay at 512 kB each whatever the prime (|Aut(M1)| =
+# 1,597,200 at p = 11).
+_BUILD_CHUNK = 1 << 16
 
 
 @lru_cache(maxsize=4)
@@ -315,8 +316,8 @@ class AutTable:
         product (t, A)(0, A^-1); built and self-checked in chunks."""
         p = self.p
         inv = np.empty(self.N, dtype=np.int64)
-        for start in range(0, self.N, _INVERSE_CHUNK):
-            stop = min(start + _INVERSE_CHUNK, self.N)
+        for start in range(0, self.N, _BUILD_CHUNK):
+            stop = min(start + _BUILD_CHUNK, self.N)
             idx = np.arange(start, stop)
             x = self.coords(idx)
             a1, a2, a3, a4 = x[2:]
@@ -357,8 +358,13 @@ class HolCodec:
     Stabilizers and transporters therefore sweep |Aut(M1)| x (generator
     count) conjugates, and memory stays O(|Aut(M1)| + p^3).  Their targets
     are regular rows, so a conjugate x lies in T exactly when T[x // N] == x.
-    The sweep over all of Aut(M1) composes each code with the |GL2| matrix
-    parts only (_conj_sweep).
+    The sweep over all of Aut(M1) splits in two (_conj_sweep): a factor per
+    automorphism part beta, which conjugates beta by the |GL2| matrix parts
+    and depends on nothing else (sweep_factors), and a per-code remainder
+    from the M1 part, one key add and one N-wide gather.  The split is exact
+    because the conjugate's automorphism part depends on beta alone and the
+    gather key is a sum of an M1-part term and a beta term; factors built
+    once serve every code with that part.
     """
 
     def __init__(self, p: int) -> None:
@@ -423,11 +429,13 @@ class HolCodec:
         Shape (len(codes), len(aut_rows)), column j for automorphism
         aut_rows[j].  Without aut_rows the columns are all N automorphisms
         in index order, (t1 p + t2) |GL2| + rank(A), and come from the
-        decomposed sweep below; with aut_rows each column is two
-        compositions, the reference the sweep is tested against.
+        decomposed sweep below, with the factors of the codes' own
+        automorphism parts; with aut_rows each column is two compositions,
+        the reference the sweep is tested against.
         """
         if aut_rows is None:
-            return self._conj_sweep(np.asarray(codes))
+            codes = np.asarray(codes)
+            return self._conj_sweep(codes, self.sweep_factors(codes % self.N))
         nparts, aparts = np.divmod(np.asarray(codes), self.N)
         new_n = self.aut.apply_codes(aut_rows[None, :], nparts[:, None])
         # conjugation fixes the identity automorphism: only the other
@@ -441,11 +449,11 @@ class HolCodec:
         return new_n * self.N + new_a
 
     def _code_free_sweep_parts(self) -> tuple:
-        """The parts of _conj_sweep that no listed code changes, built once
-        per codec and read-only: the matrix parts, their inverses and those
-        inverses' matrix coordinates, the inner-part column t, and lut, where
-        lut[key] holds the code's terms from the M1 part's a coordinate and
-        the inner part (8 p^3 entries)."""
+        """The parts of the sweep that no listed code or automorphism part
+        changes, built once per codec and read-only: the matrix parts, their
+        inverses and those inverses' matrix coordinates, the inner-part
+        column t, and lut, where lut[key] holds a conjugate's terms from its
+        M1 part's a coordinate and its inner part (8 p^3 entries)."""
         aut, p, g, N = self.aut, self.p, self.aut.n_gl, self.N
         mats = np.arange(g)
         mats_inv = aut.INV[mats]
@@ -457,8 +465,45 @@ class HolCodec:
             part.flags.writeable = False
         return mats, mats_inv, inv_coords, t, lut
 
-    def _conj_sweep(self, codes: np.ndarray) -> np.ndarray:
-        """conj_images under every automorphism, composed once per matrix part.
+    def sweep_factors(self, aparts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(parts, rank, x, y): the automorphism-part factor of _conj_sweep
+        for each distinct automorphism index in aparts.
+
+        parts is sorted and distinct; row i of the other three belongs to
+        beta = parts[i].  With (u, B) the conjugate of beta by (0, A),
+        rank[i, A] = rank(B), and x[i, t1, A], y[i, t2, A] are the key terms
+        of the inner part u + t M, M = A^-1 (B - det(B) I), from t1 and from
+        t2.  All read-only, in the least unsigned dtype that holds them
+        (uint8 keys and uint16 ranks at p = 11); built a few parts at a time,
+        so no (parts, p, |GL2|) int64 temporary is held.
+        """
+        aut, p, g = self.aut, self.p, self.aut.n_gl
+        mats, mats_inv, (ai1, ai2, ai3, ai4), t, _ = self._sweep_parts
+        # the sort path of np.unique: its plain form imports numpy.ma on first use
+        parts = np.unique(np.ravel(aparts), return_inverse=True)[0]
+        rank = np.empty((len(parts), g), dtype=np.min_scalar_type(g - 1))
+        x = np.empty((len(parts), p, g), dtype=np.min_scalar_type(2 * p * p))
+        y = np.empty_like(x)
+        step = max(1, _BUILD_CHUNK // (p * g))
+        for lo in range(0, len(parts), step):
+            at = slice(lo, lo + step)
+            gamma = aut.compose_idx(aut.compose_idx(mats, parts[at, None]), mats_inv)  # (c, A)
+            rank[at] = gamma % g
+            u1, u2, b1, b2, b3, b4 = (v[:, None, :] for v in aut.coords(gamma))  # (c, 1, A)
+            d = (b1 * b4 - b2 * b3) % p
+            # t M with the row vector t on the left
+            m11, m12 = ai1 * (b1 - d) + ai2 * b3, ai1 * b2 + ai2 * (b4 - d)
+            m21, m22 = ai3 * (b1 - d) + ai4 * b3, ai3 * b2 + ai4 * (b4 - d)
+            x[at] = ((u1 + t * m11) % p) * (2 * p) + (u2 + t * m12) % p  # (c, t1, A)
+            y[at] = ((t * m21) % p) * (2 * p) + (t * m22) % p  # (c, t2, A)
+        for part in (parts, rank, x, y):
+            part.flags.writeable = False
+        return parts, rank, x, y
+
+    def _conj_sweep(self, codes: np.ndarray, factors: tuple) -> np.ndarray:
+        """conj_images under every automorphism, from the sweep factors of
+        the codes' automorphism parts (sweep_factors; ValueError if a part
+        has none) and each code's M1 part.
 
         (0, A) has index rank(A), and (t, A) = (s, I)(0, A) with s = t A^-1.
         So the conjugate of (n, beta) by (t, A) has
@@ -466,31 +511,31 @@ class HolCodec:
                     those of n;
           aut part  (u + s (B - det(B) I), B), with (u, B) the conjugate of
                     beta by (0, A), since (s, I)(u, B)(-s, I) = (u + sB - det(B) s, B).
-        The three coordinates that move with t are X(t1, A) + Y(t2, A), both
-        terms reduced mod p, so one key add and one gather on an 8 p^3 table
-        give each row.  Compositions: 2 |GL2| per listed code, not 2 N.
+        The three coordinates that move with t are X(t1, A) + Y(t2, A), each
+        coordinate reduced mod p and keyed in radix 2 p, so one key add and
+        one gather on an 8 p^3 table give each row.  The key is linear in
+        its coordinates, so X and Y each split exactly into an M1-part term
+        (the a coordinate, 4 p^2 apart) and an automorphism-part term (the
+        inner part, below 2 p^2), and (u, B) depends on beta alone: the
+        factors hold beta's terms and rank(B), composed once per distinct
+        beta, and a code adds its M1-part terms, the key add and one N-wide
+        gather.
         """
-        aut, p, g, N = self.aut, self.p, self.aut.n_gl, self.N
-        mats, mats_inv, (ai1, ai2, ai3, ai4), t, lut = self._sweep_parts
-        nparts, aparts = np.divmod(codes.reshape(-1, 1), N)  # (k, 1)
-        n0 = aut.apply_codes(mats, nparts)  # (k, g)
-        gamma = aut.compose_idx(aut.compose_idx(mats, aparts), mats_inv)
-        u1, u2, b1, b2, b3, b4 = (v[:, None] for v in aut.coords(gamma))
-        d = (b1 * b4 - b2 * b3) % p
-        # t M with M = A^-1 (B - det(B) I), the row vector t on the left
-        m11, m12 = ai1 * (b1 - d) + ai2 * b3, ai1 * b2 + ai2 * (b4 - d)
-        m21, m22 = ai3 * (b1 - d) + ai4 * b3, ai3 * b2 + ai4 * (b4 - d)
-        na = (n0 // (p * p))[:, None]
-        nb, nc = ((nparts // p) % p)[..., None], (nparts % p)[..., None]
-
-        def key(xa, x1, x2):  # each coordinate reduced, so a sum of two keys
-            return ((xa % p) * (2 * p) + x1 % p) * (2 * p) + x2 % p  # stays below 8 p^3
-
-        x = key(na + t * nb, u1 + t * m11, u2 + t * m12)  # (k, t1, A)
-        y = key(t * nc, t * m21, t * m22)  # (k, t2, A)
-        base = (n0 % (p * p)) * N + gamma % g
-        out = np.empty((len(codes), p, p, g), dtype=np.int64)
-        buf = np.empty((p, p, g), dtype=np.int64)
+        aut, p, N = self.aut, self.p, self.N
+        mats, _, _, t, lut = self._sweep_parts
+        parts, rank, fx, fy = factors
+        nparts, aparts = np.divmod(codes, N)
+        at = np.searchsorted(parts, aparts)
+        if not np.array_equal(parts.take(at, mode="clip"), aparts):
+            raise ValueError("an automorphism part has no sweep factor")
+        n0 = aut.apply_codes(mats, nparts[:, None])  # (k, A)
+        na = n0[:, None, :] // (p * p)
+        nb, nc = ((nparts // p) % p)[:, None, None], (nparts % p)[:, None, None]
+        x = ((na + t * nb) % p) * (4 * p * p) + fx[at]  # (k, t1, A)
+        y = ((t * nc) % p) * (4 * p * p) + fy[at]  # (k, t2, A)
+        base = (n0 % (p * p)) * N + rank[at]
+        out = np.empty((len(codes), p, p, aut.n_gl), dtype=np.int64)
+        buf = np.empty((p, p, aut.n_gl), dtype=np.int64)
         for row, xi, yi, bi in zip(out, x, y, base):
             np.add(xi[:, None, :], yi[None, :, :], out=buf)
             np.take(lut, buf, out=row, mode="wrap")  # keys lie in range; "wrap" is unbuffered
@@ -522,10 +567,10 @@ class HolCodec:
         rows = sorted(images, key=lambda row: row[0] % self.N == self.aut.identity)
         if not rows:
             raise ValueError("no generator codes: a regular subgroup needs a generating set")
-        keep = np.flatnonzero(target[rows[0] // self.N] == rows[0])
+        keep = np.flatnonzero(target.take(rows[0] // self.N) == rows[0])
         for row in rows[1:]:
-            img = row[keep]
-            keep = keep[target[img // self.N] == img]
+            img = row.take(keep)
+            keep = keep[target.take(img // self.N) == img]
         return keep
 
     def stabilizer(

@@ -51,6 +51,7 @@ from sbc.skewbrace import (
 
 def _clear_caches() -> None:
     classify.classification_records.cache_clear()
+    classify._generator_factors.cache_clear()
     families.all_representatives.cache_clear()
     oracle._scan.cache_clear()
     tables.m1_table.cache_clear()

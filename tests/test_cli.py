@@ -1,10 +1,15 @@
 """End-to-end checks of the command-line surface at p = 5."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sbc
 import sbc.cli as cli
 from sbc.cli import CSV_COLUMNS, main
 from sbc.skewbrace import verify_braid
@@ -21,6 +26,27 @@ def test_classify_table_smoke(capsys):
     assert "r=p3/t3=1/s=delta" in out
     assert "regular subgroups total 6625" in out
     assert "HGS total 89900" in out
+
+
+_IMPORTS_NUMPY_MA = """
+import contextlib, io, sys
+from sbc.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv", [("oracle", "--prime", "5"), ("classify", "--prime", "5")])
+def test_cold_command_does_not_import_numpy_ma(argv):
+    # a plain np.unique imports numpy.ma on its first call, 10-18 ms of a
+    # cold run; the sort-path forms (return_counts, return_inverse) do not
+    src = str(Path(sbc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_NUMPY_MA, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.split() == ["0", "False"]
 
 
 def test_classify_csv_shape(capsys):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import sbc.classify as classify
+import sbc.tables as tables
 from sbc.automorphisms import alpha1, aut_identity
 from sbc.classify import (
     classification_records,
@@ -163,6 +164,39 @@ def test_decomposed_sweep_matches_composition_route(p, elements) -> None:
     assert np.array_equal(codec.conj_images(pick), _composed_rows(codec, pick))
 
 
+def test_sweep_matches_composition_route_on_any_codes() -> None:
+    """Sweeps of codes outside every representative, whose automorphism
+    parts move the inner part's first coordinate with t1 (on the
+    representatives' parts it moves with t2 only), give the composition
+    route's rows."""
+    codec = hol_codec(P)
+    codes = np.array(RNG.sample(range(P**3 * codec.N), 12), dtype=np.int64)
+    assert np.array_equal(codec.conj_images(codes), _composed_rows(codec, codes))
+
+
+def test_generator_factors_match_composition_route_p11_sample() -> None:
+    """At p = 11 the walks' factors hold the 23 automorphism parts of the
+    representatives' generators, and sweeps from them give the composition
+    route's rows on two generator codes of each part (one where the part has
+    only one), compared on a fixed random sample of 2^16 automorphisms."""
+    p = 11
+    try:
+        codec = hol_codec(p)
+        gens = np.unique(np.concatenate([r.gen_codes for r in all_representatives(p)]))
+        factors = classify._generator_factors(p)
+        assert np.array_equal(factors[0], np.unique(gens % codec.N, return_counts=True)[0])
+        assert len(factors[0]) == 23
+        cols = np.sort(np.random.default_rng(11).choice(codec.N, size=1 << 16, replace=False))
+        for part in factors[0]:
+            pick = gens[gens % codec.N == part][:2]
+            rows = codec._conj_sweep(pick, factors)
+            assert np.array_equal(rows[:, cols], codec.conj_images(pick, cols)), int(part)
+    finally:  # the p = 11 tables and factors are some 30 MB
+        classify._generator_factors.cache_clear()
+        for cache in (tables.hol_codec, tables.aut_table, tables.m1_table):
+            cache.cache_clear()
+
+
 def test_transporter_matches_orbit_membership(reps) -> None:
     codec = hol_codec(P)
     for rep in RNG.sample(reps, 6):
@@ -206,22 +240,31 @@ def test_generator_row_walk_matches_fresh_sweeps(p) -> None:
 
 @pytest.fixture
 def fresh_records():
-    """classification_records with an empty cache, emptied again after."""
+    """classification_records with empty caches of records and sweep
+    factors, emptied again after."""
     classification_records.cache_clear()
+    classify._generator_factors.cache_clear()
     yield classification_records
     classification_records.cache_clear()
+    classify._generator_factors.cache_clear()
 
 
 def test_walks_sweep_each_shared_generator_once(fresh_records, monkeypatch) -> None:
     # 42 distinct generator codes among the 59 representatives; a walk sweeps
     # a code again only when neither its block of at most 5 rows at p = 5 nor
-    # the last representative before the block had it
-    swept, stabilizers = [], []
-    sweep, stabilizer = HolCodec._conj_sweep, HolCodec.stabilizer
+    # the last representative before the block had it.  Their automorphism
+    # parts take 11 values, and both walks read one build of their factors.
+    swept, stabilizers, factored = [], [], []
+    sweep, stabilizer, build = HolCodec._conj_sweep, HolCodec.stabilizer, HolCodec.sweep_factors
 
-    def counting_sweep(self, codes):
+    def counting_sweep(self, codes, factors):
         swept.append(len(codes))
-        return sweep(self, codes)
+        return sweep(self, codes, factors)
+
+    def counting_factors(self, aparts):
+        built = build(self, aparts)
+        factored.append(len(built[0]))
+        return built
 
     def counting_stabilizer(self, codes, *args, **kwargs):
         stabilizers.append(codes)
@@ -229,12 +272,14 @@ def test_walks_sweep_each_shared_generator_once(fresh_records, monkeypatch) -> N
 
     monkeypatch.setattr(HolCodec, "_conj_sweep", counting_sweep)
     monkeypatch.setattr(HolCodec, "stabilizer", counting_stabilizer)
+    monkeypatch.setattr(HolCodec, "sweep_factors", counting_factors)
     assert len(fresh_records(P)) == 59
     assert (sum(swept), len(swept), len(stabilizers)) == (63, 13, 59)
     assert max(swept) * hol_codec(P).N <= classify._SWEEP_BLOCK
     swept.clear()
     assert verify_pairwise_nonconjugate(P) == 182
     assert (sum(swept), len(swept), len(stabilizers)) == (48, 10, 59)
+    assert factored == [11]
 
 
 def test_nonconjugacy_walk_skips_bucket_leaders(fresh_records, monkeypatch) -> None:

@@ -12,7 +12,8 @@ Reports are byte-identical for a fixed configuration: ordering is canonical
 everywhere, there are no timestamps and nothing is randomized.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error, or not enough memory for the prime.
+error, an output path that cannot be written, or not enough memory for the
+prime.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ import csv
 import io
 import json
 import sys
+from collections import Counter
 from functools import lru_cache
-
-import numpy as np
 
 from .classify import (
     classification_records,
@@ -224,15 +224,17 @@ def _write_dump(path: str, p: int, counts: dict, result) -> None:
 def cmd_oracle(args) -> int:
     p = args.prime
     result = enumerate_regular_subgroups(p, budget=args.oracle_budget)
-    by_type = result.count_by_type()
+    split = result.count_by_type_and_theta()
+    by_type = {tag: sum(by.values()) for tag, by in split.items()}
+    by_theta: Counter[int] = Counter()
+    for by in split.values():
+        by_theta.update(by)  # adds the counts
     total = len(result.codes)
-    thetas, theta_counts = np.unique(result.theta, return_counts=True)
     counts = {
         "by_type": {**by_type, "other": total - sum(by_type.values())},
-        "by_theta": {str(t): int(n) for t, n in zip(thetas, theta_counts)},
+        "by_theta": {str(t): n for t, n in sorted(by_theta.items())},
         "by_type_and_theta": {
-            tag: {str(t): n for t, n in sorted(by.items())}
-            for tag, by in sorted(result.count_by_type_and_theta().items())
+            tag: {str(t): n for t, n in sorted(by.items())} for tag, by in sorted(split.items())
         },
         "per_ambient_regular": result.per_ambient_regular,
         "total": total,
@@ -475,6 +477,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except MemoryError as exc:
         print(f"error: out of memory at p={args.prime}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # e.g. an --out path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,10 +1,11 @@
 """Parametrized families of regular subgroups and their orbit representatives.
 
-Every family lives inside the fixed ambient M1 x| (standard Sylow): the
-subgroups are given by generator recipes in rho, sigma, tau and the Sylow
-normal forms alpha1^i alpha2^j alpha3^k.  The theta = 1 case is the trivial
-pairing, theta = p pairs with <r, t>, theta = p^2 pairs <r> with a rank-two
-image, and theta = p^3 meets the base group trivially.
+Every family lives inside the fixed ambient M1 x| (standard Sylow), the
+one above the lower unipotent matrices, which is also the ambient the
+oracle scans: the subgroups are given by generator recipes in rho, sigma,
+tau and the Sylow normal forms alpha1^i alpha2^j alpha3^k.  The theta = 1
+case is the trivial pairing, theta = p pairs with <r, t>, theta = p^2 pairs
+<r> with a rank-two image, and theta = p^3 meets the base group trivially.
 
 Representatives are built straight in code form: each one is the sorted
 array of its p^3 holomorph codes plus its three generator codes, and the

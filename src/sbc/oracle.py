@@ -4,10 +4,10 @@ Independent of the family formulas: every order-p**3 subgroup of Hol(M1) has
 its automorphism image inside a Sylow p-subgroup of Aut(M1) (those are the
 preimages of the GL2 Sylows, since the inner C_p x C_p is a normal
 p-subgroup), so it lies in one of the p + 1 ambients M1 x| A of order p**6,
-and these are conjugate in Hol(M1) (see One ambient decides the rest).
-Sylow ambient 0 is scanned by a layered lattice walk, all three layers by one
-step from the trivial group: extend each parent R of the layer below by the
-y that normalize it.
+and these are conjugate in Hol(M1) by closed-form conjugators (see One
+ambient decides the rest).  Sylow ambient 0 is scanned by a layered
+lattice walk, all three layers by one step from the trivial group: extend
+each parent R of the layer below by the y that normalize it.
 
   order p    <y> for every y but the identity, whose normalizer is the
              whole ambient (which has exponent p, asserted, not assumed);
@@ -113,10 +113,21 @@ row:
   min(R - L*) < min(E - R); otherwise m = min(E - R), and m normalizes L*
   iff min(<m s m^-1> - 1) = min(<s> - 1).
 
-One ambient decides the rest.  The Sylows A_i are conjugate, A_i =
-beta_i A_0 beta_i^-1 for a matrix part beta_i, and conjugation by
-(1, beta_i) is an automorphism of Hol(M1) that sends ambient 0 onto ambient
-i, with
+One ambient decides the rest.  A Sylow p-subgroup of GL2(F_p) has order p
+and is generated by a unipotent u != 1.  As u - 1 is nilpotent of rank 1,
+u fixes one line L of F_p^2 and (u - 1) maps F_p^2 into L, so the Sylow
+is the group of order p of the matrices that fix L pointwise and act
+trivially on F_p^2 / L: a Sylow is determined by the line it fixes, and
+distinct Sylows fix distinct lines.  Ambient 0 is the families' standard
+one (every family representative lies in it), A_0 = Inn(M1) x| U with U
+the lower unipotents (1 0; x 1), which fix the line <e2>.  Each beta_i,
+i = 1..p, has inner part 0 and matrix part (1 k; 0 1) for k = 1..p-1, or
+(0 1; 1 0); beta_i U beta_i^-1 fixes the line beta_i <e2>, which is
+<(k, 1)> or <(1, 0)>.  With <e2> these are the p + 1 lines of F_p^2, so
+A_0 and the A_i = beta_i A_0 beta_i^-1 (Inn(M1) is normal, so A_i is the
+preimage of beta_i U beta_i^-1) are the p + 1 Sylow subgroups of Aut(M1),
+each once.  Conjugation by (1, beta_i) is an automorphism of Hol(M1) that
+sends ambient 0 onto ambient i, with
 
   (1, beta) (n, a) (1, beta)^-1 = (beta(n), beta a beta^-1),
 
@@ -127,7 +138,8 @@ So a regular row whose automorphism parts are all inner (identity matrix
 part) lies in every ambient and is kept once; every other row of ambient
 0 lies in no other ambient, and its p copies (`tables.row_conjugator`) lie
 one in each ambient i > 0.  The p + 1 blocks are disjoint, and that
-`tables.distinct_rows` drops no row is asserted.
+`tables.distinct_rows` drops no row is asserted: a conjugator that
+repeated an ambient would make it fire.
 """
 
 from __future__ import annotations
@@ -174,8 +186,7 @@ class OracleResult:
     per_ambient_regular: tuple[int, ...]
 
     def count_by_type(self) -> dict[str, int]:
-        tags, counts = np.unique(self.types, return_counts=True)
-        return {str(t): int(n) for t, n in zip(tags, counts)}
+        return {tag: sum(by.values()) for tag, by in self.count_by_type_and_theta().items()}
 
     def count_by_type_and_theta(self) -> dict[str, dict[int, int]]:
         out: dict[str, dict[int, int]] = {}
@@ -461,39 +472,20 @@ class AmbientScan:
         return bool(regular_row_mask(self.p, row, self.AL))
 
 
-def _sylow_ambient_indices(p: int) -> list[np.ndarray]:
-    """The Aut(M1) indices of each Sylow p-subgroup, one array per ambient."""
-    from .automorphisms import sylow_p_subgroups_gl2
-
-    aut = aut_table(p)
-    t1, t2 = np.divmod(np.arange(p * p), p)
-    out = []
-    for mats in sylow_p_subgroups_gl2(p):
-        entries = np.array([(A.a1, A.a2, A.a3, A.a4) for A in mats]).T
-        idx = aut.index(t1[:, None], t2[:, None], *entries[:, None, :]).ravel()
-        if np.any(idx < 0):
-            raise AssertionError("Sylow member missing from enumeration")
-        out.append(idx)
-    return out
+def _standard_ambient(p: int) -> np.ndarray:
+    """Ascending Aut(M1) indices of A_0 = Inn(M1) x| U, U the lower
+    unipotent matrices (1 0; x 1): the Sylow subgroup that holds every
+    family representative's automorphism parts."""
+    t1, t2, x = np.indices((p, p, p), dtype=np.int64).reshape(3, -1)
+    return aut_table(p).index(t1, t2, 1, 0, x, 1)
 
 
-def _conjugators(p: int, ambients: list[np.ndarray]) -> np.ndarray:
-    """Aut(M1) indices of matrix parts beta_i with beta_i A_0 beta_i^-1 =
-    A_i, the members of ambients[i], for i = 1..p.  A_i is Inn(M1) times a
-    GL2 Sylow of order p, so beta A_0 beta^-1 is the A_i that holds
-    beta g beta^-1 for one g of A_0 outside Inn(M1); one pass over the
-    |GL2| matrix parts (inner part (0, 0): index = rank) finds them."""
-    aut = aut_table(p)
-    owner = np.full(aut.N, -1, dtype=np.int64)
-    for i, members in enumerate(ambients):
-        owner[members] = i  # right for every member outside Inn(M1)
-    g = ambients[0][ambients[0] % aut.n_gl != aut.identity][0]
-    betas = np.arange(aut.n_gl, dtype=np.int64)
-    reached = owner[aut.compose_idx(aut.compose_idx(betas, g), aut.INV[betas])]
-    labels, first = np.unique(reached, return_index=True)
-    if not np.array_equal(labels, np.arange(p + 1)):
-        raise AssertionError("the Sylow ambients are not conjugate to ambient 0")
-    return betas[first[1:]]
+def _ambient_conjugators(p: int) -> np.ndarray:
+    """Aut(M1) indices of beta_1..beta_p: inner part 0 and matrix part
+    (1 k; 0 1) for k = 1..p-1, then (0 1; 1 0).  The beta_i A_0 beta_i^-1
+    are the other p Sylow subgroups (module docstring)."""
+    mats = np.array([(1, k, 0, 1) for k in range(1, p)] + [(0, 1, 1, 0)]).T
+    return aut_table(p).index(0, 0, *mats)
 
 
 def enumerate_regular_subgroups(p: int, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleResult:
@@ -510,8 +502,7 @@ def _scan(p: int) -> OracleResult:
     """Scan Sylow ambient 0, conjugate its regular rows onto the other p
     ambients (module docstring) and merge."""
     aut = aut_table(p)
-    ambients = _sylow_ambient_indices(p)
-    scan = AmbientScan(p, ambients[0])
+    scan = AmbientScan(p, _standard_ambient(p))
     layer3 = scan.order_p3_subgroups(scan.order_p2_subgroups(scan.order_p_subgroups()))
     rows = np.array([row for row, _ in layer3])  # local codes
     # is_regular on every row at once, then theta orders and types
@@ -529,7 +520,7 @@ def _scan(p: int) -> OracleResult:
     moved = pos[outer]
     union = np.empty((len(rows) + p * len(moved), p**3), dtype=np.int64)
     union[: len(rows)] = scan.to_global(rows)
-    for k, beta in enumerate(_conjugators(p, ambients)):
+    for k, beta in enumerate(_ambient_conjugators(p)):
         union[len(rows) + k * len(moved) :][: len(moved)] = row_conjugator(p, beta, scan.aut_global)(moved)
     per_ambient = (len(rows),) * (p + 1)  # conjugation carries ambient 0 onto each
     del rows, pos, moved, gens, products

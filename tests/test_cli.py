@@ -248,6 +248,16 @@ def test_memory_error_exits_2_with_the_prime(capsys, monkeypatch, command):
     assert captured.err == "error: out of memory at p=17: Unable to allocate 540. MiB\n"
 
 
+@pytest.mark.parametrize("command, name", [("count", "x.txt"), ("oracle", "x.json")])
+def test_unwritable_out_path_exits_2(capsys, tmp_path, command, name):
+    # exit code 1 is kept for a failed verification
+    out = tmp_path / "missing" / name
+    assert main([command, "--prime", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

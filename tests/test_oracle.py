@@ -10,7 +10,8 @@ import pytest
 from sbc.automorphisms import sylow_aut_subgroup, sylow_p_subgroups_gl2
 from sbc.classify import closed_form_count_report, orbits_match
 from sbc.group_core import M1Elt, m1_code, m1_subgroup_inventory
-from sbc.oracle import AmbientScan, _sylow_ambient_indices, enumerate_regular_subgroups
+from sbc import oracle
+from sbc.oracle import AmbientScan, enumerate_regular_subgroups
 from sbc.subgroups import GroupType, is_regular, isomorphism_type
 from sbc.tables import aut_table, distinct_rows, hol_codec
 
@@ -107,9 +108,9 @@ def small_ambient():
 
 
 @pytest.fixture(scope="module")
-def sylow_scan():
-    """Sylow ambient 0 with its three layers."""
-    scan = AmbientScan(5, _sylow_ambient_indices(5)[0])
+def sylow_scan(sylow_ambients):
+    """Sylow ambient 0 of the scalar route with its three layers."""
+    scan = AmbientScan(5, sylow_ambients(5)[0])
     layer1 = scan.order_p_subgroups()
     layer2 = scan.order_p2_subgroups(layer1)
     layer3 = scan.order_p3_subgroups(layer2)
@@ -463,13 +464,13 @@ def test_sylow_ambient_builds_each_subgroup_once_per_maximal(sylow_scan):
     assert scan.built_p3 == _built_p3_identity(scan, layer3) == 28361
 
 
-def test_sylow_ambient_p7_counts_within_budget():
+def test_sylow_ambient_p7_counts_within_budget(sylow_ambients):
     # One of the eight p=7 ambients, start to finish, its layers pinned by
     # SHA-256 as on p=5 Sylow ambient 0.  About 2-3 s on a 2-vCPU VM whose
     # speed drifts up to 2x; the budget allows for that.
     p = 7
     t0 = time.perf_counter()
-    scan = AmbientScan(p, _sylow_ambient_indices(p)[0])
+    scan = AmbientScan(p, sylow_ambients(p)[0])
     layer1 = scan.order_p_subgroups()
     layer2 = scan.order_p2_subgroups(layer1)
     layer3 = scan.order_p3_subgroups(layer2)
@@ -485,11 +486,35 @@ def test_sylow_ambient_p7_counts_within_budget():
     assert digest == "f46684e7dfe6700db928f4020c0ddd32162c9a6ba1a4a6f6a372bbc9b3a75d43"
 
 
-def test_scan_refuses_an_automorphism_set_not_closed():
-    members = _sylow_ambient_indices(5)[0]
+def test_scan_refuses_an_automorphism_set_not_closed(sylow_ambients):
+    members = sylow_ambients(5)[0]
     outside = np.setdiff1d(np.arange(aut_table(5).N), members)[0]
     with pytest.raises(ValueError, match="not closed"):
         AmbientScan(5, np.append(members, outside))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_closed_form_ambients_are_the_sylow_ambients(p, sylow_ambients):
+    # A_0 and its p conjugates beta A_0 beta^-1 against the scalar route's
+    # p + 1 Sylow subgroups, compared as sets of member arrays
+    aut = aut_table(p)
+    a0 = oracle._standard_ambient(p)
+    assert np.array_equal(a0, np.sort(a0)) and len(a0) == p**3
+    betas = oracle._ambient_conjugators(p)
+    assert len(betas) == p
+    closed = [a0] + [np.sort(aut.compose_idx(aut.compose_idx(b, a0), aut.INV[b])) for b in betas.tolist()]
+    assert sorted(a.tobytes() for a in closed) == sorted(a.tobytes() for a in sylow_ambients(p))
+
+
+def test_scan_needs_no_scalar_sylow_enumeration(monkeypatch, oracle_p5):
+    def refuse(p):
+        raise AssertionError("the scan enumerated the GL2 Sylows")
+
+    monkeypatch.setattr("sbc.automorphisms.sylow_p_subgroups_gl2", refuse)
+    result = oracle._scan.__wrapped__(5)
+    assert np.array_equal(result.codes, oracle_p5.codes)
+    assert np.array_equal(result.theta, oracle_p5.theta)
+    assert np.array_equal(result.types, oracle_p5.types)
 
 
 def test_budget_gate_refuses_large_prime():
@@ -550,13 +575,13 @@ def test_type_by_theta_matches_closed_forms(oracle_p5):
     }
 
 
-def test_six_ambient_scans_give_the_conjugated_union(oracle_p5):
+def test_six_ambient_scans_give_the_conjugated_union(oracle_p5, sylow_ambients):
     # The slow route: scan every p=5 Sylow ambient directly and merge their
     # regular rows, where the oracle scans ambient 0 only and conjugates its
     # rows onto the other five.  The union, theta and types must agree.
     p = 5
     blocks, theta, types = [], [], []
-    for members in _sylow_ambient_indices(p):
+    for members in sylow_ambients(p):
         scan = AmbientScan(p, members)
         layer1 = scan.order_p_subgroups()
         layer2 = scan.order_p2_subgroups(layer1)

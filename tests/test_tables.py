@@ -17,7 +17,7 @@ from sbc.automorphisms import (
 from sbc.families import all_representatives
 from sbc.group_core import m1_code, m1_elements, m1_from_code, m1_inv, m1_mul
 from sbc.holomorph import HolElt, conj_by_aut, hol_inv, hol_mul
-from sbc.oracle import _sylow_ambient_indices
+from sbc.oracle import _standard_ambient
 from sbc.subgroups import generate
 from sbc.tables import (
     aut_generators,
@@ -202,9 +202,9 @@ def test_one_element_image_matches_scalar() -> None:
 
 
 @pytest.mark.parametrize("ambient", range(P + 1))
-def test_aut_subgroup_matches_the_global_tables(ambient: int) -> None:
+def test_aut_subgroup_matches_the_global_tables(ambient: int, sylow_ambients) -> None:
     aut = aut_table(P)
-    members = np.sort(_sylow_ambient_indices(P)[ambient])
+    members = sylow_ambients(P)[ambient]
     APPLY, COMP, INV = aut_subgroup(P, members)
     assert np.array_equal(APPLY, aut.apply_codes(members[:, None], np.arange(P**3)[None, :]))
     assert np.array_equal(members[COMP], aut.compose_idx(members[:, None], members[None, :]))
@@ -216,13 +216,13 @@ def test_aut_subgroup_matches_the_global_tables(ambient: int) -> None:
 
 
 @pytest.mark.parametrize("p", [5, 7])
-def test_aut_subgroup_composition_matches_compose_idx(p: int) -> None:
+def test_aut_subgroup_composition_matches_compose_idx(p: int, sylow_ambients) -> None:
     # COMP is read off the members' images of the generators 1 and p; the
     # reference composes the members in triangular form.  Every Sylow ambient
     # and every theta(G) of a representative.
     aut = aut_table(p)
     thetas = {tuple(np.unique(rep.codes % aut.N)) for rep in all_representatives(p)}
-    subgroups = [np.sort(a) for a in _sylow_ambient_indices(p)] + [np.array(t) for t in thetas]
+    subgroups = list(sylow_ambients(p)) + [np.array(t) for t in thetas]
     assert len(subgroups) > p + 1
     for members in subgroups:
         APPLY, COMP, INV = aut_subgroup(p, members)
@@ -352,13 +352,12 @@ def test_row_conjugator_matches_conj_matrix(oracle_p5) -> None:
 
 
 def test_row_conjugator_on_local_positions() -> None:
-    # the oracle's merge gives positions in an ambient's members: here the
-    # representatives inside Sylow ambient 0
-    members = np.sort(_sylow_ambient_indices(P)[0])
+    # the oracle's merge gives positions in an ambient's members: here
+    # every representative, all inside the standard Sylow ambient
+    members = _standard_ambient(P)
     codec = hol_codec(P)
     rows = np.array([rep.codes for rep in all_representatives(P)])
-    rows = rows[np.isin(rows % codec.N, members).all(axis=1)]
-    assert len(rows) > 10
+    assert len(rows) == 59 and np.isin(rows % codec.N, members).all()
     pos = np.searchsorted(members, rows % codec.N)
     got = row_conjugator(P, 4242, members)(pos)
     assert np.array_equal(got, _composition_route(P, rows, 4242))

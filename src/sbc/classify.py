@@ -26,7 +26,6 @@ reference.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -87,9 +86,9 @@ def stabilizer_indices(rep: Representative) -> np.ndarray:
     return hol_codec(rep.p).stabilizer(rep.codes, rep.gen_codes)
 
 
-# Entries (rows x |Aut(M1)|) of one block of swept generator rows: 5 rows at
-# p = 5, and one representative's new codes from p = 7 on, where a row alone
-# is larger.  Raising it raises the classification's peak memory.
+# The generator walk sweeps max(1, _SWEEP_BLOCK // |Aut(M1)|) consecutive
+# representatives at a time: 5 at p = 5, and one from p = 7 on, where one row
+# alone is larger.  Raising it raises the classification's peak memory.
 _SWEEP_BLOCK = 1 << 16
 
 
@@ -110,43 +109,29 @@ def _generator_rows(
 
     Every row comes from the per-prime sweep factors (_generator_factors),
     so the reps must be among all_representatives(p) (ValueError for a
-    generator part without a factor).  Consecutive
-    representatives share generators (the central (r, 1) generates most of
-    them), so only new codes are swept: the new codes of a block of
-    representatives go in one sweep, the block growing
-    while it holds at most _SWEEP_BLOCK entries (but taking at least one
-    representative).  A row is reused from anywhere in its block, and the last
-    representative's rows carry over to the next block.  A carried row is a
-    view of the array it was swept in, and is copied when that array holds
-    a row that is not carried, so a kept row never holds a dead row alive:
-    from p = 7 on a block's rows are all carried, and none is copied.
+    generator part without a factor).  Consecutive representatives share
+    generators (the central (r, 1) generates most of them), so the walk
+    takes them in blocks of max(1, _SWEEP_BLOCK // N) and sweeps, in one
+    call, only the block's codes that the last representative before it
+    did not have.  A row is reused from anywhere in its block, and the last
+    representative's rows carry over to the next block.  Each row is an
+    array of its own, so a carried row holds no other row alive.
     """
     codec = hol_codec(p)
     reps = list(reps)
     factors = _generator_factors(p)
+    size = max(1, _SWEEP_BLOCK // codec.N)
     carried: dict[int, np.ndarray] = {}
-    start = 0
-    while start < len(reps):
-        new: dict[int, None] = {}  # the block's codes, in sweep order
-        stop = start
-        while stop < len(reps):
-            codes = reps[stop].gen_codes.tolist()
-            fresh = dict.fromkeys(c for c in codes if c not in carried and c not in new)
-            if stop > start and (len(new) + len(fresh)) * codec.N > _SWEEP_BLOCK:
-                break
-            new.update(fresh)
-            stop += 1
+    for start in range(0, len(reps), size):
+        block = reps[start : start + size]
+        codes = dict.fromkeys(c for rep in block for c in rep.gen_codes.tolist())
+        new = [c for c in codes if c not in carried]
         rows = dict(carried)
         if new:
-            rows.update(zip(new, codec._conj_sweep(np.array(list(new), dtype=np.int64), factors)))
-        for rep in reps[start:stop]:
+            rows.update(zip(new, codec._conj_sweep(np.array(new, dtype=np.int64), factors)))
+        for rep in block:
             yield rep, [rows[c] for c in rep.gen_codes.tolist()]
-        carried = {c: rows[c] for c in reps[stop - 1].gen_codes.tolist()}
-        views = Counter(id(row.base) for row in carried.values())
-        for c, row in carried.items():
-            if row.base is not None and views[id(row.base)] * codec.N < row.base.size:
-                carried[c] = row.copy()  # its sweep holds a row that is not carried
-        start = stop
+        carried = {c: rows[c] for c in block[-1].gen_codes.tolist()}
 
 
 @lru_cache(maxsize=4)

@@ -325,9 +325,10 @@ def _verify_checks(p: int, oracle_budget: int):
         rest = (r for i, r in enumerate(reps) if i % 5 and r.theta_order == p**3)
         for rep in reps[::5] + tuple(rest):
             brace = brace_from_codes(p, rep.codes)
-            if verify_braid(brace) is not None:
+            tables = ybe_tables(brace)
+            if verify_braid(brace, tables=tables) is not None:
                 raise AssertionError(f"{rep.rep_id} braid fails")
-            if not verify_nondegenerate(brace):
+            if not verify_nondegenerate(brace, tables=tables):
                 raise AssertionError(f"{rep.rep_id} degenerate")
 
     checks = [

@@ -501,6 +501,9 @@ def enumerate_regular_subgroups(p: int, budget: int = DEFAULT_ORACLE_BUDGET) -> 
 def _scan(p: int) -> OracleResult:
     """Scan Sylow ambient 0, conjugate its regular rows onto the other p
     ambients (module docstring) and merge."""
+    betas = _ambient_conjugators(p)  # the union below has one block per conjugator
+    if len(betas) != p or len(set(betas.tolist())) != p:
+        raise AssertionError(f"expected p = {p} ambient conjugators, got {betas.tolist()}")
     aut = aut_table(p)
     scan = AmbientScan(p, _standard_ambient(p))
     layer3 = scan.order_p3_subgroups(scan.order_p2_subgroups(scan.order_p_subgroups()))
@@ -520,7 +523,7 @@ def _scan(p: int) -> OracleResult:
     moved = pos[outer]
     union = np.empty((len(rows) + p * len(moved), p**3), dtype=np.int64)
     union[: len(rows)] = scan.to_global(rows)
-    for k, beta in enumerate(_ambient_conjugators(p)):
+    for k, beta in enumerate(betas):
         union[len(rows) + k * len(moved) :][: len(moved)] = row_conjugator(p, beta, scan.aut_global)(moved)
     per_ambient = (len(rows),) * (p + 1)  # conjugation carries ambient 0 onto each
     del rows, pos, moved, gens, products

@@ -85,8 +85,7 @@ class SkewBrace:
     ADD: np.ndarray        # M1 law on local indices: the read-only M1Table.MUL
     INV_MUL: np.ndarray
     INV_ADD: np.ndarray    # the read-only M1Table.INV
-    LAM: np.ndarray        # LAM[a, b] = (-a) (+) (a (*) b)
-    ACTION: np.ndarray     # ACTION[a, b] = alpha_a(b), alpha_a the automorphism part of a
+    ACTION: np.ndarray     # lambda: ACTION[a, b] = alpha_a(b), alpha_a the automorphism part of a
 
     @property
     def order(self) -> int:
@@ -118,11 +117,7 @@ def brace_from_codes(p: int, codes: np.ndarray) -> SkewBrace:
 
     ADD, INV_ADD = codec.m1.MUL, codec.m1.INV
     INV_MUL = APPLY[INV[pos], INV_ADD]  # (i, alpha)^-1 = (alpha^-1(i^-1), alpha^-1)
-    np.add(INV_ADD[:, None] * k, MUL, out=at)
-    LAM = np.take(ADD, at)
-    return SkewBrace(
-        p=p, codes=codes, MUL=MUL, ADD=ADD, INV_MUL=INV_MUL, INV_ADD=INV_ADD, LAM=LAM, ACTION=ACTION
-    )
+    return SkewBrace(p=p, codes=codes, MUL=MUL, ADD=ADD, INV_MUL=INV_MUL, INV_ADD=INV_ADD, ACTION=ACTION)
 
 
 def brace_from_subgroup(sub: SubgroupHol) -> SkewBrace:
@@ -175,26 +170,25 @@ def _first_axiom_failure(brace: SkewBrace) -> tuple[int, int, int] | None:
 
 
 def lambda_matches_automorphism_action(brace: SkewBrace) -> bool:
-    """The brace-defined lambda must be the stored automorphism acting on the
-    n-parts, which are the local indices: LAM against the theta(G) action
-    rows the brace was built from.
-
-    `brace_from_codes` builds LAM[a, b] = (-a) (+) (a (+) ACTION[a, b]), so
-    this checks that `M1Table.MUL`/`INV` are a group law, not ACTION on its
-    own; ACTION is pinned to the composition route by
+    """The brace-defined lambda_a(b) = (-a) (+) (a (*) b), computed from MUL,
+    ADD and INV_ADD, must be the automorphism part of a acting on the
+    n-parts, which are the local indices: ACTION, the theta(G) action rows
+    the brace was built from.  ACTION is pinned to the composition route by
     `tests/test_skewbrace.py::test_theta_tables_match_the_composition_route`.
     """
-    return bool(np.array_equal(brace.LAM, brace.ACTION))
+    # flat row * k + column codes, as in brace_from_codes
+    lam = np.take(brace.ADD, brace.INV_ADD[:, None] * brace.order + brace.MUL)
+    return bool(np.array_equal(lam, brace.ACTION))
 
 
 def socle_indices(brace: SkewBrace) -> np.ndarray:
     """{a : lambda_a = id} intersected with the additive center.
 
-    Computed twice: once from the LAM table, once from the raw definition
-    (a (*) b == a (+) b for every b).  The two must agree.
+    Computed twice: once from the lambda table ACTION, once from the raw
+    definition (a (*) b == a (+) b for every b).  The two must agree.
     """
     k = brace.order
-    ker_lam = np.all(brace.LAM == np.arange(k)[None, :], axis=1)
+    ker_lam = np.all(brace.ACTION == np.arange(k)[None, :], axis=1)
     add_central = np.all(brace.ADD == brace.ADD.T, axis=1)
     route_a = ker_lam & add_central
     route_b = np.all(brace.MUL == brace.ADD, axis=1) & add_central
@@ -257,7 +251,7 @@ def verify_ideal(brace: SkewBrace, indices: np.ndarray) -> bool:
     idx = np.flatnonzero(member)
     if not member[brace.ADD[idx[:, None], idx[None, :]]].all():
         return False
-    if not member[brace.LAM[:, idx]].all():
+    if not member[brace.ACTION[:, idx]].all():
         return False
     everyone = np.arange(brace.order)
     conj = brace.MUL[brace.MUL[everyone[:, None], idx[None, :]], brace.INV_MUL[everyone, None]]
@@ -269,7 +263,7 @@ def verify_ideal(brace: SkewBrace, indices: np.ndarray) -> bool:
 
 def ybe_tables(brace: SkewBrace) -> tuple[np.ndarray, np.ndarray]:
     """r(a, b) = (lambda_a(b), lambda_a(b)^-1 (*) a (*) b) as two index tables."""
-    R1 = brace.LAM
+    R1 = brace.ACTION  # lambda_a = alpha_a
     R2 = brace.MUL[brace.MUL[brace.INV_MUL[R1], np.arange(brace.order)[:, None]], np.arange(brace.order)[None, :]]
     return R1, R2
 

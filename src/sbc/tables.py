@@ -435,7 +435,9 @@ class HolCodec:
         """
         if aut_rows is None:
             codes = np.asarray(codes)
-            return self._conj_sweep(codes, self.sweep_factors(codes % self.N))
+            rows = self._conj_sweep(codes, self.sweep_factors(codes % self.N))
+            # np.array, not np.stack: no codes give a (0, N) array
+            return np.array(rows, dtype=np.int64).reshape(len(codes), self.N)
         nparts, aparts = np.divmod(np.asarray(codes), self.N)
         new_n = self.aut.apply_codes(aut_rows[None, :], nparts[:, None])
         # conjugation fixes the identity automorphism: only the other
@@ -500,10 +502,10 @@ class HolCodec:
             part.flags.writeable = False
         return parts, rank, x, y
 
-    def _conj_sweep(self, codes: np.ndarray, factors: tuple) -> np.ndarray:
-        """conj_images under every automorphism, from the sweep factors of
-        the codes' automorphism parts (sweep_factors; ValueError if a part
-        has none) and each code's M1 part.
+    def _conj_sweep(self, codes: np.ndarray, factors: tuple) -> list[np.ndarray]:
+        """The conj_images rows, one (N,) array of its own per code, from the
+        sweep factors of the codes' automorphism parts (sweep_factors;
+        ValueError if a part has none) and each code's M1 part.
 
         (0, A) has index rank(A), and (t, A) = (s, I)(0, A) with s = t A^-1.
         So the conjugate of (n, beta) by (t, A) has
@@ -534,13 +536,15 @@ class HolCodec:
         x = ((na + t * nb) % p) * (4 * p * p) + fx[at]  # (k, t1, A)
         y = ((t * nc) % p) * (4 * p * p) + fy[at]  # (k, t2, A)
         base = (n0 % (p * p)) * N + rank[at]
-        out = np.empty((len(codes), p, p, aut.n_gl), dtype=np.int64)
+        out = []
         buf = np.empty((p, p, aut.n_gl), dtype=np.int64)
-        for row, xi, yi, bi in zip(out, x, y, base):
+        for xi, yi, bi in zip(x, y, base):
+            row = np.empty((p, p, aut.n_gl), dtype=np.int64)
             np.add(xi[:, None, :], yi[None, :, :], out=buf)
             np.take(lut, buf, out=row, mode="wrap")  # keys lie in range; "wrap" is unbuffered
             row += bi
-        return out.reshape(len(codes), N)
+            out.append(row.reshape(N))
+        return out
 
     def conj_matrix(self, codes: np.ndarray, aut_rows: np.ndarray | None = None) -> np.ndarray:
         """Row r = the sorted conjugate of the code set under automorphism r.

@@ -180,6 +180,23 @@ def test_braid_sample_checks_each_representative_once(capsys, monkeypatch):
     assert len(seen) == len(set(seen)) == 15
 
 
+def test_braid_sample_builds_ybe_tables_once_per_brace(capsys, monkeypatch):
+    import sbc.skewbrace as skewbrace
+
+    built = []
+    real = skewbrace.ybe_tables
+
+    def counting(brace):
+        built.append(brace.codes.tobytes())
+        return real(brace)
+
+    monkeypatch.setattr(skewbrace, "ybe_tables", counting)
+    monkeypatch.setattr(cli, "ybe_tables", counting)
+    code, _ = run(capsys, "verify", "--prime", "5", "--oracle-budget", "3")
+    assert code == 0
+    assert len(built) == len(set(built)) == 15
+
+
 def test_verify_reports_injected_failure(capsys, monkeypatch):
     monkeypatch.setattr(cli, "expected_stabilizer_order", lambda rep_id, p: 999)
     code, out = run(capsys, "verify", "--prime", "5", "--oracle-budget", "3")

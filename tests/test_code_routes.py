@@ -189,7 +189,7 @@ def test_generator_factors_match_composition_route_p11_sample() -> None:
         cols = np.sort(np.random.default_rng(11).choice(codec.N, size=1 << 16, replace=False))
         for part in factors[0]:
             pick = gens[gens % codec.N == part][:2]
-            rows = codec._conj_sweep(pick, factors)
+            rows = np.stack(codec._conj_sweep(pick, factors))
             assert np.array_equal(rows[:, cols], codec.conj_images(pick, cols)), int(part)
     finally:  # the p = 11 tables and factors are some 30 MB
         classify._generator_factors.cache_clear()
@@ -251,14 +251,21 @@ def fresh_records():
 
 def test_walks_sweep_each_shared_generator_once(fresh_records, monkeypatch) -> None:
     # 42 distinct generator codes among the 59 representatives; a walk sweeps
-    # a code again only when neither its block of at most 5 rows at p = 5 nor
-    # the last representative before the block had it.  Their automorphism
+    # a code again only when neither its block of 5 representatives at p = 5
+    # nor the last representative before the block had it.  Their automorphism
     # parts take 11 values, and both walks read one build of their factors.
-    swept, stabilizers, factored = [], [], []
+    swept, stabilizers, factored, walked, blocks = [], [], [], [], []
     sweep, stabilizer, build = HolCodec._conj_sweep, HolCodec.stabilizer, HolCodec.sweep_factors
+    walk = classify._generator_rows
+
+    def recording_walk(p, reps):
+        for rep, rows in walk(p, reps):
+            walked.append(rep)
+            yield rep, rows
 
     def counting_sweep(self, codes, factors):
         swept.append(len(codes))
+        blocks.append((len(walked), codes.tolist()))  # the block starts after the reps walked
         return sweep(self, codes, factors)
 
     def counting_factors(self, aparts):
@@ -270,16 +277,36 @@ def test_walks_sweep_each_shared_generator_once(fresh_records, monkeypatch) -> N
         stabilizers.append(codes)
         return stabilizer(self, codes, *args, **kwargs)
 
+    def check_blocks():
+        # each call sweeps codes of at most five consecutive representatives
+        for start, codes in blocks:
+            assert start % 5 == 0
+            assert set(codes) <= {c for rep in walked[start : start + 5] for c in rep.gen_codes.tolist()}
+        for log in (walked, blocks, swept):
+            log.clear()
+
+    monkeypatch.setattr(classify, "_generator_rows", recording_walk)
     monkeypatch.setattr(HolCodec, "_conj_sweep", counting_sweep)
     monkeypatch.setattr(HolCodec, "stabilizer", counting_stabilizer)
     monkeypatch.setattr(HolCodec, "sweep_factors", counting_factors)
+    assert max(1, classify._SWEEP_BLOCK // hol_codec(P).N) == 5
     assert len(fresh_records(P)) == 59
-    assert (sum(swept), len(swept), len(stabilizers)) == (63, 13, 59)
-    assert max(swept) * hol_codec(P).N <= classify._SWEEP_BLOCK
-    swept.clear()
+    assert (sum(swept), len(swept), len(stabilizers)) == (67, 12, 59)
+    check_blocks()
     assert verify_pairwise_nonconjugate(P) == 182
-    assert (sum(swept), len(swept), len(stabilizers)) == (48, 10, 59)
+    assert (sum(swept), len(swept), len(stabilizers)) == (48, 9, 59)
+    check_blocks()
     assert factored == [11]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_walk_rows_own_their_memory(p) -> None:
+    """Every walked row is an array of its own, or a view of one holding
+    that row alone, so a carried row keeps no other row alive."""
+    N = hol_codec(p).N
+    for rep, rows in classify._generator_rows(p, all_representatives(p)):
+        for row in rows:
+            assert row.shape == (N,) and (row.base is None or row.base.size == N), rep.rep_id
 
 
 def test_nonconjugacy_walk_skips_bucket_leaders(fresh_records, monkeypatch) -> None:

@@ -493,6 +493,20 @@ def test_scan_refuses_an_automorphism_set_not_closed(sylow_ambients):
         AmbientScan(5, np.append(members, outside))
 
 
+@pytest.mark.parametrize("change", ["drop", "repeat", "replace"])
+def test_scan_checks_its_conjugators(change, monkeypatch):
+    # the merged union has one block per conjugator: p distinct ones or none
+    betas = oracle._ambient_conjugators(5)
+    wrong = {
+        "drop": betas[:-1],
+        "repeat": np.append(betas, betas[0]),
+        "replace": np.append(betas[:-1], betas[0]),
+    }[change]
+    monkeypatch.setattr(oracle, "_ambient_conjugators", lambda p: wrong)
+    with pytest.raises(AssertionError, match="expected p = 5 ambient conjugators, got"):
+        oracle._scan.__wrapped__(5)
+
+
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_closed_form_ambients_are_the_sylow_ambients(p, sylow_ambients):
     # A_0 and its p conjugates beta A_0 beta^-1 against the scalar route's

@@ -78,4 +78,4 @@ def test_hol_inverse_roundtrip(g):
 @given(a=st.integers(min_value=0, max_value=P**3 - 1), b=st.integers(min_value=0, max_value=P**3 - 1))
 def test_lambda_is_multiplicative_on_brace(a, b):
     br = _brace()
-    assert np.array_equal(br.LAM[br.MUL[a, b]], br.LAM[a][br.LAM[b]])
+    assert np.array_equal(br.ACTION[br.MUL[a, b]], br.ACTION[a][br.ACTION[b]])

@@ -105,7 +105,7 @@ def test_theta_tables_match_the_composition_route(p):
         assert np.array_equal(br.codes[MUL], prod), rep.rep_id
         assert np.array_equal(br.MUL, MUL), rep.rep_id
         assert np.array_equal(br.INV_MUL, codec.inv_codes(br.codes) // codec.N), rep.rep_id
-        assert np.array_equal(br.LAM, br.ADD[br.INV_ADD[:, None], MUL]), rep.rep_id
+        assert np.array_equal(br.ACTION, br.ADD[br.INV_ADD[:, None], MUL]), rep.rep_id
 
 
 def test_axiom_holds_for_every_representative(rep_braces):
@@ -190,6 +190,14 @@ def test_axiom_generators_generate_m1(p):
 def test_lambda_agrees_with_stored_automorphisms(rep_braces):
     for rep, br in rep_braces:
         assert lambda_matches_automorphism_action(br), rep.rep_id
+
+
+def test_lambda_check_reads_the_product_table():
+    # lambda is computed from MUL when checked, so one changed product shows
+    br = brace_from_codes(P, all_representatives(P)[5].codes)
+    assert lambda_matches_automorphism_action(br)
+    br.MUL[2, 3] = br.MUL[2, 4]
+    assert not lambda_matches_automorphism_action(br)
 
 
 def test_additive_group_is_always_heisenberg(rep_braces):

@@ -13,7 +13,7 @@ from sbc.group_core import M1Elt, m1_code, m1_subgroup_inventory
 from sbc import oracle
 from sbc.oracle import AmbientScan, enumerate_regular_subgroups
 from sbc.subgroups import GroupType, is_regular, isomorphism_type
-from sbc.tables import aut_table, distinct_rows, hol_codec
+from sbc.tables import aut_table, distinct_rows, hol_codec, regular_row_mask
 
 
 # -- element-by-element reference walk ---------------------------------------
@@ -185,7 +185,7 @@ def _check_class_extensions(scan, parents):
         normalizer = scan._normalizer(row, gens_i)
         want_leaders, want_members = _walk(scan, row, normalizer)
         if rep[i] == i:
-            assert np.array_equal(scan._leaders(row, normalizer), want_leaders)
+            assert np.array_equal(scan._leaders(row, gens_i, normalizer), want_leaders)
         mine = slice(ends[i], ends[i + 1])
         by_leader = np.argsort(leaders[mine])
         assert np.array_equal(leaders[mine][by_leader], want_leaders)
@@ -412,6 +412,7 @@ def test_conj_all_matches_full_products(sylow_scan):
         assert np.array_equal(got.ravel(), want)
         bs = np.sort(rng.choice(scan.AL, 17, replace=False))
         assert np.array_equal(scan.conj_all(int(g), bs), got[:, bs])
+        assert np.array_equal(scan.conj_all(int(g), bs, scan.p**2), got[: scan.p**2, bs])
 
 
 def test_normalizer_of_order_p_group_is_centralizer(sylow_scan):
@@ -425,6 +426,65 @@ def test_normalizer_of_order_p_group_is_centralizer(sylow_scan):
         assert np.array_equal(bs, np.flatnonzero(scan.AUT_CONJ[:, a] == a))
         conj = scan.conj_all(s, bs)
         assert np.array_equal(np.isin(conj, row), conj == s)
+
+
+def _full_normalizer(scan, row, gens):
+    """The normalizer of row = <gens> by the full sweep: every y of the
+    ambient, p**3 M1 parts times all of A, through the unbounded conj_all."""
+    in_row = np.zeros(scan.size, dtype=bool)
+    in_row[row] = True
+    normal = np.ones(scan.size, dtype=bool)
+    for g in gens:
+        normal &= in_row[scan.conj_all(int(g)).ravel()]
+    return np.flatnonzero(normal)
+
+
+@pytest.mark.parametrize("which", ["sylow_scan", "small_ambient", "m1_scan"])
+def test_centre_reduced_normalizer_matches_full_sweep(which, request):
+    # (r^k, 1) is central in an exponent-p ambient, so _normalizer sweeps the
+    # M1 parts s^b t^c only and spreads the result over r^0..r^(p-1)
+    scan = request.getfixturevalue(which)
+    if which == "sylow_scan":
+        scan, layer1, layer2, _ = scan
+    else:
+        layer1 = scan.order_p_subgroups()
+        layer2 = scan.order_p2_subgroups(layer1)
+    for parents in (_trivial(scan), layer1, layer2):
+        rows, gens = _rows_and_gens(parents)
+        rep = scan._classes(scan._lines(gens))[0]
+        for r in np.flatnonzero(rep == np.arange(len(rep))):
+            assert np.array_equal(scan._normalizer(rows[r], gens[r]), _full_normalizer(scan, rows[r], gens[r]))
+
+
+def test_normalizer_sweep_work_counts(sylow_ambients, monkeypatch):
+    # p=5 Sylow ambient 0: the normalizer sweeps conjugate 965,000 entries,
+    # p**2 M1 parts per prefiltered b and generator; the p**3 sweep took
+    # 4,825,000.  The class and leader counts stay as they were.
+    entries = []
+    conj_all = AmbientScan.conj_all
+
+    def counted(self, *args):
+        out = conj_all(self, *args)
+        entries.append(out.size)
+        return out
+
+    monkeypatch.setattr(AmbientScan, "conj_all", counted)
+    scan = AmbientScan(5, sylow_ambients(5)[0])
+    scan.order_p3_subgroups(scan.order_p2_subgroups(scan.order_p_subgroups()))
+    assert sum(entries) == 965_000
+    assert (scan.swept_p2, scan.swept_p3) == (66, 195)
+    assert (scan.walked_p2, scan.walked_p3) == (2946, 2845)
+
+
+def test_is_regular_matches_row_mask(sylow_scan):
+    # the O(1) test (second code at least |A|) against the n-part test
+    scan, layer3 = sylow_scan[0], sylow_scan[3]
+    rows = np.array([row for row, _ in layer3])
+    assert len(rows) == 2931
+    got = [scan.is_regular(row) for row in rows]
+    assert np.array_equal(got, regular_row_mask(scan.p, rows, scan.AL))
+    assert sum(got) == 1625
+    assert not scan.is_regular(rows[0][: scan.p**2])  # order p**2: never regular
 
 
 def test_layers_match_reference_walk(small_ambient):
@@ -466,7 +526,7 @@ def test_sylow_ambient_builds_each_subgroup_once_per_maximal(sylow_scan):
 
 def test_sylow_ambient_p7_counts_within_budget(sylow_ambients):
     # One of the eight p=7 ambients, start to finish, its layers pinned by
-    # SHA-256 as on p=5 Sylow ambient 0.  About 2-3 s on a 2-vCPU VM whose
+    # SHA-256 as on p=5 Sylow ambient 0.  About 1 s on a 2-vCPU VM whose
     # speed drifts up to 2x; the budget allows for that.
     p = 7
     t0 = time.perf_counter()
@@ -476,6 +536,8 @@ def test_sylow_ambient_p7_counts_within_budget(sylow_ambients):
     layer3 = scan.order_p3_subgroups(layer2)
     regular = sum(1 for row, _ in layer3 if scan.is_regular(row))
     elapsed = time.perf_counter() - t0
+    rows = np.array([row for row, _ in layer3])
+    assert np.array_equal([scan.is_regular(row) for row in rows], regular_row_mask(p, rows, scan.AL))
     assert (len(layer1), len(layer2), len(layer3), regular) == (19608, 41609, 10739, 6517)
     assert (scan.built_p2, scan.built_p3) == (332872, 141527)
     assert scan.built_p2 == (p + 1) * len(layer2)
@@ -620,9 +682,8 @@ def test_six_ambient_scans_give_the_conjugated_union(oracle_p5, sylow_ambients):
 
 def test_oracle_p7_matches_closed_forms_and_orbits_within_budget():
     # The oracle-equivalence check of `verify --prime 7 --oracle-budget 7`,
-    # 8.5 s alone and 10.7-12.5 s inside the full suite (about 4 s of it the
-    # oracle) on a 2-vCPU VM whose speed drifts up to 2x; the budget allows
-    # for that.
+    # about 2.4 s alone (about 1.1 s of it the oracle) on a 2-vCPU VM whose
+    # speed drifts up to 2x; the budget allows for that.
     p = 7
     t0 = time.perf_counter()
     result = enumerate_regular_subgroups(p, budget=p)

@@ -178,10 +178,12 @@ DEFAULT_ORACLE_BUDGET = 5
 
 # Coset codes (entries x parent order) in one block of the layer step.
 # Raising it trades peak memory for per-block overhead.  On a 2-vCPU VM,
-# 2^14 instead of 2^12 took the median p=5 ambient-0 scan from 105-113 to
-# 91-92 ms (15 scans, two runs each), and the p=7 ambient-0 scan from 0.91
-# to 0.77 s at a peak RSS of 130 MB against 128 MB (ru_maxrss).
-_LAYER_BLOCK = 1 << 14
+# with the centre-reduced normalizer, 2^14 instead of 2^12 took the median
+# p=5 ambient-0 scan from 105-113 to 91-92 ms (15 scans, two runs each) but
+# raised the oracle-ambient-p5 peak RSS from 44.4 to 45.3 MB (ten runs
+# each; the layer-2 step's `mul` temporaries), and the p=7 ambient-0 peak
+# from 128 to 130 MB (ru_maxrss), so 2^12 is kept.
+_LAYER_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,16 +496,8 @@ class AmbientScan:
     # -- classification -------------------------------------------------------
 
     def is_regular(self, row: np.ndarray) -> bool:
-        """Is the subgroup row, sorted, of order p**3, regular on M1?
-
-        A subgroup H of order p**3 = |M1| is regular iff the stabilizer of 1
-        is trivial (its orbit of 1 then has p**3 points, all of M1).  (n, a)
-        sends 1 to n a(1) = n, so the stabilizer is H meet {1} x A, the codes
-        below |A|.  The identity is one of them, so H is regular iff it is
-        the only one, that is iff the second code of the sorted row is at
-        least |A|.  A row of any other order is not regular.
-        """
-        return len(row) == self.p**3 and bool(row[1] >= self.AL)
+        """A sorted regular row has n-part j at position j."""
+        return bool(regular_row_mask(self.p, row, self.AL))
 
 
 def _standard_ambient(p: int) -> np.ndarray:

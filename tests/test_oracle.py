@@ -13,7 +13,7 @@ from sbc.group_core import M1Elt, m1_code, m1_subgroup_inventory
 from sbc import oracle
 from sbc.oracle import AmbientScan, enumerate_regular_subgroups
 from sbc.subgroups import GroupType, is_regular, isomorphism_type
-from sbc.tables import aut_table, distinct_rows, hol_codec, regular_row_mask
+from sbc.tables import aut_table, distinct_rows, hol_codec
 
 
 # -- element-by-element reference walk ---------------------------------------
@@ -476,17 +476,6 @@ def test_normalizer_sweep_work_counts(sylow_ambients, monkeypatch):
     assert (scan.walked_p2, scan.walked_p3) == (2946, 2845)
 
 
-def test_is_regular_matches_row_mask(sylow_scan):
-    # the O(1) test (second code at least |A|) against the n-part test
-    scan, layer3 = sylow_scan[0], sylow_scan[3]
-    rows = np.array([row for row, _ in layer3])
-    assert len(rows) == 2931
-    got = [scan.is_regular(row) for row in rows]
-    assert np.array_equal(got, regular_row_mask(scan.p, rows, scan.AL))
-    assert sum(got) == 1625
-    assert not scan.is_regular(rows[0][: scan.p**2])  # order p**2: never regular
-
-
 def test_layers_match_reference_walk(small_ambient):
     scan = small_ambient
     assert scan.size == 5**4
@@ -536,8 +525,6 @@ def test_sylow_ambient_p7_counts_within_budget(sylow_ambients):
     layer3 = scan.order_p3_subgroups(layer2)
     regular = sum(1 for row, _ in layer3 if scan.is_regular(row))
     elapsed = time.perf_counter() - t0
-    rows = np.array([row for row, _ in layer3])
-    assert np.array_equal([scan.is_regular(row) for row in rows], regular_row_mask(p, rows, scan.AL))
     assert (len(layer1), len(layer2), len(layer3), regular) == (19608, 41609, 10739, 6517)
     assert (scan.built_p2, scan.built_p3) == (332872, 141527)
     assert scan.built_p2 == (p + 1) * len(layer2)

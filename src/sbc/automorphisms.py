@@ -18,6 +18,8 @@ from itertools import product
 
 from .group_core import (
     M1Elt,
+    aut_order_total,
+    gl2_order,
     half_mod,
     inv_mod,
     m1_mul,
@@ -250,15 +252,6 @@ def aut_from_matrix(A: GL2Mat) -> AutM1Elt:
     """The canonical section of the GL2 projection: A -> [det A, ac/2, bd/2; 0, A]."""
     h = half_mod(A.p)
     return AutM1Elt(A.p, h * A.a1 * A.a3, h * A.a2 * A.a4, A)
-
-
-def gl2_order(p: int) -> int:
-    return (p * p - 1) * (p * p - p)
-
-
-def aut_order_total(p: int) -> int:
-    """(p**2)(GL2 order) = (p**2 - 1)(p - 1) p**3."""
-    return p * p * gl2_order(p)
 
 
 def enumerate_aut(p: int, budget: int = 13) -> list[AutM1Elt]:

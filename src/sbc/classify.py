@@ -32,13 +32,11 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .automorphisms import aut_order_total
 from .families import Representative, all_representatives, representative
-from .group_core import validate_prime
+from .group_core import GroupType, aut_order_total, validate_prime
 from .skewbrace import socle_and_annihilator_masks
 # perfbench/selfcheck.py checks that tracing patches this imported binding
 from .skewbrace import brace_from_subgroup  # noqa: F401
-from .subgroups import GroupType
 from .tables import aut_generators, class_labels, distinct_rows, hol_codec, row_conjugator, row_lookup
 from .tables import regular_row_mask
 

@@ -2,15 +2,18 @@
 
 Every family lives inside the fixed ambient M1 x| (standard Sylow), the
 one above the lower unipotent matrices, which is also the ambient the
-oracle scans: the subgroups are given by generator recipes in rho, sigma,
-tau and the Sylow normal forms alpha1^i alpha2^j alpha3^k.  The theta = 1
-case is the trivial pairing, theta = p pairs with <r, t>, theta = p^2 pairs
-<r> with a rank-two image, and theta = p^3 meets the base group trivially.
+oracle scans: the subgroups are given by generator recipes, integer
+6-tuples (a, b, c, n1, n2, n3) for (r^a s^b t^c, alpha1^n1 alpha2^n2
+alpha3^n3).  The theta = 1 case is the trivial pairing, theta = p pairs
+with <r, t>, theta = p^2 pairs <r> with a rank-two image, and theta = p^3
+meets the base group trivially.
 
-Representatives are built straight in code form: each one is the sorted
-array of its p^3 holomorph codes plus its three generator codes, and the
-scalar SubgroupHol is built only on demand.  The full families are built
-only by the tests.
+Representatives are built straight in code form: every recipe is encoded
+in one vectorized call through `AutTable.index`, and each representative
+is the sorted array of its p^3 holomorph codes plus its three generator
+codes.  The module builds no scalar object itself; the scalar SubgroupHol
+is decoded from the codes only on demand (`HolCodec.materialize`).  The
+full families are built only by the tests.
 
 Representative ids are stable strings, e.g. "r=p2/II/x3=2/a=0" or
 "r=p3/t3=1/s=delta" (delta is the smallest quadratic non-residue).
@@ -20,23 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterator
 
 import numpy as np
 
-from .automorphisms import aut_identity, aut_order_total, sylow_aut_from_coords
-from .group_core import (
-    M1Elt,
-    inv_mod,
-    m1_elements,
-    rho,
-    sigma,
-    tau,
-    validate_prime,
-)
-from .holomorph import HolElt
-from .subgroups import GroupType, SubgroupHol, subgroup_from_cosets
-from .tables import hol_codec
+from .group_core import GroupType, aut_order_total, inv_mod, validate_prime
+from .tables import aut_table, hol_codec
 
 __all__ = [
     "Representative",
@@ -66,8 +59,8 @@ class Representative:
     gen_codes: np.ndarray
 
     @property
-    def subgroup(self) -> SubgroupHol:
-        """The scalar form, built on each access (reference and tests only)."""
+    def subgroup(self):
+        """The scalar SubgroupHol, built on each access (reference and tests only)."""
         codec = hol_codec(self.p)
         return codec.materialize(self.codes, [codec.decode(c) for c in self.gen_codes])
 
@@ -81,12 +74,18 @@ def smallest_nonresidue(p: int) -> int:
     raise AssertionError("unreachable for p > 2")
 
 
-def _emb(n: M1Elt) -> HolElt:
-    return HolElt(n, aut_identity(n.p))
+# A generator (a, b, c, n1, n2, n3) is (r^a s^b t^c, alpha1^n1 alpha2^n2
+# alpha3^n3); R, S, T are the base generators with trivial automorphism part.
+R, S, T = (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)
 
 
-def _syl(p: int, v: M1Elt, n1: int, n2: int, n3: int) -> HolElt:
-    return HolElt(v, sylow_aut_from_coords(p, n1, n2, n3))
+def _codes(p: int, gens) -> np.ndarray:
+    """Holomorph codes of an array of generator 6-tuples (last axis),
+    reduced mod p; alpha1^n1 alpha2^n2 alpha3^n3 is the automorphism with
+    inner part (n1, n3) and matrix part (1 0; n2 1)."""
+    a, b, c, n1, n2, n3 = np.moveaxis(np.asarray(gens, dtype=np.int64) % p, -1, 0)
+    aut = aut_table(p)
+    return ((a * p + b) * p + c) * aut.N + aut.index(n1, n3, 1, 0, n2, 1)
 
 
 def _spans(p: int, gen_codes: np.ndarray) -> np.ndarray:
@@ -114,18 +113,21 @@ def _spans(p: int, gen_codes: np.ndarray) -> np.ndarray:
     return spans
 
 
-def _subgroup(p: int, gens: list[HolElt]) -> SubgroupHol:
+def _subgroups(p: int, recipes) -> list:
+    """The scalar SubgroupHol of each generator recipe (reference and tests
+    only), from the same codes and spans as the representatives."""
     codec = hol_codec(p)
-    codes = np.array([[codec.encode(g) for g in gens]], dtype=np.int64)
-    return codec.materialize(_spans(p, codes)[0], gens)
+    gen_codes = _codes(p, recipes)
+    return [
+        codec.materialize(span, [codec.decode(c) for c in gens])
+        for span, gens in zip(_spans(p, gen_codes), gen_codes)
+    ]
 
 
-def trivial_subgroup(p: int) -> SubgroupHol:
+def trivial_subgroup(p: int):
     """The base group embedded with trivial automorphism part."""
     validate_prime(p)
-    e = aut_identity(p)
-    els = [HolElt(n, e) for n in m1_elements(p)]
-    return subgroup_from_cosets([_emb(rho(p)), _emb(sigma(p)), _emb(tau(p))], els)
+    return _subgroups(p, [(R, S, T)])[0]
 
 
 # -- generator recipes ---------------------------------------------------------
@@ -133,39 +135,31 @@ def trivial_subgroup(p: int) -> SubgroupHol:
 # its powers times <(t, 1), g> give every (h, 1) g^k with h in <r, t>.
 
 
-def _gens_theta_p(p: int, a1: int, a2: int, a3: int) -> list[HolElt]:
-    return [_emb(rho(p)), _emb(tau(p)), _syl(p, sigma(p), a1, a2, a3)]
+def _gens_theta_p(a1: int, a2: int, a3: int) -> tuple:
+    return R, T, (0, 1, 0, a1, a2, a3)
 
 
-def _gens_theta_p2(p: int, x: M1Elt, y: M1Elt, j: int, k: int) -> list[HolElt]:
-    return [_emb(rho(p)), _syl(p, x, 1, 0, 0), _syl(p, y, 0, j, k)]
+def _gens_theta_p2(x: tuple, y: tuple, j: int, k: int) -> tuple:
+    """x and y are the (a, b, c) of the base parts."""
+    return R, (*x, 1, 0, 0), (*y, 0, j, k)
 
 
-def _gens_theta_p3(p: int, u1: int, v1: int, w1: int, w3: int) -> list[HolElt]:
-    return [
-        _syl(p, M1Elt(p, u1, 0, -2), 1, 0, 0),
-        _syl(p, M1Elt(p, v1, 0, 1 - u1), 0, 1, 0),
-        _syl(p, M1Elt(p, w1, 2, w3), 0, 0, 1),
-    ]
+def _gens_theta_p3(u1: int, v1: int, w1: int, w3: int) -> tuple:
+    return (u1, 0, -2, 1, 0, 0), (v1, 0, 1 - u1, 0, 1, 0), (w1, 2, w3, 0, 0, 1)
 
 
-def families_theta_p(p: int) -> list[SubgroupHol]:
+def families_theta_p(p: int) -> list:
     """Pairings with <r, t>: third generator s alpha1^a1 alpha2^a2 alpha3^a3.
 
     The full family has p^3 - 1 members ((a1, a2, a3) != 0), abelian exactly
     when a3 = 1.
     """
     validate_prime(p)
-    return [
-        _subgroup(p, _gens_theta_p(p, a1, a2, a3))
-        for a1 in range(p)
-        for a2 in range(p)
-        for a3 in range(p)
-        if (a1, a2, a3) != (0, 0, 0)
-    ]
+    nonzero = list(product(range(p), repeat=3))[1:]  # (0, 0, 0) comes first
+    return _subgroups(p, [_gens_theta_p(a1, a2, a3) for a1, a2, a3 in nonzero])
 
 
-def families_theta_p2(p: int) -> list[SubgroupHol]:
+def families_theta_p2(p: int) -> list:
     """Pairings with <r>; the theta image has rank two.
 
     Case I:  <r, (s^u2 t^u3) alpha1, (s^v2 t^v3) alpha3> for every invertible
@@ -174,25 +168,20 @@ def families_theta_p2(p: int) -> list[SubgroupHol]:
              abelian exactly when y2 = a x3 - x3 y2.
     """
     validate_prime(p)
-    family = []
-    for u2 in range(p):
-        for u3 in range(p):
-            for v2 in range(p):
-                for v3 in range(p):
-                    if (u2 * v3 - v2 * u3) % p == 0:
-                        continue
-                    x, y = M1Elt(p, 0, u2, u3), M1Elt(p, 0, v2, v3)
-                    family.append(_subgroup(p, _gens_theta_p2(p, x, y, 0, 1)))
-    for x3 in range(1, p):
-        for y2 in range(1, p):
-            for y3 in range(p):
-                for a in range(p):
-                    x, y = M1Elt(p, 0, 0, x3), M1Elt(p, 0, y2, y3)
-                    family.append(_subgroup(p, _gens_theta_p2(p, x, y, 1, a)))
-    return family
+    case1 = [
+        _gens_theta_p2((0, u2, u3), (0, v2, v3), 0, 1)
+        for u2, u3, v2, v3 in product(range(p), repeat=4)
+        if (u2 * v3 - v2 * u3) % p
+    ]
+    units = range(1, p)
+    case2 = [
+        _gens_theta_p2((0, 0, x3), (0, y2, y3), 1, a)
+        for x3, y2, y3, a in product(units, units, range(p), range(p))
+    ]
+    return _subgroups(p, case1 + case2)
 
 
-def families_theta_p3(p: int) -> list[SubgroupHol]:
+def families_theta_p3(p: int) -> list:
     """Pairings meeting the base group trivially (theta injective).
 
     Family: <r^u1 t^{-2} alpha1, r^v1 t^{1-u1} alpha2, r^w1 s^2 t^w3 alpha3>
@@ -200,17 +189,14 @@ def families_theta_p3(p: int) -> list[SubgroupHol]:
     """
     validate_prime(p)
     half = (p + 1) // 2
-    return [
-        _subgroup(p, _gens_theta_p3(p, u1, v1, w1, w3))
-        for u1 in range(p)
-        for v1 in range(p)
+    return _subgroups(p, [
+        _gens_theta_p3(u1, v1, w1, w3)
+        for u1, v1, w1, w3 in product(range(p), repeat=4)
         if (v1 + half * u1 * (1 - u1)) % p
-        for w1 in range(p)
-        for w3 in range(p)
-    ]
+    ])
 
 
-def _recipes(p: int) -> Iterator[tuple[str, int, GroupType, int, list[HolElt]]]:
+def _recipes(p: int) -> Iterator[tuple[str, int, GroupType, int, tuple]]:
     """(id, theta order, type, closed-form |Aut(B)|, generators) of every
     representative.
 
@@ -226,35 +212,35 @@ def _recipes(p: int) -> Iterator[tuple[str, int, GroupType, int, list[HolElt]]]:
     """
     heis, abel = GroupType.HeisenbergM1, GroupType.ElemAbelian_p3
     total = aut_order_total(p)
-    yield "r=1/trivial", 1, heis, total, [_emb(rho(p)), _emb(sigma(p)), _emb(tau(p))]
+    yield "r=1/trivial", 1, heis, total, (R, S, T)
 
-    yield "r=p/a1", p, heis, (p - 1) * p**3, _gens_theta_p(p, 1, 0, 0)
-    yield "r=p/a2", p, heis, (p - 1) * p**2, _gens_theta_p(p, 0, 1, 0)
+    yield "r=p/a1", p, heis, (p - 1) * p**3, _gens_theta_p(1, 0, 0)
+    yield "r=p/a2", p, heis, (p - 1) * p**2, _gens_theta_p(0, 1, 0)
     for c in range(1, p):
         gtype = abel if c == 1 else heis
-        yield f"r=p/a3/c={c}", p, gtype, (p - 1) ** 2 * p**2, _gens_theta_p(p, 0, 0, c)
-        yield f"r=p/a2a3/c={c}", p, gtype, (p - 1) * p**2, _gens_theta_p(p, 0, 1, c)
+        yield f"r=p/a3/c={c}", p, gtype, (p - 1) ** 2 * p**2, _gens_theta_p(0, 0, c)
+        yield f"r=p/a2a3/c={c}", p, gtype, (p - 1) * p**2, _gens_theta_p(0, 1, c)
 
     by_legendre = {0: (p - 1) * p**3, 1: (p - 1) ** 2 * p**2, p - 1: (p**2 - 1) * p**2}
     for u3 in range(p):
         for u4 in range(1, p):
-            gens = _gens_theta_p2(p, sigma(p), M1Elt(p, 0, u3, u4), 0, 1)
+            gens = _gens_theta_p2((0, 1, 0), (0, u3, u4), 0, 1)
             legendre = pow(u3 * u3 - 4 * u4, (p - 1) // 2, p)
             gtype = abel if u3 == u4 else heis
             yield f"r=p2/I/u3={u3}/u4={u4}", p * p, gtype, by_legendre[legendre], gens
     for u5 in range(1, p):
-        gens = _gens_theta_p2(p, M1Elt(p, 0, 0, -u5), M1Elt(p, 0, u5, 0), 0, 1)
+        gens = _gens_theta_p2((0, 0, -u5), (0, u5, 0), 0, 1)
         yield f"r=p2/I/u5={u5}", p * p, abel if u5 == 2 else heis, total, gens
     for x3 in range(1, p):
         for a in range(p):
-            gens = _gens_theta_p2(p, M1Elt(p, 0, 0, x3), sigma(p), 1, a)
+            gens = _gens_theta_p2((0, 0, x3), (0, 1, 0), 1, a)
             abelian = a == ((1 + x3) * inv_mod(x3, p)) % p
             yield f"r=p2/II/x3={x3}/a={a}", p * p, abel if abelian else heis, (p - 1) * p**2, gens
 
     delta = smallest_nonresidue(p)
     for t3 in (0, 1):
         for s_name, s_val in (("1", 1), ("delta", delta)):
-            gens = _gens_theta_p3(p, 0, s_val, 0, t3)
+            gens = _gens_theta_p3(0, s_val, 0, t3)
             yield f"r=p3/t3={t3}/s={s_name}", p**3, heis, 2 * p if t3 else 2 * (p - 1) * p, gens
 
 
@@ -267,15 +253,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def all_representatives(p: int) -> tuple[Representative, ...]:
     """The full representative list, theta ascending, ids sorted within theta.
 
-    Every span is built in one batch from the encoded generators; each
-    representative's arrays are read-only rows of the two blocks.
+    Every generator is encoded in one call and every span built in one
+    batch; each representative's arrays are read-only rows of the two blocks.
     """
     validate_prime(p)
-    codec = hol_codec(p)
     recipes = list(_recipes(p))
-    gen_codes = _frozen(
-        np.array([[codec.encode(g) for g in gens] for *_, gens in recipes], dtype=np.int64)
-    )
+    gen_codes = _frozen(_codes(p, [gens for *_, gens in recipes]))
     spans = _frozen(_spans(p, gen_codes))
     reps = [
         Representative(rep_id, p, theta, gtype, autbr, spans[i], gen_codes[i])

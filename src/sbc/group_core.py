@@ -8,11 +8,15 @@ prime larger than 3 so that 2 and 3 are invertible mod p.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
+    "GroupType",
     "M1Elt",
+    "aut_order_total",
+    "gl2_order",
     "half_mod",
     "inv_mod",
     "is_prime",
@@ -44,10 +48,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
+class GroupType(enum.Enum):
+    """Isomorphism types of groups of order p**3."""
+
+    ElemAbelian_p3 = "ElemAbelian_p3"
+    CyclicP3 = "CyclicP3"
+    Cp2xCp = "Cp2xCp"
+    HeisenbergM1 = "HeisenbergM1"
+    ExtraspecialM2 = "ExtraspecialM2"
+
+
+def gl2_order(p: int) -> int:
+    return (p * p - 1) * (p * p - p)
+
+
+def aut_order_total(p: int) -> int:
+    """(p**2)(GL2 order) = (p**2 - 1)(p - 1) p**3."""
+    return p * p * gl2_order(p)
+
+
 def validate_prime(p: int) -> int:
-    """Reject anything that is not a prime greater than 3."""
+    """Reject anything that is not a prime greater than 3.  A p whose codes
+    pass int64 is rejected before any trial division: holomorph codes run up
+    to p^3 |Aut(M1)| and braid triple codes up to p^9, so p <= 127."""
     if not isinstance(p, int) or isinstance(p, bool):
         raise ValueError(f"p must be an int, got {p!r}")
+    if max(p**3 * aut_order_total(p), p**9) >= 2**63:
+        raise ValueError(f"p={p} is too large: its holomorph and braid triple codes overflow int64")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if p <= 3:

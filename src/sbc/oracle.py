@@ -163,8 +163,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .group_core import validate_prime
-from .subgroups import GroupType
+from .group_core import GroupType, validate_prime
 from .tables import aut_subgroup, aut_table, class_labels, distinct_rows, greedy_generators, m1_table
 from .tables import regular_row_mask, row_conjugator
 

@@ -57,7 +57,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .subgroups import SubgroupHol
 from .tables import aut_subgroup, hol_codec, regular_row_mask
 
 __all__ = [
@@ -120,7 +119,8 @@ def brace_from_codes(p: int, codes: np.ndarray) -> SkewBrace:
     return SkewBrace(p=p, codes=codes, MUL=MUL, ADD=ADD, INV_MUL=INV_MUL, INV_ADD=INV_ADD, ACTION=ACTION)
 
 
-def brace_from_subgroup(sub: SubgroupHol) -> SkewBrace:
+def brace_from_subgroup(sub) -> SkewBrace:
+    """The brace of a scalar SubgroupHol (reference route)."""
     codec = hol_codec(sub.p)
     return brace_from_codes(sub.p, codec.subgroup_codes(sub))
 

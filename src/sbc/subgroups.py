@@ -8,11 +8,11 @@ compare equal exactly when they have the same elements.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .automorphisms import AutM1Elt
+from .group_core import GroupType
 from .holomorph import HolElt, conj_by_aut, hol_identity, hol_mul
 
 __all__ = [
@@ -25,16 +25,6 @@ __all__ = [
     "isomorphism_type",
     "subgroup_from_cosets",
 ]
-
-
-class GroupType(enum.Enum):
-    """Isomorphism types of groups of order p**3."""
-
-    ElemAbelian_p3 = "ElemAbelian_p3"
-    CyclicP3 = "CyclicP3"
-    Cp2xCp = "Cp2xCp"
-    HeisenbergM1 = "HeisenbergM1"
-    ExtraspecialM2 = "ExtraspecialM2"
 
 
 def hol_elt_coords(g: HolElt) -> tuple[int, int, int, int, int, int, int, int, int]:

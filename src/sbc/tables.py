@@ -24,8 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .automorphisms import AutM1Elt, GL2Mat, aut_order_total
-from .group_core import half_mod, validate_prime
+from .automorphisms import AutM1Elt, GL2Mat
+from .group_core import aut_order_total, half_mod, validate_prime
 from .holomorph import HolElt
 from .subgroups import SubgroupHol, subgroup_from_cosets
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +249,16 @@ def test_usage_errors_exit_2(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
+
+
+def test_huge_prime_exits_2_before_trial_division(capsys):
+    # a 17-digit prime: trial division alone took 6 s, and larger ones minutes
+    start = time.perf_counter()
+    assert main(["count", "--prime", "10000000000000061"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: p=10000000000000061 is too large: its holomorph and braid triple codes overflow int64\n"
 
 
 @pytest.mark.parametrize("command", ["count", "verify"])

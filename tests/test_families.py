@@ -8,9 +8,11 @@ import random
 import numpy as np
 import pytest
 
-from sbc.automorphisms import aut_identity
+from sbc.automorphisms import aut_identity, sylow_aut_from_coords
 from sbc.classify import expected_stabilizer_order
 from sbc.families import (
+    _codes,
+    _recipes,
     _spans,
     all_representatives,
     families_theta_p,
@@ -20,7 +22,7 @@ from sbc.families import (
     smallest_nonresidue,
     trivial_subgroup,
 )
-from sbc.group_core import rho, sigma
+from sbc.group_core import M1Elt, rho, sigma
 from sbc.holomorph import HolElt, hol_identity, hol_mul, theta_image
 from sbc.subgroups import GroupType, generate, is_regular, isomorphism_type
 from sbc.tables import hol_codec
@@ -242,6 +244,19 @@ def test_batched_spans_digest(p) -> None:
         h.update(rep.codes.astype(np.int64).tobytes())
         h.update(rep.gen_codes.astype(np.int64).tobytes())
     assert h.hexdigest() == REPRESENTATIVE_DIGESTS[p]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_recipe_codes_match_the_scalar_route(p) -> None:
+    # every recipe generator, encoded in one call, against the encoded
+    # scalar element (r^a s^b t^c, alpha1^n1 alpha2^n2 alpha3^n3)
+    codec = hol_codec(p)
+    gens = [g for *_, recipe in _recipes(p) for g in recipe]
+    want = [
+        codec.encode(HolElt(M1Elt(p, a, b, c), sylow_aut_from_coords(p, n1, n2, n3)))
+        for a, b, c, n1, n2, n3 in gens
+    ]
+    assert _codes(p, gens).tolist() == want
 
 
 def test_spans_reject_a_repeated_element() -> None:

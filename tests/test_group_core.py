@@ -40,6 +40,13 @@ def test_validate_prime_rejects_small_and_composite() -> None:
         validate_prime(5.0)  # type: ignore[arg-type]
 
 
+def test_validate_prime_rejects_codes_past_int64() -> None:
+    # p^9 braid triple codes are 8.60e18 < 2^63 at p = 127, 1.13e19 at 131
+    assert validate_prime(127) == 127
+    with pytest.raises(ValueError, match="int64"):
+        validate_prime(131)
+
+
 def test_inv_mod_and_half() -> None:
     for p in (5, 7, 11):
         for x in range(1, p):

@@ -1,4 +1,8 @@
-"""Holomorph arithmetic and the exhaustive closed-form agreements."""
+"""Holomorph arithmetic and the closed-form agreements.
+
+The exhaustive p = 5 agreements of the closed power and of the Sylow action
+formula are in test_acceptance.py::test_criterion_7_formula_crosschecks_p5.
+"""
 
 from __future__ import annotations
 
@@ -18,7 +22,6 @@ from sbc.automorphisms import (
 )
 from sbc.group_core import (
     M1Elt,
-    half_mod,
     m1_elements,
     m1_from_code,
     m1_identity,
@@ -121,40 +124,6 @@ def test_semidirect_conjugation_matches_action() -> None:
             hol_inv(HolElt(e, alpha)),
         )
         assert lhs == HolElt(aut_apply(alpha, n), aut_identity(P))
-
-
-def test_sylow_action_closed_form_exhaustive() -> None:
-    # alpha1^n1 alpha2^n2 alpha3^n3 . v =
-    #   r^{n1 v2 + n2 v2 (v2 - 1)/2 + n3 v3} v t^{n2 v2}, for every normal form
-    # and every v.  This is the scalar route the table layer leans on.
-    h = half_mod(P)
-    for n1 in range(P):
-        for n2 in range(P):
-            for n3 in range(P):
-                a = sylow_aut_from_coords(P, n1, n2, n3)
-                for v in m1_elements(P):
-                    expected = m1_mul(
-                        m1_mul(
-                            M1Elt(P, n1 * v.b + h * n2 * v.b * (v.b - 1) + n3 * v.c, 0, 0),
-                            v,
-                        ),
-                        M1Elt(P, 0, 0, n2 * v.b),
-                    )
-                    assert aut_apply(a, v) == expected
-
-
-def test_pow_closed_matches_iterated_mul_exhaustive() -> None:
-    # Every Sylow-form element, every exponent 0..p.
-    for v_code in range(P**3):
-        v = m1_from_code(P, v_code)
-        for n1 in range(P):
-            for n2 in range(P):
-                for n3 in range(P):
-                    g = sylow_hol(P, v, n1, n2, n3)
-                    acc = hol_identity(P)
-                    for r in range(P + 1):
-                        assert hol_pow_closed(g, r) == acc
-                        acc = hol_mul(acc, g)
 
 
 def test_pow_closed_rejects_non_sylow() -> None:

@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import sbc
+import sbc.group_core
+import sbc.subgroups
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -73,3 +75,41 @@ def test_benchmark_scripts_sbc_names_resolve(script) -> None:
         assert ("sbc.classify", "crosscheck_count_report") in names
     missing = sorted(f"{m}.{n}" for m, n in names if not _resolves(m, n))
     assert names and missing == []
+
+
+SCALAR_MODULES = {"automorphisms", "holomorph", "subgroups"}
+
+
+def _module_level_imports(tree: ast.Module):
+    """Every import statement outside function and class bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _imported_modules(node) -> set[str]:
+    """Last name part of every module an import statement may load."""
+    if isinstance(node, ast.Import):
+        return {alias.name.rpartition(".")[2] for alias in node.names}
+    names = {node.module.rpartition(".")[2]} if node.module else set()
+    return names | {alias.name for alias in node.names}  # from . import <module>
+
+
+@pytest.mark.parametrize("module", ["classify", "cli", "families", "oracle", "skewbrace"])
+def test_engine_does_not_import_the_scalar_model(module) -> None:
+    # verify's algebra-identities check in cli imports it inside a function
+    tree = ast.parse(Path(sbc.__file__).with_name(f"{module}.py").read_text())
+    found = [
+        (node.lineno, name)
+        for node in _module_level_imports(tree)
+        for name in sorted(_imported_modules(node) & SCALAR_MODULES)
+    ]
+    assert found == []
+
+
+def test_shared_types_live_in_group_core() -> None:
+    assert sbc.subgroups.GroupType is sbc.group_core.GroupType

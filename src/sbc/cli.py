@@ -320,10 +320,7 @@ def _verify_checks(p: int, oracle_budget: int):
                 raise AssertionError(f"{rep.rep_id} lambda mismatch")
 
     def braid_sample():
-        reps = all_representatives(p)
-        # every fifth representative, then the other ones with |theta| = p^3
-        rest = (r for i, r in enumerate(reps) if i % 5 and r.theta_order == p**3)
-        for rep in reps[::5] + tuple(rest):
+        for rep in all_representatives(p):
             brace = brace_from_codes(p, rep.codes)
             tables = ybe_tables(brace)
             if verify_braid(brace, tables=tables) is not None:

@@ -11,12 +11,11 @@ laws:
 
 and the pair is a skew left brace: a (*) (b (+) c) equals
 (a (*) b) (+) (-a) (+) (a (*) c).  The additive tables are the shared M1
-tables themselves.  Everything here is table-driven, and the braid relation
-and the table route's socle/annihilator screens are exhaustive sweeps.  The
-braid sweep runs over triple codes (a k + b) k + c, on which r12 and r23
-are single gathers through r written as a permutation of pair codes.
+tables themselves.  Everything here is table-driven.  A brace check that
+fails names the lexicographically first failing triple, found by one sweep
+over the triple codes (a k + b) k + c (`_first_failing_triple`).
 
-Two exact arguments keep a brace at O(p^6) work instead of O(p^9):
+Three exact arguments keep a brace at O(p^6) work instead of O(p^9):
 
   * The product table goes through theta(G).  The automorphism parts of G
     take only |theta(G)| distinct values, so a (*) b = a . alpha_a(b) in M1
@@ -28,6 +27,13 @@ Two exact arguments keep a brace at O(p^6) work instead of O(p^9):
     every s in a generating set: the s for which this holds are closed
     under +, so they form a subgroup.  M1 is generated by the codes 1 and p,
     that is (0, 0, 1) and (0, 1, 0), so 2 p^6 identities decide it.
+  * The braid relation is a theorem: if (B, (+)) and (B, (*)) are groups
+    and the axiom holds, r(a, b) = (lambda_a(b), lambda_a(b)^-1 (*) a (*) b)
+    is a braided non-degenerate solution (Guarnieri-Vendramin, Math. Comp.
+    86, 2017, Thm 3.1).  `brace_from_codes` raises unless the row is regular
+    and closed, so (G, (*)) is a group, and its a (*) b = a . alpha_a(b) with
+    alpha_a in Aut(M1) makes lambda_a = alpha_a additive.  So two p^6 table
+    equalities say whether given tables are this r (`verify_braid`).
 
 The theta(G) tables come from `tables.aut_subgroup`, which checks that
 theta(G) is closed; the row is then checked only for closure under the
@@ -147,25 +153,25 @@ def verify_brace_axiom(brace: SkewBrace) -> tuple[int, int, int] | None:
     return None
 
 
-def _slabs(k: int) -> int:
-    # keep (slab, k, k) work arrays around a few million entries
-    return max(1, (1 << 22) // (k * k))
-
-
 def _first_axiom_failure(brace: SkewBrace) -> tuple[int, int, int] | None:
-    """The axiom swept over all k^3 triples in slabs of a; the first failing
-    (a, b, c) in lexicographic order, or None."""
+    """The first failing (a, b, c) of the axiom over all k^3 triples, or None."""
     MUL, ADD, INV_ADD = brace.MUL, brace.ADD, brace.INV_ADD
-    k = brace.order
-    step = _slabs(k)
-    for lo in range(0, k, step):
-        sl = np.arange(lo, min(lo + step, k))
-        lhs = MUL[sl[:, None, None], ADD[None, :, :]]
-        head = ADD[MUL[sl], INV_ADD[sl, None]]
-        rhs = ADD[head[:, :, None], MUL[sl][:, None, :]]
-        if not np.array_equal(lhs, rhs):
-            a, b, c = np.argwhere(lhs != rhs)[0]
-            return (int(sl[a]), int(b), int(c))
+    return _first_failing_triple(
+        brace.order, lambda a, b, c: MUL[a, ADD[b, c]] == ADD[ADD[MUL[a, b], INV_ADD[a]], MUL[a, c]])
+
+
+# triple codes per chunk of a sweep: each int64 work array is 512 KB
+_CHUNK = 1 << 16
+
+
+def _first_failing_triple(k: int, holds) -> tuple[int, int, int] | None:
+    """The first (a, b, c) in range(k)^3, in the order of the int64 codes
+    (a k + b) k + c, where holds(a, b, c) on index arrays is False, or None."""
+    for lo in range(0, k**3, _CHUNK):
+        a, b, c = np.unravel_index(np.arange(lo, min(lo + _CHUNK, k**3), dtype=np.int64), (k, k, k))
+        bad = np.flatnonzero(~holds(a, b, c))
+        if len(bad):
+            return (int(a[bad[0]]), int(b[bad[0]]), int(c[bad[0]]))
     return None
 
 
@@ -268,19 +274,6 @@ def ybe_tables(brace: SkewBrace) -> tuple[np.ndarray, np.ndarray]:
     return R1, R2
 
 
-def _pair_codes(R1: np.ndarray, R2: np.ndarray) -> np.ndarray:
-    """r as a permutation of pair codes: P[a k + b] = R1[a, b] k + R2[a, b].
-
-    int64, because the triple codes P[.] k + c pass 2^31 from p = 11."""
-    k = len(R1)
-    return (R1.astype(np.int64) * k + R2).ravel()
-
-
-# triple codes per chunk of the braid sweep; each int64 work array of a
-# chunk is 32 KB, which measured fastest at p = 5
-_BRAID_CHUNK = 1 << 12
-
-
 def verify_braid(
     brace: SkewBrace, *, tables: tuple[np.ndarray, np.ndarray] | None = None
 ) -> tuple[int, int, int] | None:
@@ -288,29 +281,39 @@ def verify_braid(
     the lexicographically first failing (a, b, c).
 
     tables may carry a precomputed ybe_tables(brace), here and in the other
-    YBE checks.  Triples are the int64 codes t = (a k + b) k + c swept in
-    order, and r12, r23 act on them through the pair permutation P:
-    r12(t) = P[t // k] k + t % k and r23(t) = (t // k^2) k^2 + P[t % k^2].
+    YBE checks.  The r of a skew brace (two groups and the axiom) is braided
+    by Guarnieri-Vendramin Thm 3.1, and brace_from_codes(p, brace.codes) is
+    a skew brace: it raises unless the row is regular and closed, and
+    alpha_a in Aut(M1) makes each lambda_a additive (module docstring).  So
+    no triple is swept when (R1, R2) is the r of that rebuild, whatever
+    brace.MUL holds: both (k, k) with entries in range(k), R1 the lambda of
+    the rebuilt MUL and the M1 tables, and R1 (*) R2 == a (*) b, that is
+    R2 = R1^-1 (*) a (*) b.  In every other case the k^3 sweep decides.
     """
-    P = _pair_codes(*(ybe_tables(brace) if tables is None else tables))
+    R1, R2 = ybe_tables(brace) if tables is None else tables
     k = brace.order
-    kk = k * k
+    try:
+        ref = brace_from_codes(brace.p, brace.codes)
+    except ValueError:  # not a regular closed row: the theorem does not apply
+        ref = None
+    if ref is not None and all(np.shape(T) == (k, k) and ((0 <= T) & (T < k)).all() for T in (R1, R2)):
+        lam = np.take(ref.ADD, ref.INV_ADD[:, None] * k + ref.MUL)  # flat codes, as in brace_from_codes
+        if np.array_equal(R1, lam) and np.array_equal(ref.MUL[R1, R2], ref.MUL):
+            return None
+    return _first_failing_triple(k, _braid_holds(R1, R2))
 
-    def r12(t):
-        pair, c = np.divmod(t, k)
-        return P[pair] * k + c
 
-    def r23(t):
-        a, pair = np.divmod(t, kk)
-        return a * kk + P[pair]
-
-    for lo in range(0, k * kk, _BRAID_CHUNK):
-        t = np.arange(lo, min(lo + _BRAID_CHUNK, k * kk), dtype=np.int64)
-        bad = np.flatnonzero(r12(r23(r12(t))) != r23(r12(r23(t))))
-        if len(bad):
-            a, pair = divmod(int(t[bad[0]]), kk)
-            return (a, *divmod(pair, k))
-    return None
+def _braid_holds(R1: np.ndarray, R2: np.ndarray):
+    """r12 r23 r12 == r23 r12 r23 for r = (R1, R2), on index arrays a, b, c."""
+    def holds(a, b, c):
+        x, y = R1[a, b], R2[a, b]  # r12 r23 r12 sends (a, b, c) to (x, y, z)
+        y, z = R1[y, c], R2[y, c]
+        x, y = R1[x, y], R2[x, y]
+        b, c = R1[b, c], R2[b, c]  # r23 r12 r23 sends it to (a, b, c)
+        a, b = R1[a, b], R2[a, b]
+        b, c = R1[b, c], R2[b, c]
+        return (x == a) & (y == b) & (z == c)
+    return holds
 
 
 def verify_nondegenerate(
@@ -329,5 +332,5 @@ def is_involutive(
     brace: SkewBrace, *, tables: tuple[np.ndarray, np.ndarray] | None = None
 ) -> bool:
     """r(r(a, b)) == (a, b) for every pair."""
-    P = _pair_codes(*(ybe_tables(brace) if tables is None else tables))
-    return bool(np.array_equal(P[P], np.arange(len(P))))
+    R1, R2 = ybe_tables(brace) if tables is None else tables
+    return bool(np.array_equal(np.stack((R1[R1, R2], R2[R1, R2])), np.indices(R1.shape)))

@@ -177,8 +177,8 @@ def test_braid_sample_checks_each_representative_once(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_braid", recording)
     code, _ = run(capsys, "verify", "--prime", "5", "--oracle-budget", "3")
     assert code == 0
-    # every fifth representative (12), then the 3 others with |theta| = p^3
-    assert len(seen) == len(set(seen)) == 15
+    # every representative, each once
+    assert len(seen) == len(set(seen)) == 59
 
 
 def test_braid_sample_builds_ybe_tables_once_per_brace(capsys, monkeypatch):
@@ -195,7 +195,7 @@ def test_braid_sample_builds_ybe_tables_once_per_brace(capsys, monkeypatch):
     monkeypatch.setattr(cli, "ybe_tables", counting)
     code, _ = run(capsys, "verify", "--prime", "5", "--oracle-budget", "3")
     assert code == 0
-    assert len(built) == len(set(built)) == 15
+    assert len(built) == len(set(built)) == 59
 
 
 def test_verify_reports_injected_failure(capsys, monkeypatch):

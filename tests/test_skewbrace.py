@@ -5,11 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+import sbc.skewbrace as skewbrace
 from sbc.families import all_representatives, trivial_subgroup
 from sbc.group_core import M1Elt, m1_code, m1_mul
 from sbc.holomorph import HolElt
 from sbc.skewbrace import (
+    _braid_holds,
     _first_axiom_failure,
+    _first_failing_triple,
     annihilator_indices,
     brace_from_codes,
     brace_from_subgroup,
@@ -245,8 +248,22 @@ def test_full_carrier_is_ideal_and_point_is_not(rep_braces):
 
 
 def test_braid_relation_every_triple(rep_braces):
+    # the shared sweep, called directly, is the reference for verify_braid,
+    # which decides these tables by the skew-brace theorem without a sweep
     for rep, br in rep_braces:
+        assert _first_failing_triple(br.order, _braid_holds(*ybe_tables(br))) is None, rep.rep_id
         assert verify_braid(br) is None, rep.rep_id
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_braid_is_decided_without_a_sweep(p, monkeypatch):
+    swept = []
+    monkeypatch.setattr(skewbrace, "_first_failing_triple", lambda k, holds: swept.append(k))
+    reps = all_representatives(p)
+    assert len(reps) == {5: 59, 7: 109}[p]
+    for rep in reps:
+        assert verify_braid(brace_from_codes(p, rep.codes)) is None, rep.rep_id
+    assert swept == []
 
 
 def test_solutions_nondegenerate_not_involutive(rep_braces):
@@ -302,6 +319,66 @@ def test_braid_reports_first_failing_triple(rep_braces, corrupt):
     want = _first_braid_failure(R1, R2)
     assert want is not None
     assert verify_braid(br, tables=(R1, R2)) == want
+
+
+def _consistent_pair(br, R1):
+    """R1 with R2 = R1^-1 (*) a (*) b, so R1 (*) R2 == a (*) b holds."""
+    a, b = np.indices(R1.shape)
+    return R1, br.MUL[br.MUL[br.INV_MUL[R1], a], b]
+
+
+@pytest.mark.parametrize("corrupt", ["r1-not-lambda", "mul-replaced", "r1-negative", "r2-negative"])
+def test_braid_corruptions_name_the_scalar_triple(rep_braces, corrupt):
+    # each corruption passes every condition of the decision but one, so
+    # only that condition sends the tables to the sweep
+    for rep, br in rep_braces[::19]:
+        k = br.order
+        R1, R2 = ybe_tables(br)
+        if corrupt == "r1-not-lambda":
+            R1 = R1.copy()
+            R1[3, [7, 40]] = R1[3, [40, 7]]
+            R1, R2 = _consistent_pair(br, R1)
+        elif corrupt == "mul-replaced":
+            # a row swap keeps every row of MUL a permutation; the tables are
+            # then r of the replaced laws, which are no brace
+            MUL = br.MUL.copy()
+            MUL[2, [11, 60]] = MUL[2, [60, 11]]
+            R1 = br.ADD[br.INV_ADD[:, None], MUL]
+            R2 = np.argsort(MUL, axis=1)[R1, MUL]
+            br = dataclasses.replace(br, MUL=MUL)
+            assert np.array_equal(MUL[R1, R2], MUL)
+        elif corrupt == "r1-negative":
+            R1 = R1.copy()
+            R1[6, 2] -= k  # wraps to the true entry in every numpy gather
+        else:
+            R2 = R2.copy()
+            R2[4, 9] -= k
+        want = _first_braid_failure(R1, R2)
+        assert want is not None, rep.rep_id
+        assert verify_braid(br, tables=(R1, R2)) == want, rep.rep_id
+
+
+def test_braid_entry_past_the_table_raises_like_the_scalar(rep_braces):
+    _, br = rep_braces[-1]
+    R1, R2 = ybe_tables(br)
+    R2 = R2.copy()
+    R2[4, 9] += br.order
+    with pytest.raises(IndexError):
+        _first_braid_failure(R1, R2)
+    with pytest.raises(IndexError):
+        verify_braid(br, tables=(R1, R2))
+
+
+def test_braid_of_other_laws_is_swept_and_holds(rep_braces, monkeypatch):
+    # the codes of one brace with every law of another: ybe_tables give the
+    # other brace's r, which is braided, but not this row's r, so the sweep decides
+    (_, br), (_, other) = rep_braces[0], rep_braces[-1]
+    laws = {f: getattr(other, f) for f in ("MUL", "INV_MUL", "ACTION")}
+    swept = []
+    real = skewbrace._first_failing_triple
+    monkeypatch.setattr(skewbrace, "_first_failing_triple", lambda k, holds: swept.append(k) or real(k, holds))
+    assert verify_braid(dataclasses.replace(br, **laws)) is None
+    assert swept == [br.order]
 
 
 def test_braid_relation_on_sampled_triples_from_the_brace_laws(rep_braces):

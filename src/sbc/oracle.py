@@ -134,7 +134,8 @@ is the group of order p of the matrices that fix L pointwise and act
 trivially on F_p^2 / L: a Sylow is determined by the line it fixes, and
 distinct Sylows fix distinct lines.  Ambient 0 is the families' standard
 one (every family representative lies in it), A_0 = Inn(M1) x| U with U
-the lower unipotents (1 0; x 1), which fix the line <e2>.  Each beta_i,
+the lower unipotents (1 0; x 1), which fix the line <e2>
+(`tables.standard_ambient`).  Each beta_i,
 i = 1..p, has inner part 0 and matrix part (1 k; 0 1) for k = 1..p-1, or
 (0 1; 1 0); beta_i U beta_i^-1 fixes the line beta_i <e2>, which is
 <(k, 1)> or <(1, 0)>.  With <e2> these are the p + 1 lines of F_p^2, so
@@ -165,7 +166,7 @@ import numpy as np
 
 from .group_core import GroupType, validate_prime
 from .tables import aut_subgroup, aut_table, class_labels, distinct_rows, greedy_generators, m1_table
-from .tables import regular_row_mask, row_conjugator
+from .tables import regular_row_mask, row_conjugator, standard_ambient
 
 __all__ = [
     "AmbientScan",
@@ -499,14 +500,6 @@ class AmbientScan:
         return bool(regular_row_mask(self.p, row, self.AL))
 
 
-def _standard_ambient(p: int) -> np.ndarray:
-    """Ascending Aut(M1) indices of A_0 = Inn(M1) x| U, U the lower
-    unipotent matrices (1 0; x 1): the Sylow subgroup that holds every
-    family representative's automorphism parts."""
-    t1, t2, x = np.indices((p, p, p), dtype=np.int64).reshape(3, -1)
-    return aut_table(p).index(t1, t2, 1, 0, x, 1)
-
-
 def _ambient_conjugators(p: int) -> np.ndarray:
     """Aut(M1) indices of beta_1..beta_p: inner part 0 and matrix part
     (1 k; 0 1) for k = 1..p-1, then (0 1; 1 0).  The beta_i A_0 beta_i^-1
@@ -532,7 +525,7 @@ def _scan(p: int) -> OracleResult:
     if len(betas) != p or len(set(betas.tolist())) != p:
         raise AssertionError(f"expected p = {p} ambient conjugators, got {betas.tolist()}")
     aut = aut_table(p)
-    scan = AmbientScan(p, _standard_ambient(p))
+    scan = AmbientScan(p, standard_ambient(p))
     layer3 = scan.order_p3_subgroups(scan.order_p2_subgroups(scan.order_p_subgroups()))
     rows = np.array([row for row, _ in layer3])  # local codes
     # is_regular on every row at once, then theta orders and types

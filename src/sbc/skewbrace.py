@@ -17,10 +17,16 @@ over the triple codes (a k + b) k + c (`_first_failing_triple`).
 
 Three exact arguments keep a brace at O(p^6) work instead of O(p^9):
 
-  * The product table goes through theta(G).  The automorphism parts of G
-    take only |theta(G)| distinct values, so a (*) b = a . alpha_a(b) in M1
-    needs a |theta(G)| x p^3 table of applications and a |theta(G)|^2 table
-    of compositions, not p^6 of each.
+  * The product table goes through the automorphism parts.  a (*) b =
+    a . alpha_a(b) in M1 needs a table of the parts applied to the p^3
+    codes and one of their compositions, not p^6 holomorph products.
+    Every family representative's parts lie in Sylow ambient 0, A_0
+    (`tables.standard_ambient`, p^3 members), whose tables
+    `tables.ambient_tables` builds once per prime, read-only: an
+    element's part is found by its position in A_0, one search.  A row
+    with a part outside A_0 takes the reference route, tables of theta(G)
+    itself from `tables.aut_subgroup` (|theta(G)| x p^3 applications and
+    |theta(G)|^2 compositions), which the A_0 route is tested against.
   * The axiom is checked on two generators.  It says that every
     lambda_a(b) = (-a) (+) (a (*) b) is an endomorphism of (G, (+)).  A map f
     of a finite group is one iff f(x + s) = f(x) + f(s) for every x and
@@ -35,10 +41,13 @@ Three exact arguments keep a brace at O(p^6) work instead of O(p^9):
     alpha_a in Aut(M1) makes lambda_a = alpha_a additive.  So two p^6 table
     equalities say whether given tables are this r (`verify_braid`).
 
-The theta(G) tables come from `tables.aut_subgroup`, which checks that
-theta(G) is closed; the row is then checked only for closure under the
-product.  Its p^3 elements are distinct, and a finite closed subset of a
-group is a subgroup, so the identity and the inverses need no check.
+On either route the row is checked only for closure under the product:
+(i, alpha)(j, beta) lies in the row iff the row's element with n-part
+i alpha(j) has part alpha beta, and both sides are positions among the
+members of one group of automorphisms, so one p^6 equality decides it.
+The row's p^3 elements are distinct, and a finite closed subset of a
+group is a subgroup, so the identity and the inverses need no check (nor
+does theta(G), the image of a subgroup).
 
 The socle and the annihilator need no brace at all (the row route,
 `socle_and_annihilator_masks`).  Soc(B) = ker lambda meet Z(B, (+))
@@ -54,16 +63,20 @@ and theta(G), an image of a group of order p^3, is a p-group, so each
 determinant has order dividing both a power of p and p - 1, and is 1: here
 the two sets agree, and the generator test checks that rather than
 assuming it.  The table route (`socle_indices`, `annihilator_indices`)
-reads both off a built brace and is the row route's test reference.
+reads both off a built brace and is the row route's test reference.  It
+too reads the additive centre off the generators 1 and p, O(p^3), and the
+centre of (G, (*)) off one MUL == MUL.T pass per brace, which
+`SkewBrace.mul_abelian` shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .tables import aut_subgroup, hol_codec, regular_row_mask
+from .tables import ambient_tables, aut_subgroup, hol_codec, regular_row_mask
 
 __all__ = [
     "SkewBrace",
@@ -96,28 +109,45 @@ class SkewBrace:
     def order(self) -> int:
         return len(self.codes)
 
+    @cached_property
+    def mul_central(self) -> np.ndarray:
+        """Which local indices are central in (G, (*)): one MUL == MUL.T
+        pass per brace, read by `annihilator_indices` and `mul_abelian`."""
+        return np.all(self.MUL == self.MUL.T, axis=1)
+
     def mul_abelian(self) -> bool:
-        return bool(np.array_equal(self.MUL, self.MUL.T))
+        return bool(self.mul_central.all())
 
     def add_abelian(self) -> bool:
-        return bool(np.array_equal(self.ADD, self.ADD.T))
+        return bool(_additive_centre(self.ADD, self.p).all())
+
+
+def _additive_centre(ADD: np.ndarray, p: int) -> np.ndarray:
+    """Which codes are central in M1, ADD its table: those that commute
+    with its generators 1 and p, O(p^3) reads."""
+    return (ADD[:, 1] == ADD[1]) & (ADD[:, p] == ADD[p])
 
 
 def brace_from_codes(p: int, codes: np.ndarray) -> SkewBrace:
     codec = hol_codec(p)
     codes = codec.regular_row(codes)
     # (i, alpha)(j, beta) = (i alpha(j), alpha beta), alpha and beta local
-    # indices in theta(G).  Tables are read by np.take on flat row * width +
-    # column codes, faster than a 2-D fancy gather, held in one k x k buffer.
-    aparts, pos = np.unique(codes % codec.N, return_inverse=True)
-    APPLY, COMP, INV = aut_subgroup(p, aparts)
-    t, k = len(aparts), len(codes)
+    # indices pos among the members of A_0, or of theta(G) when a part lies
+    # outside A_0 (module docstring).  The product's n-part is read by
+    # np.take on flat int64 row * k + column codes, faster than a 2-D fancy
+    # gather.
+    parts = codes % codec.N
+    members, APPLY, COMP, INV = ambient_tables(p)
+    pos = np.searchsorted(members, parts)
+    if not np.array_equal(members.take(pos, mode="clip"), parts):
+        members, pos = np.unique(parts, return_inverse=True)
+        APPLY, COMP, INV = aut_subgroup(p, members)
+    k = len(codes)
     ACTION = APPLY[pos]
-    at = ACTION + np.arange(k)[:, None] * k
-    MUL = np.take(codec.m1.MUL, at)
-    np.add(pos[:, None] * t, pos, out=at)
-    # a product with n-part i lies in the carrier iff its part is codes[i]'s
-    if not np.array_equal(pos[MUL], np.take(COMP, at)):
+    MUL = np.take(codec.m1.MUL, ACTION + np.arange(k)[:, None] * k)
+    # a product with n-part i lies in the carrier iff its part is codes[i]'s;
+    # the positions are compared in the tables' dtype
+    if not np.array_equal(pos.astype(COMP.dtype).take(MUL), COMP[pos][:, pos]):
         raise ValueError("carrier is not closed under the holomorph product")
 
     ADD, INV_ADD = codec.m1.MUL, codec.m1.INV
@@ -142,12 +172,12 @@ def verify_brace_axiom(brace: SkewBrace) -> tuple[int, int, int] | None:
     finds a failure does the full p^9 sweep run, to name the first one.
     """
     MUL, ADD, INV_ADD, k = brace.MUL, brace.ADD, brace.INV_ADD, brace.order
-    # tables read by np.take on flat row * k + column codes, as in brace_from_codes
+    # row-dependent reads by np.take on flat row * k + column codes, as in
+    # brace_from_codes
     head = np.take(ADD, MUL * k + INV_ADD[:, None])  # (a (*) b) (+) (-a)
     head *= k
-    rows = np.arange(k)[:, None] * k
     for s in (1, brace.p):  # the M1 codes of (0, 0, 1) and (0, 1, 0)
-        lhs = np.take(MUL, rows + ADD[:, s])  # a (*) (b (+) s)
+        lhs = MUL[:, ADD[:, s]]  # a (*) (b (+) s): a permutation of the columns
         if not np.array_equal(lhs, np.take(ADD, head + MUL[:, s, None])):
             return _first_axiom_failure(brace)
     return None
@@ -195,7 +225,7 @@ def socle_indices(brace: SkewBrace) -> np.ndarray:
     """
     k = brace.order
     ker_lam = np.all(brace.ACTION == np.arange(k)[None, :], axis=1)
-    add_central = np.all(brace.ADD == brace.ADD.T, axis=1)
+    add_central = _additive_centre(brace.ADD, brace.p)
     route_a = ker_lam & add_central
     route_b = np.all(brace.MUL == brace.ADD, axis=1) & add_central
     if not np.array_equal(route_a, route_b):
@@ -208,10 +238,9 @@ def annihilator_indices(brace: SkewBrace, *, socle: np.ndarray | None = None) ->
     precomputed socle_indices(brace)."""
     if socle is None:
         socle = socle_indices(brace)
-    mul_central = np.all(brace.MUL == brace.MUL.T, axis=1)
     soc = np.zeros(brace.order, dtype=bool)
     soc[socle] = True
-    return np.flatnonzero(soc & mul_central)
+    return np.flatnonzero(soc & brace.mul_central)
 
 
 def socle_and_annihilator_masks(
@@ -237,8 +266,7 @@ def socle_and_annihilator_masks(
     identity = parts == aut.identity
     if not np.array_equal(identity, (aut.apply_codes(parts, 1) == 1) & (aut.apply_codes(parts, p) == p)):
         raise AssertionError("ker lambda routes disagree")
-    n = codec.m1.codes
-    centre = np.flatnonzero((MUL[n, 1] == MUL[1, n]) & (MUL[n, p] == MUL[p, n]))
+    centre = np.flatnonzero(_additive_centre(MUL, p))
     socle = np.zeros(rows.shape, dtype=bool)
     socle[:, centre] = identity[at.reshape(rows.shape)[:, centre]]
     gens = np.asarray(gen_codes, dtype=np.int64) % codec.N  # (r, generators)

@@ -30,9 +30,9 @@ from .holomorph import HolElt
 from .subgroups import SubgroupHol, subgroup_from_cosets
 
 __all__ = [
-    "AutTable", "M1Table", "HolCodec", "aut_generators", "aut_subgroup", "aut_table", "class_labels",
-    "distinct_rows", "greedy_generators", "hol_codec", "m1_table", "regular_row_mask", "row_conjugator",
-    "row_lookup",
+    "AutTable", "M1Table", "HolCodec", "ambient_tables", "aut_generators", "aut_subgroup", "aut_table",
+    "class_labels", "distinct_rows", "greedy_generators", "hol_codec", "m1_table", "regular_row_mask",
+    "row_conjugator", "row_lookup", "standard_ambient",
 ]
 
 # Entries per step of the inverse build and the sweep-factor build, so their
@@ -197,6 +197,30 @@ def aut_subgroup(p: int, members: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     if not np.array_equal(keys.take(COMP), comp):
         raise ValueError("automorphism subset is not closed under composition")
     return APPLY, COMP, np.searchsorted(members, aut.INV[members])
+
+
+def standard_ambient(p: int) -> np.ndarray:
+    """Ascending Aut(M1) indices of A_0 = Inn(M1) x| U, U the lower
+    unipotent matrices (1 0; x 1): Sylow ambient 0, the Sylow subgroup that
+    holds every family representative's automorphism parts."""
+    t1, t2, x = np.indices((p, p, p), dtype=np.int64).reshape(3, -1)
+    return aut_table(p).index(t1, t2, 1, 0, x, 1)
+
+
+@lru_cache(maxsize=4)
+def ambient_tables(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(members, APPLY, COMP, INV): standard_ambient(p) and its aut_subgroup
+    tables, built once per prime and read-only.  Every entry is a local
+    index or an M1 code below p^3, so the tables are int16 while
+    p^3 <= 32767 and int32 above: a quarter or half of int64's bytes.  The
+    dtype is signed, so an entry a caller shifts below 0 in its own copy
+    stays negative, as in an int64 table."""
+    members = standard_ambient(p)
+    dtype = np.int16 if p**3 <= np.iinfo(np.int16).max else np.int32
+    tables = [T.astype(dtype) for T in aut_subgroup(p, members)]
+    for table in (members, *tables):  # shared by the cache
+        table.flags.writeable = False
+    return (members, *tables)
 
 
 class M1Table:

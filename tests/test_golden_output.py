@@ -1,5 +1,5 @@
-"""Byte-level pins of the command-line output at p = 5, and of the counts at
-p = 7.
+"""Byte-level pins of the command-line output at p = 5, and of the counts and
+the brace and ybe requests at p = 7.
 
 Every digest is the SHA-256 of the exact bytes a command writes.  They were
 recorded from a build whose outputs the acceptance gates had checked, so a
@@ -27,6 +27,8 @@ DIGESTS = {
     "brace-all": "9392d0eafba88faa395e6176205a16ccdc03fdeddeae76b89201651205ad8655",
     "ybe-json-all": "076686d8417b84ce8cc730c0ede82c0e2064842da5098de4b75df681068d30f0",
     "brace-json-all": "dbe488fbe3ebc581b43492422658203fd1d19fcefd5ec84a62cb0225de9aced6",
+    "brace-json-all-p7": "b5a31ee7b6a5c37145d9981d577b2f87e055e8c589f1c365b4342c8fec3e99bb",
+    "ybe-json-all-p7": "a75bc03dcecdfa6e6779cbbf0ac1d8d16189b8a3ef3c8fa949ee4bf90212ff0e",
     "ybe-full-r=1/trivial": "ee5d60241f6a5ff1032381c9229c777dff78a60bda36acf4e8006a6beac2fec8",
     "ybe-full-r=p/a1": "7f028a22642e53e9d604d36333a4585de4ee6e37c33b57630f103d78616c2cd2",
     "ybe-full-r=p2/I/u5=2": "4b02c6af96d248b0286f09832fb1b4184ea8565eb780ec0f60e441b306f3c91a",
@@ -93,6 +95,16 @@ def test_brace_json_bytes_for_every_id(capsys):
         _stdout(capsys, "brace", "--prime", "5", "--id", i, "--format", "json") for i in ids
     )
     assert _sha(out) == DIGESTS["brace-json-all"]
+
+
+@pytest.mark.parametrize("command", ["brace", "ybe"])
+def test_brace_and_ybe_json_bytes_for_every_id_p7(capsys, command):
+    ids = [rep.rep_id for rep in all_representatives(7)]
+    assert len(ids) == 109
+    out = b"".join(
+        _stdout(capsys, command, "--prime", "7", "--id", i, "--format", "json") for i in ids
+    )
+    assert _sha(out) == DIGESTS[f"{command}-json-all-p7"]
 
 
 @pytest.mark.parametrize("rep_id", ["r=1/trivial", "r=p/a1", "r=p2/I/u5=2", "r=p3/t3=1/s=delta"])

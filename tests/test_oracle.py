@@ -13,7 +13,7 @@ from sbc.group_core import M1Elt, m1_code, m1_subgroup_inventory
 from sbc import oracle
 from sbc.oracle import AmbientScan, enumerate_regular_subgroups
 from sbc.subgroups import GroupType, is_regular, isomorphism_type
-from sbc.tables import aut_table, distinct_rows, hol_codec
+from sbc.tables import aut_table, distinct_rows, hol_codec, standard_ambient
 
 
 # -- element-by-element reference walk ---------------------------------------
@@ -561,7 +561,7 @@ def test_closed_form_ambients_are_the_sylow_ambients(p, sylow_ambients):
     # A_0 and its p conjugates beta A_0 beta^-1 against the scalar route's
     # p + 1 Sylow subgroups, compared as sets of member arrays
     aut = aut_table(p)
-    a0 = oracle._standard_ambient(p)
+    a0 = standard_ambient(p)
     assert np.array_equal(a0, np.sort(a0)) and len(a0) == p**3
     betas = oracle._ambient_conjugators(p)
     assert len(betas) == p

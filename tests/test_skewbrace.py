@@ -5,11 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+import sbc.oracle as oracle
 import sbc.skewbrace as skewbrace
 from sbc.families import all_representatives, trivial_subgroup
 from sbc.group_core import M1Elt, m1_code, m1_mul
 from sbc.holomorph import HolElt
 from sbc.skewbrace import (
+    _additive_centre,
     _braid_holds,
     _first_axiom_failure,
     _first_failing_triple,
@@ -27,7 +29,7 @@ from sbc.skewbrace import (
 )
 from sbc.subgroups import GroupType, generate
 from sbc.automorphisms import alpha1, aut_identity
-from sbc.tables import hol_codec, m1_table
+from sbc.tables import hol_codec, m1_table, row_conjugator, standard_ambient
 
 P = 5
 
@@ -97,18 +99,74 @@ def test_regular_but_open_carrier_is_rejected(row):
         brace_from_codes(P, codes)
 
 
+def _assert_composition_route(br, label):
+    """br's tables against the reference, which composes all p^6 pairs of
+    holomorph codes."""
+    codec = hol_codec(br.p)
+    prod = codec.mul_codes(br.codes[:, None], br.codes[None, :])
+    MUL = prod // codec.N
+    assert np.array_equal(br.codes[MUL], prod), label
+    assert np.array_equal(br.MUL, MUL), label
+    assert np.array_equal(br.INV_MUL, codec.inv_codes(br.codes) // codec.N), label
+    assert np.array_equal(br.ACTION, br.ADD[br.INV_ADD[:, None], MUL]), label
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_theta_tables_match_the_composition_route(p):
-    # the reference composes all p^6 pairs of holomorph codes
-    codec = hol_codec(p)
     for rep in all_representatives(p):
-        br = brace_from_codes(p, rep.codes)
-        prod = codec.mul_codes(br.codes[:, None], br.codes[None, :])
-        MUL = prod // codec.N
-        assert np.array_equal(br.codes[MUL], prod), rep.rep_id
-        assert np.array_equal(br.MUL, MUL), rep.rep_id
-        assert np.array_equal(br.INV_MUL, codec.inv_codes(br.codes) // codec.N), rep.rep_id
-        assert np.array_equal(br.ACTION, br.ADD[br.INV_ADD[:, None], MUL]), rep.rep_id
+        _assert_composition_route(brace_from_codes(p, rep.codes), rep.rep_id)
+
+
+def _refuse(p, members):
+    raise AssertionError("aut_subgroup ran for a row inside A_0")
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_every_representative_is_built_from_the_ambient_tables(p, monkeypatch):
+    # every automorphism part lies in A_0, so no theta(G) table is built
+    codec = hol_codec(p)
+    reps = all_representatives(p)
+    assert np.isin(np.array([rep.codes for rep in reps]) % codec.N, standard_ambient(p)).all()
+    monkeypatch.setattr(skewbrace, "aut_subgroup", _refuse)
+    for rep in reps:
+        assert brace_from_codes(p, rep.codes).order == p**3, rep.rep_id
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_ambient_route_matches_the_theta_route(p, monkeypatch):
+    # an ambient that holds no part sends every row to the aut_subgroup route
+    calls = []
+    real = skewbrace.aut_subgroup
+    ambient = [brace_from_codes(p, rep.codes) for rep in all_representatives(p)]
+    monkeypatch.setattr(skewbrace, "ambient_tables", lambda p: (np.array([-1]), None, None, None))
+    monkeypatch.setattr(skewbrace, "aut_subgroup", lambda p, members: calls.append(p) or real(p, members))
+    for rep, br in zip(all_representatives(p), ambient):
+        theta = brace_from_codes(p, rep.codes)
+        for field in ("MUL", "INV_MUL", "ACTION"):
+            assert np.array_equal(getattr(br, field), getattr(theta, field)), (rep.rep_id, field)
+    assert len(calls) == len(ambient)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_row_outside_the_ambient_takes_the_theta_route(p, monkeypatch):
+    # conjugating by beta_1 moves every part outside Inn(M1) out of A_0
+    # (they meet in Inn(M1)), and the conjugate of a regular subgroup is one
+    codec, members = hol_codec(p), standard_ambient(p)
+    conjugate = row_conjugator(p, int(oracle._ambient_conjugators(p)[0]), members)
+    calls = []
+    real = skewbrace.aut_subgroup
+    monkeypatch.setattr(skewbrace, "aut_subgroup", lambda p, members: calls.append(p) or real(p, members))
+    moved = 0
+    for rep in all_representatives(p):
+        row = conjugate(np.searchsorted(members, rep.codes % codec.N)[None, :])[0]
+        outer = bool((rep.codes % codec.aut.n_gl != codec.aut.identity).any())  # a matrix part is not I
+        assert bool(np.isin(row % codec.N, members).all()) != outer, rep.rep_id
+        if outer:
+            moved += 1
+            assert codec.is_regular_row(row), rep.rep_id
+            _assert_composition_route(brace_from_codes(p, row), rep.rep_id)
+            assert len(calls) == moved, rep.rep_id
+    assert moved > 0
 
 
 def test_axiom_holds_for_every_representative(rep_braces):
@@ -212,6 +270,19 @@ def test_additive_group_is_always_heisenberg(rep_braces):
 def test_multiplicative_abelianness_matches_type(rep_braces):
     for rep, br in rep_braces:
         assert br.mul_abelian() == (rep.group_type is GroupType.ElemAbelian_p3), rep.rep_id
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_centres_match_the_transposed_comparison(p):
+    # the additive centre is read off the generators 1 and p of M1, O(p^3);
+    # the reference compares the whole table with its transpose
+    for rep in all_representatives(p):
+        br = brace_from_codes(p, rep.codes)
+        assert np.array_equal(_additive_centre(br.ADD, p), np.all(br.ADD == br.ADD.T, axis=1)), rep.rep_id
+        assert br.add_abelian() is bool(np.array_equal(br.ADD, br.ADD.T)) is False, rep.rep_id
+        assert np.array_equal(br.mul_central, np.all(br.MUL == br.MUL.T, axis=1)), rep.rep_id
+        assert br.mul_abelian() is bool(np.array_equal(br.MUL, br.MUL.T)), rep.rep_id
+    assert np.flatnonzero(_additive_centre(m1_table(p).MUL, p)).tolist() == [a * p * p for a in range(p)]
 
 
 def test_socle_and_annihilator_orders(rep_braces):

@@ -17,9 +17,9 @@ from sbc.automorphisms import (
 from sbc.families import all_representatives
 from sbc.group_core import m1_code, m1_elements, m1_from_code, m1_inv, m1_mul
 from sbc.holomorph import HolElt, conj_by_aut, hol_inv, hol_mul
-from sbc.oracle import _standard_ambient
 from sbc.subgroups import generate
 from sbc.tables import (
+    ambient_tables,
     aut_generators,
     aut_subgroup,
     aut_table,
@@ -30,6 +30,7 @@ from sbc.tables import (
     regular_row_mask,
     row_conjugator,
     row_lookup,
+    standard_ambient,
 )
 
 P = 5
@@ -231,6 +232,19 @@ def test_aut_subgroup_composition_matches_compose_idx(p: int, sylow_ambients) ->
         assert np.array_equal(members[INV], aut.INV[members])
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_ambient_tables_are_the_standard_ambients_tables(p: int) -> None:
+    # cached once per prime, read-only, signed 16-bit, equal in value to
+    # the int64 tables aut_subgroup builds for the same members
+    members, *tables = ambient_tables(p)
+    assert ambient_tables(p)[1] is tables[0]
+    assert np.array_equal(members, standard_ambient(p)) and len(members) == p**3
+    for got, want in zip(tables, aut_subgroup(p, standard_ambient(p))):
+        assert got.dtype == np.int16 and not got.flags.writeable
+        assert np.array_equal(got, want)
+    assert not members.flags.writeable
+
+
 def test_hol_codec_round_trip_and_ops() -> None:
     codec = hol_codec(P)
     auts = enumerate_aut(P)
@@ -354,7 +368,7 @@ def test_row_conjugator_matches_conj_matrix(oracle_p5) -> None:
 def test_row_conjugator_on_local_positions() -> None:
     # the oracle's merge gives positions in an ambient's members: here
     # every representative, all inside the standard Sylow ambient
-    members = _standard_ambient(P)
+    members = standard_ambient(P)
     codec = hol_codec(P)
     rows = np.array([rep.codes for rep in all_representatives(P)])
     assert len(rows) == 59 and np.isin(rows % codec.N, members).all()
